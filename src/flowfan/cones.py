@@ -16,7 +16,7 @@ the cycle class makes basis cycles sufficient.
 
 from dataclasses import dataclass
 
-from .errors import AmbientMismatch, NotPointed
+from .errors import AmbientMismatch, FlowFanError, NotPointed
 from .graph import cycle_basis
 from . import linalg
 from .linalg import dot, int_rank, is_zero, primitive, reduce_mod, rref_int, sign_normalized
@@ -370,10 +370,12 @@ def _parallelepiped_points(basis_rows, lattice_rows):
     coords = []
     for b in basis_rows:
         sol = linalg.solve_left(lattice_rows, b)
-        assert sol is not None and all(x.denominator == 1 for x in sol)
+        if sol is None or any(x.denominator != 1 for x in sol):
+            raise FlowFanError(f"basis vector {b} does not lie in the lattice")
         coords.append(tuple(int(x) for x in sol))
     H = linalg.row_hnf(coords)
-    assert len(H) == k, "basis does not span the lattice rationally"
+    if len(H) != k:
+        raise FlowFanError("basis does not span the lattice rationally")
 
     reps = [[]]
     for i in range(k):

@@ -107,8 +107,7 @@ class Fan:
     """Face-closed collection of cones in the edge space of a graph.
 
     ``witnesses`` maps each cone key to a weighting whose cone contains it
-    (equality for maximal cones); ``face_index`` maps each cone key to the
-    keys of all its faces; ``maximal_keys`` flags the maximal cones.
+    (equality for maximal cones); ``maximal_keys`` flags the maximal cones.
     """
 
     graph: object
@@ -116,13 +115,6 @@ class Fan:
     cones: list
     witnesses: dict
     maximal_keys: frozenset
-    face_index: dict
-
-    def cone_by_key(self, key):
-        for c in self.cones:
-            if canonical_key(c) == key:
-                return c
-        raise KeyError(key)
 
     def ray_list(self):
         rays = set()
@@ -149,16 +141,13 @@ def build_fan(g) -> Fan:
             fk = canonical_key(f)
             cones.setdefault(fk, f)
             witnesses.setdefault(fk, w)
-    face_index = {}
-    for k, c in cones.items():
-        face_index[k] = frozenset(canonical_key(f) for f in faces(c))
     raysets = {k: frozenset(c.rays()) for k, c in cones.items()}
     maximal = frozenset(
         k for k, rs in raysets.items()
         if not any(k2 != k and rs < rs2 for k2, rs2 in raysets.items()))
     ordered = sorted(cones.values(), key=lambda c: (c.dim(), c.rays()))
     edge_order = tuple(g.edges())
-    return Fan(g, edge_order, ordered, witnesses, maximal, face_index)
+    return Fan(g, edge_order, ordered, witnesses, maximal)
 
 
 @dataclass(frozen=True)

@@ -79,9 +79,6 @@ class Graph:
     def vertices(self):
         return sorted(self.genus_of, key=sort_key)
 
-    def half_edges(self):
-        return sorted(self.end, key=sort_key)
-
     def is_leg(self, h):
         return self.involution[h] == h
 

@@ -4,22 +4,27 @@ Vectors are tuples of Python ints (arbitrary precision), matrices are
 sequences of row tuples. Ambient dimensions equal the number of graph
 edges, so everything here is tiny; the implementations favour clarity
 and determinism over asymptotics.
+
+Two eliminations carry the module, both on integers only:
+
+* :func:`rref_int`, a fraction-free Gauss-Jordan elimination, gives the
+  canonical basis of a row span over Q. :func:`int_rank` and
+  :func:`solve_left` read their answers off it.
+* :func:`row_hnf`, a unimodular row reduction, gives the canonical
+  (Hermite) basis of a row lattice over Z. :func:`integer_kernel` reads
+  a saturated kernel basis off the Hermite form of ``[rows^T | I]``.
+
+The brute-force oracle keeps its own ``Fraction`` elimination on purpose,
+so that cross-checks against it share no code with this module.
 """
 
 from fractions import Fraction
 from math import gcd
 
 
-def vec_gcd(v):
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
-
-
 def primitive(v):
     """Divide an integer vector by the gcd of its entries (direction kept)."""
-    g = vec_gcd(v)
+    g = gcd(*v)
     if g <= 1:
         return tuple(v)
     return tuple(x // g for x in v)
@@ -44,83 +49,41 @@ def is_zero(v):
     return all(x == 0 for x in v)
 
 
-def int_rank(rows):
-    """Rank of an integer matrix (fraction-free elimination)."""
-    m = [list(r) for r in rows if not is_zero(r)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(row, len(m)):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        for i in range(row + 1, len(m)):
-            if m[i][col] != 0:
-                a, b = m[row][col], m[i][col]
-                m[i] = [a * x - b * y for x, y in zip(m[i], m[row])]
-                g = vec_gcd(m[i])
-                if g > 1:
-                    m[i] = [x // g for x in m[i]]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
-
-
 def rref_int(rows):
     """Reduced row echelon form scaled to primitive integer rows.
 
     Pivot entries are positive and pivot columns are cleared above and
-    below, so the result is canonical for the row span over Q.
+    below, so the result is canonical for the row span over Q: each row of
+    the rational RREF is fixed up to scale, and "primitive with a positive
+    pivot" fixes the scale.
     """
-    m = [[Fraction(x) for x in r] for r in rows if not is_zero(r)]
+    m = [primitive(r) for r in rows if not is_zero(r)]
     if not m:
         return ()
-    ncols = len(m[0])
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(row, len(m)):
-            if m[i][col] != 0:
-                piv = i
-                break
+    rank = 0
+    for col in range(len(m[0])):
+        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
         if piv is None:
             continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = m[row][col]
-        m[row] = [x / inv for x in m[row]]
-        for i in range(len(m)):
-            if i != row and m[i][col] != 0:
-                c = m[i][col]
-                m[i] = [x - c * y for x, y in zip(m[i], m[row])]
-        row += 1
-        if row == len(m):
+        p = m[piv]
+        if p[col] < 0:
+            p = tuple(-x for x in p)
+        m[piv] = m[rank]
+        m[rank] = p
+        a = p[col]
+        for i, r in enumerate(m):
+            b = r[col]
+            if b != 0 and i != rank:
+                m[i] = primitive([a * x - b * y for x, y in zip(r, p)])
+        rank += 1
+        if rank == len(m):
             break
-    out = []
-    for r in m[:row]:
-        den = 1
-        for x in r:
-            den = den * x.denominator // gcd(den, x.denominator)
-        out.append(tuple(int(x * den) for x in r))
-    return tuple(out)
+    return tuple(m[:rank])
 
 
-def pivot_columns(rref_rows):
-    cols = []
-    for r in rref_rows:
-        for j, x in enumerate(r):
-            if x != 0:
-                cols.append(j)
-                break
-    return cols
+def int_rank(rows):
+    """Rank of an integer matrix."""
+    return len(rref_int(rows))
 
 
 def reduce_mod(v, rref_rows):
@@ -140,53 +103,6 @@ def reduce_mod(v, rref_rows):
             c = w[p]
             w = [a * x - c * y for x, y in zip(w, r)]
     return tuple(w)
-
-
-def integer_kernel(rows, dim):
-    """Saturated basis of {x in Z^dim : rows . x = 0}.
-
-    Computed by unimodular column reduction, so every integer solution is
-    an integer combination of the returned rows.
-    """
-    rows = [r for r in rows if not is_zero(r)]
-    if not rows:
-        return tuple(tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim))
-    m = len(rows)
-    cols = [[rows[i][j] for i in range(m)] for j in range(dim)]
-    trans = [[1 if i == j else 0 for i in range(dim)] for j in range(dim)]
-    pivot = 0
-    for r in range(m):
-        while True:
-            nz = [j for j in range(pivot, dim) if cols[j][r] != 0]
-            if not nz:
-                break
-            j0 = min(nz, key=lambda j: (abs(cols[j][r]), j))
-            cols[pivot], cols[j0] = cols[j0], cols[pivot]
-            trans[pivot], trans[j0] = trans[j0], trans[pivot]
-            if len(nz) == 1 and nz[0] == j0:
-                # already isolated; ensure it sits at the pivot slot
-                if j0 != pivot:
-                    continue
-                pivot += 1
-                break
-            done = True
-            for j in range(pivot + 1, dim):
-                if cols[j][r] != 0:
-                    q = cols[j][r] // cols[pivot][r]
-                    cols[j] = [x - q * y for x, y in zip(cols[j], cols[pivot])]
-                    trans[j] = [x - q * y for x, y in zip(trans[j], trans[pivot])]
-                    if cols[j][r] != 0:
-                        done = False
-            if done:
-                pivot += 1
-                break
-        if pivot == dim:
-            break
-    kernel = []
-    for j in range(pivot, dim):
-        if all(cols[j][r] == 0 for r in range(m)):
-            kernel.append(tuple(trans[j]))
-    return tuple(kernel)
 
 
 def row_hnf(rows):
@@ -229,6 +145,20 @@ def row_hnf(rows):
     return tuple(tuple(r) for r in m[:row] if not is_zero(r))
 
 
+def integer_kernel(rows, dim):
+    """Saturated basis of {x in Z^dim : rows . x = 0}.
+
+    The Hermite form of ``[rows^T | I]`` is ``[H | U]`` with ``U``
+    unimodular and ``U . rows^T = H``; the rows of ``U`` beside the zero
+    rows of ``H`` are a basis of the integer kernel, so every integer
+    solution is an integer combination of the returned rows.
+    """
+    n = len(rows)
+    aug = [tuple(r[j] for r in rows) + tuple(int(i == j) for i in range(dim))
+           for j in range(dim)]
+    return tuple(h[n:] for h in row_hnf(aug) if is_zero(h[:n]))
+
+
 def solve_left(basis_rows, target):
     """Solve ``coeffs . basis_rows = target`` exactly.
 
@@ -238,30 +168,9 @@ def solve_left(basis_rows, target):
     k = len(basis_rows)
     if k == 0:
         return () if is_zero(target) else None
-    dim = len(target)
-    # augmented columns: basis^T | target
-    m = [[Fraction(basis_rows[j][i]) for j in range(k)] + [Fraction(target[i])]
-         for i in range(dim)]
-    row = 0
-    piv_of_col = {}
-    for col in range(k):
-        piv = None
-        for i in range(row, dim):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None  # rows not independent
-        m[row], m[piv] = m[piv], m[row]
-        inv = m[row][col]
-        m[row] = [x / inv for x in m[row]]
-        for i in range(dim):
-            if i != row and m[i][col] != 0:
-                c = m[i][col]
-                m[i] = [x - c * y for x, y in zip(m[i], m[row])]
-        piv_of_col[col] = row
-        row += 1
-    for i in range(row, dim):
-        if m[i][k] != 0:
-            return None
-    return tuple(m[piv_of_col[c]][k] for c in range(k))
+    # [basis^T | target] has its pivots in exactly the columns 0..k-1 when
+    # the rows are independent and the target lies in their span
+    r = rref_int(zip(*basis_rows, target))
+    if len(r) != k or r[-1][k - 1] == 0:
+        return None
+    return tuple(Fraction(r[j][k], r[j][j]) for j in range(k))

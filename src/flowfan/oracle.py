@@ -11,8 +11,6 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-import numpy as np
-
 from .errors import BoxTooSmall, DimensionTooLarge, NotPointed
 from .graph import contract, cycle_basis, enumerate_cycles
 from .weightings import base_weighting, enumeration_bound, shift_by_cycles
@@ -149,6 +147,8 @@ def oracle_cone_catalog(g, box_radius):
 
 
 def _shifted(arr, offsets):
+    import numpy as np
+
     src, dst = [], []
     for o, n in zip(offsets, arr.shape):
         if abs(o) >= n:
@@ -174,6 +174,8 @@ def oracle_monoid_check(c, gens, bound):
     only reach their targets through very large intermediate points is
     possible in principle but does not occur at the scales checked here.
     """
+    import numpy as np  # loaded here only, so importing the package stays numpy-free
+
     if bound > 6:
         raise ValueError("oracle monoid check is capped at bound 6")
     d = c.ambient_dim

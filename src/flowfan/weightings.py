@@ -14,7 +14,7 @@ source half is what enters every cone constraint downstream.
 
 from dataclasses import dataclass
 
-from .errors import MissingHalfEdge
+from .errors import FlowFanError, MissingHalfEdge
 from .graph import Graph, Cycle, canonical_degree, cycle_basis, sort_key
 
 
@@ -32,10 +32,6 @@ class Weighting:
 
     def flows(self):
         return {e: self.flow(e) for e in self.graph.edges()}
-
-    def source_value(self, h):
-        """Value on the source half of the directed edge ``h``."""
-        return self.values[h]
 
     def max_abs(self):
         return max((abs(x) for x in self.values.values()), default=0)
@@ -141,7 +137,8 @@ def base_weighting(g: Graph) -> Weighting:
     values = _complete_values(g, g.edges(), fixed)
     w = Weighting(g, values)
     ok, defects = is_weighting(g, w)
-    assert ok, f"base weighting failed to balance: {defects}"
+    if not ok:
+        raise FlowFanError(f"base weighting failed to balance: {defects}")
     return w
 
 

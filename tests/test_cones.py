@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -8,6 +9,7 @@ from flowfan import (AmbientMismatch, Cone, NotPointed, base_weighting,
                      enumerate_cycles, extreme_rays, faces, intersect_cones,
                      is_face_of, monoid_generators, oracle_extreme_rays,
                      oracle_monoid_check, polar_dual)
+from flowfan import FlowFanError, linalg
 from flowfan.cones import cycle_constraint_rows
 
 from helpers import banana, corpus, loop_graph, path_graph, two_gon
@@ -185,6 +187,18 @@ def test_monoid_generators_examples():
     assert oracle_monoid_check(halfplane, gens, 5)
     line = Cone(1)
     assert monoid_generators(line) == [(-1,), (1,)]
+
+
+@pytest.mark.parametrize("bad_solve, message", [
+    (lambda basis, target: None, "does not lie in the lattice"),
+    (lambda basis, target: (Fraction(1, 2),) * len(basis), "does not lie in the lattice"),
+    (lambda basis, target: (0,) * len(basis), "does not span the lattice"),
+])
+def test_monoid_generators_reject_bad_lattice_coordinates(monkeypatch, bad_solve, message):
+    # the checks on solve_left's output are exceptions, so they survive python -O
+    monkeypatch.setattr(linalg, "solve_left", bad_solve)
+    with pytest.raises(FlowFanError, match=message):
+        monoid_generators(Cone.orthant_section(2))
 
 
 def test_monoid_generators_cover_small_points():

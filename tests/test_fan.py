@@ -97,7 +97,7 @@ def test_verify_fan_rejects_bad_collection():
     orthant = Cone.orthant_section(2)
     interior = Cone.orthant_section(2, [(1, -1)])
     cones = list(faces(orthant)) + list(faces(interior))
-    bad = Fan(None, ((0,), (1,)), cones, {}, frozenset(), {})
+    bad = Fan(None, ((0,), (1,)), cones, {}, frozenset())
     report = verify_fan(bad)
     assert not report.ok
     assert "not a common face" in report.violations[0]

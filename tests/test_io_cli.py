@@ -241,6 +241,13 @@ def test_fan_bytes_identical_across_processes(tmp_path):
     assert parse_fan_json(runs[0].decode())["counts"]["total"] == 43
 
 
+def test_import_does_not_load_numpy():
+    import subprocess
+    import sys
+    code = "import flowfan, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
 def test_cli_oracle_check(tmp_path, capsys):
     path = write_doc(tmp_path, TWO_GON_DOC)
     assert main(["oracle-check", path]) == 0

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from flowfan import (MissingHalfEdge, Weighting, base_weighting, contract,
+from flowfan import (FlowFanError, MissingHalfEdge, Weighting, base_weighting, contract,
                      cycle_basis, enumeration_bound, find_positive_cycle,
                      is_weighting, lift_weighting, restrict_weighting,
                      shift_by_cycles)
 from flowfan.linalg import solve_left
+from flowfan import weightings
 from flowfan.weightings import has_positive_cycle
 
 from helpers import banana, corpus, loop_graph, one_edge_genus1, path_graph, two_gon
@@ -65,6 +66,19 @@ def test_base_weighting_valid_on_corpus():
     for g in corpus(40, seed=5):
         ok, _ = is_weighting(g, base_weighting(g))
         assert ok
+
+
+def test_base_weighting_rejects_unbalanced_values(monkeypatch):
+    complete = weightings._complete_values
+
+    def unbalanced(g, free_edges, fixed):
+        values = complete(g, free_edges, fixed)
+        values[("e1", 0)] += 1
+        return values
+
+    monkeypatch.setattr(weightings, "_complete_values", unbalanced)
+    with pytest.raises(FlowFanError, match="failed to balance"):
+        base_weighting(two_gon(3))
 
 
 def test_shift_identity():
