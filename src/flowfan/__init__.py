@@ -13,8 +13,9 @@ from .graph import (ContractionResult, Cycle, Graph, GraphReport,
                     canonical_degree, contract, cycle_basis, enumerate_cycles,
                     graph_genus, stability_report, validate_graph)
 from .weightings import (Weighting, base_weighting, enumeration_bound,
-                         find_positive_cycle, is_weighting, lift_weighting,
-                         restrict_weighting, shift_along_cycle, shift_by_cycles)
+                         find_positive_cycle, flow_bound, is_weighting,
+                         lift_weighting, restrict_weighting, shift_along_cycle,
+                         shift_by_cycles)
 from .cones import (Cone, DualGenerators, canonical_key, cone_of_weighting,
                     dual_cone_generators, extreme_rays, faces, intersect_cones,
                     is_face_of, monoid_generators, polar_dual)
@@ -37,8 +38,9 @@ __all__ = [
     "cone_catalog", "cone_of_weighting", "contract", "cycle_basis",
     "dual_cone_generators", "emit_fan_json", "emit_graph_json",
     "enumerate_cycles", "enumeration_bound", "extreme_rays", "faces",
-    "fan_to_document", "find_positive_cycle", "graph_genus", "intersect_cones",
-    "is_face_of", "is_weighting", "lift_weighting", "monoid_generators",
+    "fan_to_document", "find_positive_cycle", "flow_bound", "graph_genus",
+    "intersect_cones", "is_face_of", "is_weighting", "lift_weighting",
+    "monoid_generators",
     "oracle_cone_catalog", "oracle_extreme_rays", "oracle_monoid_check",
     "parse_fan_json", "parse_graph_json", "polar_dual", "render_slice_svg",
     "restrict_weighting", "shift_along_cycle", "shift_by_cycles", "slice_fan",

@@ -405,8 +405,7 @@ def monoid_generators(c: Cone):
     standard rounding argument; not guaranteed minimal.
     """
     d = c.ambient_dim
-    lin_lattice = linalg.row_hnf(
-        linalg.integer_kernel(c.equalities + c.inequalities, d))
+    lin_lattice = linalg.integer_kernel(c.equalities + c.inequalities, d)
     rays = c.rays()
     gens = set()
     for b in lin_lattice:

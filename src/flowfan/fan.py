@@ -1,11 +1,12 @@
 """Enumeration and verification of the fan of weighting cones.
 
 The catalog of all cones attached to weightings of a graph is finite: a
-box of cycle-space shifts around the base weighting (radius the proved
-enumeration bound) yields every cone of a weighting without a positive
-cycle, and each weighting with a positive cycle delegates to the
-contracted graph, whose catalog embeds with zeros on the contracted
-edges. Closing the catalog under faces gives the fan.
+box of cycle-space shifts around the base weighting yields every cone of
+a weighting without a positive cycle, and each weighting with a positive
+cycle delegates to the contracted graph, whose catalog embeds with zeros
+on the contracted edges. Closing the catalog under faces gives the fan.
+The box radius is the smaller of two proved bounds, the flow-decomposition
+bound :func:`flow_bound` and the paper's :func:`enumeration_bound`.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from .cones import (Cone, canonical_key, cone_of_weighting,
                     cycle_constraint_rows, faces, intersect_cones, is_face_of)
 from .graph import contract, cycle_basis, enumerate_cycles
 from .linalg import sign_normalized, is_zero
-from .weightings import (base_weighting, enumeration_bound,
+from .weightings import (base_weighting, enumeration_bound, flow_bound,
                          has_positive_cycle, lift_weighting, restrict_weighting,
                          shift_along_cycle, shift_by_cycles)
 
@@ -63,17 +64,21 @@ def cone_catalog(g, prune=True):
     return [pair for _, pair in sorted(out.items(), key=lambda kv: kv[0])]
 
 
+def _box_radius(g, base):
+    """Neither proved bound is below the other on every graph."""
+    return min(flow_bound(g), enumeration_bound(g, base))
+
+
 def _catalog(g, contracted_sofar, memo, prune):
     if contracted_sofar in memo:
         return memo[contracted_sofar]
     edges = g.edges()
     base = base_weighting(g)
     basis = cycle_basis(g)
-    radius = enumeration_bound(g, base)
     out = {}
     seen_systems = set()
-    for coeffs in _box_vectors(len(basis), radius):
-        w = shift_by_cycles(g, base, coeffs)
+    for coeffs in _box_vectors(len(basis), _box_radius(g, base)):
+        w = shift_by_cycles(g, base, coeffs, basis)
         if prune and has_positive_cycle(g, w.values):
             continue
         _, rows = cycle_constraint_rows(g, w, basis)

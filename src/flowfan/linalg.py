@@ -151,7 +151,9 @@ def integer_kernel(rows, dim):
     The Hermite form of ``[rows^T | I]`` is ``[H | U]`` with ``U``
     unimodular and ``U . rows^T = H``; the rows of ``U`` beside the zero
     rows of ``H`` are a basis of the integer kernel, so every integer
-    solution is an integer combination of the returned rows.
+    solution is an integer combination of the returned rows. Those rows
+    are the bottom rows of a Hermite form, so they are already the
+    Hermite basis of the kernel lattice: ``row_hnf`` leaves them unchanged.
     """
     n = len(rows)
     aug = [tuple(r[j] for r in rows) + tuple(int(i == j) for i in range(dim))

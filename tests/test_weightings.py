@@ -1,11 +1,14 @@
 import random
+from itertools import product
 
 import pytest
 
-from flowfan import (FlowFanError, MissingHalfEdge, Weighting, base_weighting, contract,
-                     cycle_basis, enumeration_bound, find_positive_cycle,
-                     is_weighting, lift_weighting, restrict_weighting,
+from flowfan import (FlowFanError, Graph, MissingHalfEdge, Weighting, base_weighting,
+                     contract, cycle_basis, enumeration_bound, find_positive_cycle,
+                     flow_bound, is_weighting, lift_weighting, restrict_weighting,
                      shift_by_cycles)
+from flowfan.fan import _box_radius
+from flowfan.graph import _spanning_tree
 from flowfan.linalg import solve_left
 from flowfan import weightings
 from flowfan.weightings import has_positive_cycle
@@ -114,6 +117,7 @@ def test_shift_matches_incidence():
         coeffs = [rng.randint(-3, 3) for _ in basis]
         w = base_weighting(g)
         w2 = shift_by_cycles(g, w, coeffs)
+        assert shift_by_cycles(g, w, coeffs, basis).values == w2.values
         ok, _ = is_weighting(g, w2)
         assert ok
         edges = g.edges()
@@ -287,6 +291,65 @@ def test_beyond_bound_has_positive_cycle():
             assert has_positive_cycle(g, shifted.values)
             checked += 1
     assert checked >= 50
+
+
+def test_flow_bound_examples():
+    assert flow_bound(two_gon(3)) == 3
+    assert flow_bound(banana(3, 20)) == 20
+    # a triangle whose demands (-4, 2, 2) come partly from the twist: the
+    # legs and base flows stay at 2, so the paper's bound is the smaller
+    g = Graph.build({"a": 0, "b": 1, "c": 1},
+                    [("e0", "a", "b"), ("e1", "b", "c"), ("e2", "c", "a")],
+                    [("l0", "a", -2), ("l1", "a", -2)], 1)
+    base = base_weighting(g)
+    assert flow_bound(g) == 4
+    assert enumeration_bound(g, base) == 2
+    assert _box_radius(g, base) == 2
+    b = banana(4, 3)
+    assert flow_bound(b) == 3 < enumeration_bound(b, base_weighting(b))
+
+
+def test_beyond_box_radius_has_positive_cycle():
+    # one coefficient beyond the catalog's radius is enough, whatever the
+    # others are: the whole shell of sup norm radius + 1, then far vectors
+    rng = random.Random(67)
+    checked = 0
+    for g in corpus():
+        basis = cycle_basis(g)
+        if not basis:
+            continue
+        w = base_weighting(g)
+        r = _box_radius(g, w)
+        shell = [c for c in product(range(-r - 1, r + 2), repeat=len(basis))
+                 if max(map(abs, c)) == r + 1]
+        far = []
+        for _ in range(5):
+            c = [rng.randint(-3 * r - 3, 3 * r + 3) for _ in basis]
+            c[rng.randrange(len(c))] = rng.choice([-1, 1]) * rng.randint(r + 1, 3 * r + 3)
+            far.append(c)
+        for c in shell + far:
+            assert has_positive_cycle(g, shift_by_cycles(g, w, c, basis).values), c
+            checked += 1
+    assert checked >= 1000
+
+
+def test_base_weighting_zero_on_basis_non_tree_edges():
+    # the flow bound on the box coefficients rests on this: basis cycle i
+    # alone crosses its non-tree edge, once, where the base flow is zero
+    checked = 0
+    for g in corpus():
+        basis = cycle_basis(g)
+        _, parent = _spanning_tree(g)
+        tree = {g.edge_of(h) for h in parent.values()}
+        non_tree = [e for e in g.edges() if e not in tree]
+        assert len(non_tree) == len(basis)
+        base = base_weighting(g)
+        for e, cyc in zip(non_tree, basis):
+            assert base.flow(e) == 0
+            assert cyc.edges(g).count(e) == 1
+            assert all(e not in other.edge_set(g) for other in basis if other is not cyc)
+            checked += 1
+    assert checked >= 100
 
 
 def test_lift_weighting_inverts_restrict():
