@@ -72,7 +72,8 @@ def _cmd_fan(args):
     fan = build_fan(g)
     report = verify_fan(fan)
     if not report.ok:
-        print(f"fan verification failed: {report.violations[0]}", file=sys.stderr)
+        for v in report.violations:
+            print(f"fan verification failed: {v}", file=sys.stderr)
         return 1
     text = emit_fan_json(fan)
     if args.out:

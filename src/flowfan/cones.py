@@ -8,6 +8,14 @@ order, candidate rays from crossing pairs are kept only when an exact rank
 test certifies extremality, and rays are canonicalised by reduction
 modulo the lineality span. All arithmetic is arbitrary-precision integer.
 
+After every insertion the pass holds the rows inserted so far, a
+lineality basis and the extreme rays of the cone those rows cut out. A
+solved pointed cone is such a state with an empty lineality, so a pass
+can resume from it and insert only further rows; the extremality test
+still sees every row, and the rays are those of a pass from scratch.
+``Cone.intersect`` resumes from the solved pointed operand with fewer
+rays, which makes the pairwise check of a fan cheap.
+
 The cone attached to a weighting w lives in the non-negative orthant of
 Q^E and is cut out by one equality per basis cycle, with entries the
 source-half values of w along the cycle; linearity of the constraint in
@@ -27,24 +35,30 @@ def _unit_rows(dim):
 
 
 def _normalize_rows(rows, equalities):
-    seen = []
-    for r in rows:
-        r = sign_normalized(r) if equalities else primitive(r)
-        if not is_zero(r) and r not in seen:
-            seen.append(r)
-    return tuple(sorted(seen))
+    norm = sign_normalized if equalities else primitive
+    distinct = {norm(r) for r in rows}
+    return tuple(sorted(r for r in distinct if not is_zero(r)))
 
 
 def _extreme(dim, lin_count, tight_rows):
     return int_rank(tight_rows) == dim - lin_count - 1
 
 
-def _double_description(dim, equalities, inequalities):
-    """Return (lineality rref rows, sorted extreme rays of the pointed part)."""
-    lin = [list(r) for r in _unit_rows(dim)]
-    rays = []
-    eq_rows = []
-    ineq_rows = []
+def _double_description(dim, equalities, inequalities, start=None):
+    """Return (lineality rref rows, sorted extreme rays of the pointed part).
+
+    ``start=(equalities, inequalities, rays)`` resumes from a pointed cone
+    whose sorted primitive extreme rays are known: its rows and rays seed
+    the pass, the lineality starts empty, and ``equalities`` and
+    ``inequalities`` are then inserted as usual. The result is that of a
+    pass from scratch over all the rows.
+    """
+    if start is None:
+        lin = [list(r) for r in _unit_rows(dim)]
+        rays, eq_rows, ineq_rows = [], [], []
+    else:
+        lin = []
+        eq_rows, ineq_rows, rays = (list(x) for x in start)
 
     def cleanup(candidates, check_new):
         lin_rref = rref_int(lin)
@@ -169,12 +183,36 @@ class Cone:
         return canonical_key(self)
 
     def intersect(self, other):
+        """The intersection cone. When an operand's rays are known and it is
+        pointed, the rays are computed at once by resuming double
+        description from the one with fewer rays; otherwise lazily."""
         if self.ambient_dim != other.ambient_dim or self.labels != other.labels:
             raise AmbientMismatch("cones live in different ambient spaces")
-        return Cone(self.ambient_dim,
-                    self.equalities + other.equalities,
-                    self.inequalities + other.inequalities,
-                    self.labels)
+        solved = [c for c in (self, other)
+                  if c._rays is not None and not c._lineality]
+        if not solved:
+            return Cone(self.ambient_dim,
+                        self.equalities + other.equalities,
+                        self.inequalities + other.inequalities,
+                        self.labels)
+        start = min(solved, key=lambda c: len(c._rays))
+        rest = other if start is self else self
+        eqs = set(start.equalities)
+        ineqs = set(start.inequalities)
+        _, rays = _double_description(
+            self.ambient_dim,
+            [a for a in rest.equalities if a not in eqs],
+            [b for b in rest.inequalities if b not in ineqs],
+            start=(start.equalities, start.inequalities, start._rays))
+        # both operands' rows are normalized already: skip __init__
+        cone = Cone.__new__(Cone)
+        cone.ambient_dim = self.ambient_dim
+        cone.labels = self.labels
+        cone.equalities = tuple(sorted(eqs.union(rest.equalities)))
+        cone.inequalities = tuple(sorted(ineqs.union(rest.inequalities)))
+        cone._rays = rays
+        cone._lineality = ()
+        return cone
 
     def polar(self):
         """Polar dual {u : u.x >= 0 on the cone}, in the dual coordinates."""

@@ -162,31 +162,33 @@ class FanReport:
 
 
 def verify_fan(fan: Fan) -> FanReport:
-    """Check the fan axioms: cones sit in the non-negative orthant, every
-    face of every cone belongs to the fan, and any two cones intersect in a
-    common face. Reports the first violation found."""
-    keys = {canonical_key(c) for c in fan.cones}
-    for c in fan.cones:
-        if not c.is_pointed():
-            return FanReport(False, ((f"cone {canonical_key(c)} not pointed"),))
-        if any(x < 0 for r in c.rays() for x in r):
-            return FanReport(False, ((f"cone {canonical_key(c)} leaves the orthant"),))
-    for c in fan.cones:
-        for f in faces(c):
-            if canonical_key(f) not in keys:
-                return FanReport(
-                    False, ((f"face {canonical_key(f)} of {canonical_key(c)} missing"),))
+    """Check the fan axioms in three stages: cones are pointed and sit in
+    the non-negative orthant, every face of every cone belongs to the fan,
+    and any two cones intersect in a common face. Reports every violation
+    of the first stage that has any; later stages need the earlier ones
+    (faces are taken of pointed cones only)."""
     cones = fan.cones
-    for i in range(len(cones)):
-        for j in range(i + 1, len(cones)):
-            c1, c2 = cones[i], cones[j]
-            inter = intersect_cones(c1, c2)
-            if not is_face_of(inter, c1) or not is_face_of(inter, c2):
-                return FanReport(
-                    False,
-                    ((f"intersection of {canonical_key(c1)} and {canonical_key(c2)} "
-                      f"is not a common face"),))
-    return FanReport(True)
+    keys = {canonical_key(c) for c in cones}
+    violations = []
+    for c in cones:
+        if not c.is_pointed():
+            violations.append(f"cone {canonical_key(c)} not pointed")
+        elif any(x < 0 for r in c.rays() for x in r):
+            violations.append(f"cone {canonical_key(c)} leaves the orthant")
+    if not violations:
+        violations = [f"face {canonical_key(f)} of {canonical_key(c)} missing"
+                      for c in cones for f in faces(c)
+                      if canonical_key(f) not in keys]
+    if not violations:
+        for i in range(len(cones)):
+            for j in range(i + 1, len(cones)):
+                c1, c2 = cones[i], cones[j]
+                inter = intersect_cones(c1, c2)
+                if not is_face_of(inter, c1) or not is_face_of(inter, c2):
+                    violations.append(
+                        f"intersection of {canonical_key(c1)} and "
+                        f"{canonical_key(c2)} is not a common face")
+    return FanReport(not violations, tuple(violations))
 
 
 @dataclass(frozen=True)

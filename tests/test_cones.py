@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowfan import (AmbientMismatch, Cone, NotPointed, base_weighting,
                      canonical_key, cone_of_weighting, dual_cone_generators,
@@ -83,6 +84,44 @@ def test_intersect_examples():
     r1 = cone_of_weighting(g2, flows_weighting(g2, {("e1", 0): 1, ("e2", 0): 2}))
     r2 = cone_of_weighting(g2, flows_weighting(g2, {("e1", 0): 2, ("e2", 0): 1}))
     assert intersect_cones(r1, r2).rays() == ()
+
+
+# a fixed example sequence, so a run is reproducible and writes no database
+SETTINGS = settings(deadline=None, derandomize=True, database=None,
+                    max_examples=300)
+
+
+@st.composite
+def cone_pairs(draw):
+    """Two cones in one dimension 2-5: mostly orthant sections, some cut
+    by arbitrary inequalities (possibly not pointed), each solved or not
+    before it is intersected."""
+    d = draw(st.integers(2, 5))
+    row = st.tuples(*[st.integers(-3, 3)] * d)
+    pair = []
+    for _ in range(2):
+        eqs = draw(st.lists(row, max_size=d - 1))
+        if draw(st.integers(0, 3)):
+            c = Cone.orthant_section(d, eqs)
+        else:
+            c = Cone(d, eqs, draw(st.lists(row, max_size=d + 1)))
+        if draw(st.booleans()):
+            c.rays()
+        pair.append(c)
+    return pair
+
+
+@SETTINGS
+@given(cone_pairs())
+def test_intersect_matches_cold_double_description(pair):
+    c1, c2 = pair
+    cold = Cone(c1.ambient_dim, c1.equalities + c2.equalities,
+                c1.inequalities + c2.inequalities)
+    inter = intersect_cones(c1, c2)
+    assert (inter.equalities, inter.inequalities) == (
+        cold.equalities, cold.inequalities)
+    assert canonical_key(inter) == canonical_key(cold)
+    assert canonical_key(intersect_cones(c2, c1)) == canonical_key(cold)
 
 
 def test_intersect_ambient_mismatch():

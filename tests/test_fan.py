@@ -103,6 +103,46 @@ def test_verify_fan_rejects_bad_collection():
     assert "not a common face" in report.violations[0]
 
 
+def test_verify_fan_reports_every_bad_pair():
+    from flowfan import faces
+    orthant = Cone.orthant_section(2)
+    rays = [Cone.orthant_section(2, [row]) for row in ((1, -1), (1, -2))]
+    cones = {canonical_key(f): f
+             for c in [orthant] + rays for f in faces(c)}
+    bad = Fan(None, ((0,), (1,)), list(cones.values()), {}, frozenset())
+    report = verify_fan(bad)
+    assert not report.ok
+    # the orthant meets each interior ray in that ray, a face of neither
+    assert len(report.violations) == 2
+    assert all("not a common face" in v for v in report.violations)
+
+
+def test_verify_fan_stops_after_pointedness_stage():
+    line = Cone(2, equalities=[(1, -1)])
+    leaves = Cone(2, equalities=[(1, 1)], inequalities=[(1, 0)])
+    report = verify_fan(Fan(None, ((0,), (1,)), [line, leaves], {}, frozenset()))
+    assert report.violations == (
+        f"cone {canonical_key(line)} not pointed",
+        f"cone {canonical_key(leaves)} leaves the orthant")
+
+
+def test_verify_fan_resumes_every_intersection(monkeypatch):
+    import flowfan.cones as cones_mod
+    fan = build_fan(banana(3, 8))
+    starts = []
+    original = cones_mod._double_description
+
+    def recording(*args, **kwargs):
+        starts.append(kwargs.get("start"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cones_mod, "_double_description", recording)
+    assert verify_fan(fan).ok
+    n = len(fan.cones)
+    assert len(starts) == n * (n - 1) // 2
+    assert all(s is not None for s in starts)
+
+
 def test_fan_relabel_invariance():
     g = banana(3, 6)
     # reversed edge naming permutes the ambient coordinates; vertex names

@@ -199,6 +199,19 @@ def test_cli_fan_stdout_deterministic(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_cli_fan_prints_every_violation(tmp_path, capsys, monkeypatch):
+    import flowfan.cli as cli
+    from flowfan.fan import FanReport
+    monkeypatch.setattr(cli, "verify_fan",
+                        lambda fan: FanReport(False, ("first bad", "second bad")))
+    path = write_doc(tmp_path, TWO_GON_DOC)
+    assert main(["fan", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["fan verification failed: first bad",
+                                         "fan verification failed: second bad"]
+
+
 def test_cli_dual(tmp_path, capsys):
     path = write_doc(tmp_path, banana_doc())
     assert main(["dual", path, "--flows", "e1=3,e2=3,e3=4"]) == 0
