@@ -1,7 +1,8 @@
 """Command line interface.
 
 Every subcommand reads a GraphDocument (JSON) path. Exit codes: 0 on
-success, 1 on validation or computation failure, 2 on parse errors.
+success, 1 on validation or computation failure or an output file that
+cannot be written, 2 on parse errors.
 
 The leg weights of a document are the prescribed weighting values on the
 marked legs. If your data is given as marked-point multiplicities a_i for
@@ -33,6 +34,15 @@ def _load_graph(path):
     except OSError as exc:
         raise ParseError("/", f"cannot read {path}: {exc}") from None
     return parse_graph_json(text)
+
+
+def _write_text(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FlowFanError(f"cannot write {path}: {exc.strerror or exc}") from None
+    print(f"wrote {path}")
 
 
 def _edge_by_doc_id(g):
@@ -77,9 +87,7 @@ def _cmd_fan(args):
         return 1
     text = emit_fan_json(fan)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -166,9 +174,7 @@ def _cmd_slice(args):
     except UnsupportedDimension as exc:
         print(f"cannot slice: {exc}", file=sys.stderr)
         return 1
-    with open(args.svg, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-    print(f"wrote {args.svg}")
+    _write_text(args.svg, svg)
     return 0
 
 

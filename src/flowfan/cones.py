@@ -16,6 +16,12 @@ still sees every row, and the rays are those of a pass from scratch.
 ``Cone.intersect`` resumes from the solved pointed operand with fewer
 rays, which makes the pairwise check of a fan cheap.
 
+A cone caches what it computes: its rays and lineality, and a tight-set
+table of its ray frozenset plus, per inequality row, the frozenset of
+rays on that row's hyperplane. Face enumeration and the face test read
+the table instead of taking dot products. The caches rely on the rows
+never changing after construction, which nothing in this package does.
+
 The cone attached to a weighting w lives in the non-negative orthant of
 Q^E and is cut out by one equality per basis cycle, with entries the
 source-half values of w along the cycle; linearity of the constraint in
@@ -122,7 +128,7 @@ class Cone:
     """
 
     __slots__ = ("ambient_dim", "labels", "equalities", "inequalities",
-                 "_lineality", "_rays")
+                 "_lineality", "_rays", "_tight")
 
     def __init__(self, ambient_dim, equalities=(), inequalities=(), labels=None,
                  _rays=None, _lineality=None):
@@ -132,6 +138,7 @@ class Cone:
         self.inequalities = _normalize_rows(inequalities, equalities=False)
         self._rays = tuple(_rays) if _rays is not None else None
         self._lineality = tuple(_lineality) if _lineality is not None else None
+        self._tight = None
 
     @classmethod
     def orthant_section(cls, ambient_dim, equalities=(), labels=None):
@@ -161,6 +168,16 @@ class Cone:
     def lineality(self):
         self._compute()
         return self._lineality
+
+    def _tight_sets(self):
+        """(frozenset of the rays, one frozenset per inequality row of the
+        rays on its hyperplane), built on first use."""
+        if self._tight is None:
+            rays = self.rays()
+            self._tight = (frozenset(rays),
+                           tuple(frozenset(r for r in rays if dot(q, r) == 0)
+                                 for q in self.inequalities))
+        return self._tight
 
     def is_pointed(self):
         return not self.lineality()
@@ -212,6 +229,7 @@ class Cone:
         cone.inequalities = tuple(sorted(ineqs.union(rest.inequalities)))
         cone._rays = rays
         cone._lineality = ()
+        cone._tight = None
         return cone
 
     def polar(self):
@@ -270,10 +288,7 @@ def extreme_rays(c: Cone):
 def _face_ray_sets(c: Cone):
     """All tight-set closures of the ray set: the faces of the pointed part,
     each given by the frozenset of rays it contains."""
-    rays = c.rays()
-    full = frozenset(rays)
-    facet_sets = [frozenset(r for r in rays if dot(q, r) == 0)
-                  for q in c.inequalities]
+    full, facet_sets = c._tight_sets()
     seen = {full}
     queue = [full]
     while queue:
@@ -287,14 +302,13 @@ def _face_ray_sets(c: Cone):
 
 
 def _face_cone(c: Cone, ray_subset):
-    rays = sorted(ray_subset)
-    tight = [q for q in c.inequalities
-             if all(dot(q, r) == 0 for r in rays)]
+    _, tight_sets = c._tight_sets()
+    tight = [q for q, t in zip(c.inequalities, tight_sets) if ray_subset <= t]
     return Cone(c.ambient_dim,
                 equalities=c.equalities + tuple(tight),
                 inequalities=c.inequalities,
                 labels=c.labels,
-                _rays=rays,
+                _rays=sorted(ray_subset),
                 _lineality=())
 
 
@@ -316,12 +330,14 @@ def is_face_of(f: Cone, c: Cone) -> bool:
     (f equals c cut by a supporting hyperplane)."""
     if f.ambient_dim != c.ambient_dim or f.labels != c.labels:
         raise AmbientMismatch("cones live in different ambient spaces")
-    fr = set(f.rays())
-    cr = set(c.rays())
+    fr = frozenset(f.rays())
+    cr, tight_sets = c._tight_sets()
     if not f.is_pointed() or not fr <= cr:
         return False
-    tight = [q for q in c.inequalities if all(dot(q, r) == 0 for r in fr)]
-    closure = {r for r in cr if all(dot(q, r) == 0 for q in tight)}
+    closure = cr
+    for t in tight_sets:
+        if fr <= t:
+            closure &= t
     return fr == closure
 
 

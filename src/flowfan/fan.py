@@ -15,7 +15,7 @@ from functools import cmp_to_key
 from itertools import product
 
 from .errors import UnknownEdge, UnsupportedDimension
-from .cones import (Cone, canonical_key, cone_of_weighting,
+from .cones import (Cone, _face_ray_sets, canonical_key, cone_of_weighting,
                     cycle_constraint_rows, faces, intersect_cones, is_face_of)
 from .graph import contract, cycle_basis, enumerate_cycles
 from .linalg import sign_normalized, is_zero
@@ -132,7 +132,13 @@ class Fan:
 
 
 def build_fan(g) -> Fan:
-    """Close the cone catalog under faces and flag the maximal cones."""
+    """Close the cone catalog under faces and flag the maximal cones.
+
+    Maximality, strict inclusion of ray sets, is tested among the catalog
+    cones only: a cone the face closure adds is a face of a catalog cone
+    with a different key, hence a proper face with strictly fewer rays, so
+    it is not maximal, and a catalog cone below it is also below that
+    catalog cone."""
     catalog = cone_catalog(g)
     cones = {}
     witnesses = {}
@@ -140,16 +146,16 @@ def build_fan(g) -> Fan:
         k = canonical_key(c)
         cones[k] = c
         witnesses[k] = w
+    raysets = {k: frozenset(c.rays()) for k, c in cones.items()}
+    maximal = frozenset(
+        k for k, rs in raysets.items()
+        if not any(rs < rs2 for rs2 in raysets.values()))
     for k, c in list(cones.items()):
         w = witnesses[k]
         for f in faces(c):
             fk = canonical_key(f)
             cones.setdefault(fk, f)
             witnesses.setdefault(fk, w)
-    raysets = {k: frozenset(c.rays()) for k, c in cones.items()}
-    maximal = frozenset(
-        k for k, rs in raysets.items()
-        if not any(k2 != k and rs < rs2 for k2, rs2 in raysets.items()))
     ordered = sorted(cones.values(), key=lambda c: (c.dim(), c.rays()))
     edge_order = tuple(g.edges())
     return Fan(g, edge_order, ordered, witnesses, maximal)
@@ -168,7 +174,6 @@ def verify_fan(fan: Fan) -> FanReport:
     of the first stage that has any; later stages need the earlier ones
     (faces are taken of pointed cones only)."""
     cones = fan.cones
-    keys = {canonical_key(c) for c in cones}
     violations = []
     for c in cones:
         if not c.is_pointed():
@@ -176,9 +181,14 @@ def verify_fan(fan: Fan) -> FanReport:
         elif any(x < 0 for r in c.rays() for x in r):
             violations.append(f"cone {canonical_key(c)} leaves the orthant")
     if not violations:
-        violations = [f"face {canonical_key(f)} of {canonical_key(c)} missing"
-                      for c in cones for f in faces(c)
-                      if canonical_key(f) not in keys]
+        # pointed cones and their faces are keyed by their ray sets alone:
+        # canonical_key is ((), sorted rays)
+        ray_sets = {frozenset(c.rays()) for c in cones}
+        for c in cones:
+            missing = sorted((tuple(sorted(s)) for s in _face_ray_sets(c)
+                              if s not in ray_sets), key=lambda r: (len(r), r))
+            violations += [f"face {((), r)} of {canonical_key(c)} missing"
+                           for r in missing]
     if not violations:
         for i in range(len(cones)):
             for j in range(i + 1, len(cones)):

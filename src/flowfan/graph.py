@@ -10,9 +10,20 @@ module.
 
 Identifiers can be any hashable values; a total order on heterogeneous ids
 is provided by :func:`sort_key` so that all derived data is deterministic.
+
+Each graph builds its order invariants once, on first use, into a
+:class:`GraphIndex` cached on the instance: the rank of every vertex and
+half-edge in ``sort_key`` order, the sorted vertices, edges and legs, the
+sorted halves at each vertex and the canonical edge of each half. The
+accessors and everything that orders ids read the index, so ``sort_key``
+runs only while an index is built and in :func:`validate_graph`, which
+sees unvalidated data. The cache relies on the graph's dicts not being
+mutated once it has been read; no operation in this package mutates a
+graph, and :func:`contract` builds a new one.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import UnknownEdge, UnknownVertex
 
@@ -31,6 +42,52 @@ def sort_key(x):
 
 
 @dataclass(frozen=True)
+class GraphIndex:
+    """Order invariants of one graph, built once by :attr:`Graph.index`.
+
+    Fields:
+        rank: vertex or half-edge id -> its position in ``sort_key`` order
+        vertices, edges, legs: sorted tuples of ids (edges by canonical key)
+        halves_at: vertex id -> sorted tuple of the half-edges at it
+        non_leg_halves_at: vertex id -> the non-leg part of ``halves_at``
+        edge_of: half-edge id -> canonical key of its edge (a leg maps to
+            itself)
+    """
+
+    rank: dict
+    vertices: tuple
+    edges: tuple
+    legs: tuple
+    halves_at: dict
+    non_leg_halves_at: dict
+    edge_of: dict
+
+    @classmethod
+    def build(cls, g):
+        ids = sorted(set(g.genus_of).union(g.end), key=sort_key)
+        rank = {x: i for i, x in enumerate(ids)}
+        halves = sorted(g.end, key=rank.__getitem__)
+        edge_of = {}
+        halves_at = {}
+        non_leg_halves_at = {}
+        for h in halves:
+            p = g.involution[h]
+            edge_of[h] = h if rank[h] <= rank[p] else p
+            halves_at.setdefault(g.end[h], []).append(h)
+            if p != h:
+                non_leg_halves_at.setdefault(g.end[h], []).append(h)
+        return cls(
+            rank=rank,
+            vertices=tuple(sorted(g.genus_of, key=rank.__getitem__)),
+            edges=tuple(h for h in halves
+                        if edge_of[h] == h and g.involution[h] != h),
+            legs=tuple(h for h in halves if g.involution[h] == h),
+            halves_at={v: tuple(hs) for v, hs in halves_at.items()},
+            non_leg_halves_at={v: tuple(hs) for v, hs in non_leg_halves_at.items()},
+            edge_of=edge_of)
+
+
+@dataclass(frozen=True)
 class Graph:
     """A connected leg-weighted graph with twist.
 
@@ -42,7 +99,8 @@ class Graph:
         twist: the integer twist k
 
     Instances are treated as immutable once built; none of the operations
-    in this package mutate a graph.
+    in this package mutate a graph. :attr:`index` caches the order
+    invariants on first use and assumes the dicts do not change afterwards.
     """
 
     genus_of: dict
@@ -74,10 +132,15 @@ class Graph:
             leg_weights[h] = int(w)
         return cls(dict(vertices), end, involution, leg_weights, int(twist))
 
+    @cached_property
+    def index(self):
+        """The :class:`GraphIndex` of this graph, built on first use."""
+        return GraphIndex.build(self)
+
     # -- basic accessors -------------------------------------------------
 
     def vertices(self):
-        return sorted(self.genus_of, key=sort_key)
+        return list(self.index.vertices)
 
     def is_leg(self, h):
         return self.involution[h] == h
@@ -86,20 +149,15 @@ class Graph:
         return self.involution[h]
 
     def legs(self):
-        return sorted((h for h in self.end if self.is_leg(h)), key=sort_key)
+        return list(self.index.legs)
 
     def edge_of(self, h):
         """Canonical key of the edge containing a non-leg half: the smaller half id."""
-        p = self.involution[h]
-        return h if sort_key(h) <= sort_key(p) else p
+        return self.index.edge_of[h]
 
     def edges(self):
         """Sorted canonical edge keys (one per 2-element involution orbit)."""
-        seen = set()
-        for h in self.end:
-            if not self.is_leg(h):
-                seen.add(self.edge_of(h))
-        return sorted(seen, key=sort_key)
+        return list(self.index.edges)
 
     def edge_halves(self, e):
         return e, self.involution[e]
@@ -115,13 +173,13 @@ class Graph:
         return self.end[e] == self.end[self.involution[e]]
 
     def halves_at(self, v):
-        return sorted((h for h, w in self.end.items() if w == v), key=sort_key)
+        return list(self.index.halves_at.get(v, ()))
 
     def non_leg_halves_at(self, v):
-        return [h for h in self.halves_at(v) if not self.is_leg(h)]
+        return list(self.index.non_leg_halves_at.get(v, ()))
 
     def valence(self, v):
-        return len(self.non_leg_halves_at(v))
+        return len(self.index.non_leg_halves_at.get(v, ()))
 
 
 # -- cycles ---------------------------------------------------------------
@@ -169,7 +227,8 @@ class Cycle:
         cands = self.rotations()
         if allow_reversal:
             cands += self.reversed(g).rotations()
-        best = min(cands, key=lambda t: tuple(sort_key(h) for h in t))
+        rank = g.index.rank
+        best = min(cands, key=lambda t: tuple(map(rank.__getitem__, t)))
         return Cycle(best)
 
 
@@ -381,10 +440,11 @@ def enumerate_cycles(g: Graph):
                 continue
             extend(path + [h], used_edges | {e}, interior)
 
-    for h0 in sorted((h for h in g.end if not g.is_leg(h)), key=sort_key):
+    rank = g.index.rank
+    for h0 in sorted((h for h in g.end if not g.is_leg(h)), key=rank.__getitem__):
         extend([h0], {g.edge_of(h0)}, set())
     return sorted(found.values(),
-                  key=lambda c: (len(c.halves), tuple(sort_key(h) for h in c.halves)))
+                  key=lambda c: (len(c.halves), tuple(map(rank.__getitem__, c.halves))))
 
 
 # -- contraction ------------------------------------------------------------
@@ -413,6 +473,7 @@ def contract(g: Graph, edge_set) -> ContractionResult:
             raise UnknownEdge(e)
         S.add(e)
 
+    rank = g.index.rank
     root = {v: v for v in g.genus_of}
 
     def find(v):
@@ -424,7 +485,7 @@ def contract(g: Graph, edge_set) -> ContractionResult:
     for e in S:
         a, b = find(g.source(e)), find(g.target(e))
         if a != b:
-            small, big = sorted((a, b), key=sort_key)
+            small, big = sorted((a, b), key=rank.__getitem__)
             root[big] = small
     vertex_map = {v: find(v) for v in g.genus_of}
 

@@ -15,7 +15,7 @@ source half is what enters every cone constraint downstream.
 from dataclasses import dataclass
 
 from .errors import FlowFanError, MissingHalfEdge
-from .graph import Graph, Cycle, canonical_degree, cycle_basis, sort_key
+from .graph import Graph, Cycle, canonical_degree, cycle_basis
 
 
 @dataclass(frozen=True)
@@ -90,23 +90,24 @@ def _complete_values(g: Graph, free_edges, fixed):
             v = comp[v]
         return v
 
+    rank = g.index.rank
     for e in free:
         a, b = find(g.source(e)), find(g.target(e))
         if a != b:
-            small, big = sorted((a, b), key=sort_key)
+            small, big = sorted((a, b), key=rank.__getitem__)
             comp[big] = small
 
     groups = {}
     for v in comp:
         groups.setdefault(find(v), []).append(v)
 
-    for rep, verts in sorted(groups.items(), key=lambda kv: sort_key(kv[0])):
-        vset = set(verts)
+    for rep, verts in sorted(groups.items(), key=lambda kv: rank[kv[0]]):
         # DFS tree inside the component over free edges
         parent = {}
         order = []
-        seen = {min(vset, key=sort_key)}
-        stack = [min(vset, key=sort_key)]
+        start = min(verts, key=rank.__getitem__)
+        seen = {start}
+        stack = [start]
         while stack:
             v = stack.pop()
             order.append(v)

@@ -12,6 +12,7 @@ from flowfan import (AmbientMismatch, Cone, NotPointed, base_weighting,
                      oracle_monoid_check, polar_dual)
 from flowfan import FlowFanError, linalg
 from flowfan.cones import cycle_constraint_rows
+from flowfan.linalg import dot
 
 from helpers import banana, corpus, loop_graph, path_graph, two_gon
 from test_weightings import flows_weighting
@@ -92,23 +93,26 @@ SETTINGS = settings(deadline=None, derandomize=True, database=None,
 
 
 @st.composite
-def cone_pairs(draw):
-    """Two cones in one dimension 2-5: mostly orthant sections, some cut
-    by arbitrary inequalities (possibly not pointed), each solved or not
-    before it is intersected."""
-    d = draw(st.integers(2, 5))
+def drawn_cones(draw, d):
+    """A cone in dimension d: mostly an orthant section, sometimes cut by
+    arbitrary inequalities (possibly not pointed), solved or not."""
     row = st.tuples(*[st.integers(-3, 3)] * d)
-    pair = []
-    for _ in range(2):
-        eqs = draw(st.lists(row, max_size=d - 1))
-        if draw(st.integers(0, 3)):
-            c = Cone.orthant_section(d, eqs)
-        else:
-            c = Cone(d, eqs, draw(st.lists(row, max_size=d + 1)))
-        if draw(st.booleans()):
-            c.rays()
-        pair.append(c)
-    return pair
+    eqs = draw(st.lists(row, max_size=d - 1))
+    if draw(st.integers(0, 3)):
+        c = Cone.orthant_section(d, eqs)
+    else:
+        c = Cone(d, eqs, draw(st.lists(row, max_size=d + 1)))
+    if draw(st.booleans()):
+        c.rays()
+    return c
+
+
+@st.composite
+def cone_pairs(draw):
+    """Two cones in one dimension 2-5, each solved or not before it is
+    intersected."""
+    d = draw(st.integers(2, 5))
+    return [draw(drawn_cones(d)) for _ in range(2)]
 
 
 @SETTINGS
@@ -122,6 +126,63 @@ def test_intersect_matches_cold_double_description(pair):
         cold.equalities, cold.inequalities)
     assert canonical_key(inter) == canonical_key(cold)
     assert canonical_key(intersect_cones(c2, c1)) == canonical_key(cold)
+
+
+def _dot_product_face_test(f, c):
+    """The face test taking every dot product afresh on each call."""
+    fr = set(f.rays())
+    cr = set(c.rays())
+    if not f.is_pointed() or not fr <= cr:
+        return False
+    tight = [q for q in c.inequalities if all(dot(q, r) == 0 for r in fr)]
+    closure = {r for r in cr if all(dot(q, r) == 0 for q in tight)}
+    return fr == closure
+
+
+@st.composite
+def face_test_cases(draw):
+    """(f, c) in one dimension 2-5. c is a drawn cone or the cone spanned
+    by a few non-negative vectors (often not simplicial, so some ray
+    subsets are not faces), maybe intersected with another drawn cone
+    (built without ``Cone.__init__`` when an operand is solved and
+    pointed); f is a face of c, an intersection of c with a drawn cone, or
+    the cone spanned by some rays of c and maybe the sum of others, which
+    is not a ray of c."""
+    c1, c2 = draw(cone_pairs())
+    d = c1.ambient_dim
+    if draw(st.booleans()):
+        # points of the slice where the last coordinate is 3
+        vec = st.tuples(*[st.integers(0, 3)] * (d - 1), st.just(3))
+        c1 = Cone.from_generators(
+            d, draw(st.lists(vec, unique=True, min_size=d + 1, max_size=d + 3)))
+    c = intersect_cones(c1, c2) if draw(st.booleans()) else c1
+    source = draw(st.sampled_from(["subcone", "face", "intersection"]))
+    if source == "face" and c.is_pointed():
+        return draw(st.sampled_from(faces(c))), c
+    if source == "subcone" and c.rays():
+        n = len(c.rays())
+        keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        gens = {r for r, k in zip(c.rays(), keep) if k}
+        if n > 1 and draw(st.integers(0, 3)) == 0:
+            summed = draw(st.sets(st.sampled_from(c.rays()), min_size=2))
+            gens.add(tuple(map(sum, zip(*summed))))
+        return Cone.from_generators(d, gens), c
+    other = draw(drawn_cones(d))
+    f = intersect_cones(c, other) if draw(st.booleans()) else intersect_cones(other, c)
+    return f, c
+
+
+@SETTINGS
+@given(face_test_cases())
+def test_is_face_of_matches_dot_product_rule(case):
+    f, c = case
+    assert is_face_of(f, c) == _dot_product_face_test(f, c)
+    if c.is_pointed():
+        for face in faces(c):
+            assert is_face_of(face, c)
+            # the rows a face gets from the table cut out exactly its rays
+            cut = Cone(c.ambient_dim, face.equalities, face.inequalities)
+            assert canonical_key(cut) == canonical_key(face)
 
 
 def test_intersect_ambient_mismatch():

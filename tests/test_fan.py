@@ -85,6 +85,16 @@ def test_build_fan_counts():
     assert len(fan3.cones) == 43
 
 
+def test_maximal_keys_match_scan_over_all_cones():
+    # build_fan scans the catalog cones only; the face closure adds none
+    for g in corpus(60) + [banana(3, 10), banana(4, 3)]:
+        fan = build_fan(g)
+        raysets = [frozenset(c.rays()) for c in fan.cones]
+        assert fan.maximal_keys == {
+            canonical_key(c) for c, rs in zip(fan.cones, raysets)
+            if not any(rs < other for other in raysets)}
+
+
 def test_verify_fan_passes():
     for g in [two_gon(3), banana(3, 10), loop_graph(),
               path_graph(2, leg_weights=(1, -1))]:
@@ -115,6 +125,24 @@ def test_verify_fan_reports_every_bad_pair():
     # the orthant meets each interior ray in that ray, a face of neither
     assert len(report.violations) == 2
     assert all("not a common face" in v for v in report.violations)
+
+
+def test_verify_fan_reports_every_missing_face():
+    from flowfan import faces
+    orthant = Cone.orthant_section(2)
+    origin = Cone(2, equalities=[(1, 0), (0, 1)], inequalities=[(1, 0), (0, 1)])
+    report = verify_fan(Fan(None, ((0,), (1,)), [origin, orthant], {}, frozenset()))
+    assert report.violations == (
+        "face ((), ((0, 1),)) of ((), ((0, 1), (1, 0))) missing",
+        "face ((), ((1, 0),)) of ((), ((0, 1), (1, 0))) missing")
+    # faces are reported in (dimension, rays) order
+    solid = Cone.orthant_section(3)
+    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    origin3 = Cone(3, equalities=units, inequalities=units)
+    report = verify_fan(Fan(None, ((0,), (1,), (2,)), [origin3, solid], {}, frozenset()))
+    missing = [f.rays() for f in faces(solid)][1:-1]
+    assert report.violations == tuple(
+        f"face {((), rays)} of {canonical_key(solid)} missing" for rays in missing)
 
 
 def test_verify_fan_stops_after_pointedness_stage():

@@ -5,6 +5,7 @@ import pytest
 from flowfan import (Graph, UnknownEdge, UnknownVertex, canonical_degree,
                      contract, cycle_basis, enumerate_cycles, graph_genus,
                      stability_report, validate_graph)
+from flowfan.graph import sort_key
 from flowfan.linalg import int_rank, solve_left
 
 from helpers import banana, corpus, loop_graph, one_edge_genus1, path_graph, two_gon
@@ -178,3 +179,129 @@ def test_corpus_graphs_valid():
         assert len(g.edges()) - len(g.genus_of) + 1 <= 2
         total = sum(canonical_degree(g, v) for v in g.vertices())
         assert total == 2 * graph_genus(g) - 2
+
+
+# -- the cached order index against per-call sort_key references ------------
+
+
+def mixed_id_graph():
+    """Vertices and half-edges with int, str and tuple ids side by side: a
+    triangle on 0, "v", ("w", 1), a loop at 0 and two legs."""
+    pairs = [(1, "a"), (("t", 0), 7), ("b", 2), (3, ("t", 1))]
+    end = {1: 0, "a": "v", ("t", 0): "v", 7: ("w", 1), "b": ("w", 1), 2: 0,
+           3: 0, ("t", 1): 0, "leg": 0, (5,): "v"}
+    involution = {"leg": "leg", (5,): (5,)}
+    for h, p in pairs:
+        involution[h], involution[p] = p, h
+    return Graph({0: 0, "v": 1, ("w", 1): 0}, end, involution,
+                 {"leg": 1, (5,): -1}, 0)
+
+
+def _sorted(ids):
+    return sorted(ids, key=sort_key)
+
+
+def _ref_edge_of(g, h):
+    p = g.involution[h]
+    return h if sort_key(h) <= sort_key(p) else p
+
+
+def _ref_non_leg_halves_at(g, v):
+    return _sorted(h for h, w in g.end.items() if w == v and g.involution[h] != h)
+
+
+def _ref_canonical(g, halves, allow_reversal):
+    cands = [halves[i:] + halves[:i] for i in range(len(halves))]
+    if allow_reversal:
+        back = tuple(g.involution[h] for h in reversed(halves))
+        cands += [back[i:] + back[:i] for i in range(len(back))]
+    return min(cands, key=lambda t: [sort_key(h) for h in t])
+
+
+def _target(g, h):
+    return g.end[g.involution[h]]
+
+
+def _ref_enumerate_cycles(g):
+    found = set()
+
+    def extend(path, used, interior):
+        v = _target(g, path[-1])
+        if v == g.end[path[0]]:
+            found.add(_ref_canonical(g, tuple(path), True))
+        elif v not in interior:
+            for h in _ref_non_leg_halves_at(g, v):
+                e = _ref_edge_of(g, h)
+                if e not in used:
+                    extend(path + [h], used | {e}, interior | {v})
+
+    for h in _sorted(h for h in g.end if g.involution[h] != h):
+        extend([h], {_ref_edge_of(g, h)}, set())
+    return sorted(found, key=lambda t: (len(t), [sort_key(h) for h in t]))
+
+
+def _ref_cycle_basis(g):
+    root = _sorted(g.genus_of)[0]
+    parent, seen, stack = {}, {root}, [root]
+    while stack:
+        v = stack.pop()
+        for h in _ref_non_leg_halves_at(g, v):
+            w = _target(g, h)
+            if w not in seen:
+                seen.add(w)
+                parent[w] = g.involution[h]
+                stack.append(w)
+
+    def up(x):
+        """Tree halves from x to the root."""
+        out = []
+        while x in parent:
+            out.append(parent[x])
+            x = _target(g, parent[x])
+        return out
+
+    tree = {_ref_edge_of(g, h) for h in parent.values()}
+    out = []
+    for e in _sorted({_ref_edge_of(g, h) for h in g.end if g.involution[h] != h}):
+        if e in tree:
+            continue
+        a, b = up(_target(g, e)), up(g.end[e])
+        while a and b and a[-1] == b[-1]:
+            a.pop()
+            b.pop()
+        halves = (e,) + tuple(a) + tuple(g.involution[h] for h in reversed(b))
+        out.append(_ref_canonical(g, halves, False))
+    return out
+
+
+def test_index_matches_sort_key_reference():
+    for g in corpus() + [mixed_id_graph()]:
+        assert g.vertices() == _sorted(g.genus_of)
+        assert g.legs() == _sorted(h for h in g.end if g.involution[h] == h)
+        assert g.edges() == _sorted(
+            {_ref_edge_of(g, h) for h in g.end if g.involution[h] != h})
+        for v in g.genus_of:
+            assert g.halves_at(v) == _sorted(h for h, w in g.end.items() if w == v)
+            assert g.non_leg_halves_at(v) == _ref_non_leg_halves_at(g, v)
+        for h in g.end:
+            assert g.edge_of(h) == _ref_edge_of(g, h)
+        assert [c.halves for c in enumerate_cycles(g)] == _ref_enumerate_cycles(g)
+        assert [c.halves for c in cycle_basis(g)] == _ref_cycle_basis(g)
+        for e in g.edges():
+            ends = (g.source(e), g.target(e))
+            assert contract(g, [e]).vertex_map[ends[1]] == min(ends, key=sort_key)
+
+
+def test_index_accessor_edge_cases():
+    g = mixed_id_graph()
+    assert validate_graph(g).ok
+    assert g.edge_of("leg") == "leg"
+    assert g.halves_at("nowhere") == []
+    assert g.non_leg_halves_at("nowhere") == []
+    for accessor in (g.vertices, g.edges, g.legs,
+                     lambda: g.halves_at(0), lambda: g.non_leg_halves_at(0)):
+        first = accessor()
+        expected = list(first)
+        first.append("junk")
+        first.reverse()
+        assert accessor() == expected

@@ -212,6 +212,16 @@ def test_cli_fan_prints_every_violation(tmp_path, capsys, monkeypatch):
                                          "fan verification failed: second bad"]
 
 
+def test_cli_fan_unwritable_out(tmp_path, capsys):
+    path = write_doc(tmp_path, TWO_GON_DOC)
+    out = tmp_path / "missing" / "fan.json"
+    assert main(["fan", path, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: cannot write {out}: No such file or directory"]
+
+
 def test_cli_dual(tmp_path, capsys):
     path = write_doc(tmp_path, banana_doc())
     assert main(["dual", path, "--flows", "e1=3,e2=3,e3=4"]) == 0
@@ -241,6 +251,16 @@ def test_cli_slice(tmp_path, capsys):
     # four edges cannot be sliced
     path4 = write_doc(tmp_path, banana_doc(n=2, edges=4), "four.json")
     assert main(["slice", path4, "--svg", str(tmp_path / "x.svg")]) == 1
+
+
+def test_cli_slice_unwritable_svg(tmp_path, capsys):
+    path = write_doc(tmp_path, TWO_GON_DOC)
+    out = tmp_path / "missing" / "slice.svg"
+    assert main(["slice", path, "--svg", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: cannot write {out}: No such file or directory"]
 
 
 def test_fan_bytes_identical_across_processes(tmp_path):
