@@ -16,11 +16,13 @@ still sees every row, and the rays are those of a pass from scratch.
 ``Cone.intersect`` resumes from the solved pointed operand with fewer
 rays, which makes the pairwise check of a fan cheap.
 
-A cone caches what it computes: its rays and lineality, and a tight-set
-table of its ray frozenset plus, per inequality row, the frozenset of
-rays on that row's hyperplane. Face enumeration and the face test read
-the table instead of taking dot products. The caches rely on the rows
-never changing after construction, which nothing in this package does.
+A cone caches what it computes: its rays and lineality, its dimension,
+and a tight-set table of its ray frozenset plus, per inequality row, the
+frozenset of rays on that row's hyperplane. Face enumeration and the
+face test read the table instead of taking dot products. The caches rely
+on the rows never changing after construction, which nothing in this
+package does. Intersections and faces are built from rows that are
+normalized already, without passing them through ``__init__`` again.
 
 The cone attached to a weighting w lives in the non-negative orthant of
 Q^E and is cut out by one equality per basis cycle, with entries the
@@ -128,17 +130,32 @@ class Cone:
     """
 
     __slots__ = ("ambient_dim", "labels", "equalities", "inequalities",
-                 "_lineality", "_rays", "_tight")
+                 "_lineality", "_rays", "_tight", "_dim")
 
-    def __init__(self, ambient_dim, equalities=(), inequalities=(), labels=None,
-                 _rays=None, _lineality=None):
+    def __init__(self, ambient_dim, equalities=(), inequalities=(), labels=None):
         self.ambient_dim = ambient_dim
         self.labels = tuple(labels) if labels is not None else None
         self.equalities = _normalize_rows(equalities, equalities=True)
         self.inequalities = _normalize_rows(inequalities, equalities=False)
-        self._rays = tuple(_rays) if _rays is not None else None
-        self._lineality = tuple(_lineality) if _lineality is not None else None
+        self._rays = None
+        self._lineality = None
         self._tight = None
+        self._dim = None
+
+    @classmethod
+    def _pointed(cls, ambient_dim, labels, equalities, inequalities, rays):
+        """A pointed cone with known rays from rows that are normalized and
+        sorted already, as ``__init__`` leaves them; skips ``__init__``."""
+        cone = cls.__new__(cls)
+        cone.ambient_dim = ambient_dim
+        cone.labels = labels
+        cone.equalities = equalities
+        cone.inequalities = inequalities
+        cone._rays = rays
+        cone._lineality = ()
+        cone._tight = None
+        cone._dim = None
+        return cone
 
     @classmethod
     def orthant_section(cls, ambient_dim, equalities=(), labels=None):
@@ -183,8 +200,10 @@ class Cone:
         return not self.lineality()
 
     def dim(self):
-        self._compute()
-        return int_rank(list(self._lineality) + list(self._rays))
+        if self._dim is None:
+            self._compute()
+            self._dim = int_rank(list(self._lineality) + list(self._rays))
+        return self._dim
 
     def contains(self, v):
         return (all(dot(a, v) == 0 for a in self.equalities)
@@ -221,16 +240,10 @@ class Cone:
             [a for a in rest.equalities if a not in eqs],
             [b for b in rest.inequalities if b not in ineqs],
             start=(start.equalities, start.inequalities, start._rays))
-        # both operands' rows are normalized already: skip __init__
-        cone = Cone.__new__(Cone)
-        cone.ambient_dim = self.ambient_dim
-        cone.labels = self.labels
-        cone.equalities = tuple(sorted(eqs.union(rest.equalities)))
-        cone.inequalities = tuple(sorted(ineqs.union(rest.inequalities)))
-        cone._rays = rays
-        cone._lineality = ()
-        cone._tight = None
-        return cone
+        return Cone._pointed(self.ambient_dim, self.labels,
+                             tuple(sorted(eqs.union(rest.equalities))),
+                             tuple(sorted(ineqs.union(rest.inequalities))),
+                             rays)
 
     def polar(self):
         """Polar dual {u : u.x >= 0 on the cone}, in the dual coordinates."""
@@ -302,14 +315,14 @@ def _face_ray_sets(c: Cone):
 
 
 def _face_cone(c: Cone, ray_subset):
+    """The face of pointed ``c`` with the given rays: ``c`` with its rows
+    tight on them turned into equalities."""
     _, tight_sets = c._tight_sets()
-    tight = [q for q, t in zip(c.inequalities, tight_sets) if ray_subset <= t]
-    return Cone(c.ambient_dim,
-                equalities=c.equalities + tuple(tight),
-                inequalities=c.inequalities,
-                labels=c.labels,
-                _rays=sorted(ray_subset),
-                _lineality=())
+    tight = {sign_normalized(q)
+             for q, t in zip(c.inequalities, tight_sets) if ray_subset <= t}
+    return Cone._pointed(c.ambient_dim, c.labels,
+                         tuple(sorted(tight.union(c.equalities))),
+                         c.inequalities, tuple(sorted(ray_subset)))
 
 
 def faces(c: Cone):

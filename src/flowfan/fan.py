@@ -167,12 +167,43 @@ class FanReport:
     violations: tuple = ()
 
 
+def _meet_in_common_face(c1, rays1, c2, rays2):
+    """Whether two pointed cones, given with their ray sets, meet in a
+    common face. A ray r meets a cone in r or in the origin."""
+    if len(rays1) > len(rays2):
+        c1, rays1, c2, rays2 = c2, rays2, c1, rays1
+    if not rays1:
+        return True
+    if len(rays1) == 1:
+        (r,) = rays1
+        return r in rays2 or not c2.contains(r)
+    inter = intersect_cones(c1, c2)
+    return is_face_of(inter, c1) and is_face_of(inter, c2)
+
+
 def verify_fan(fan: Fan) -> FanReport:
     """Check the fan axioms in three stages: cones are pointed and sit in
     the non-negative orthant, every face of every cone belongs to the fan,
     and any two cones intersect in a common face. Reports every violation
     of the first stage that has any; later stages need the earlier ones
-    (faces are taken of pointed cones only)."""
+    (faces are taken of pointed cones only).
+
+    The third stage checks pairs of maximal cones only, which suffices in
+    a face-closed collection of pointed cones (Ziegler, *Lectures on
+    Polytopes*, section 7.1; Cox, Little and Schenck, *Toric Varieties*,
+    section 3.1). Let maximal cones C1 and C2 meet in G, a face of both,
+    and let F1 be a face of C1 and F2 a face of C2. The intersection of F1
+    and G is a face of C1 inside G, so a face of G, and likewise for F2
+    and G. So F1 and F2 meet in a face of G, which is a face of C1 and of
+    C2 and hence of F1 and of F2. The collection is finite, so every cone
+    is a face of a maximal one. A cone is maximal when its ray set is no
+    other cone's proper face; ``fan.maximal_keys`` is not trusted.
+
+    Two cones with at most one ray each always meet in a common face. A
+    ray r meets a cone C in r or in the origin, so the pair fails exactly
+    when C contains r and r is not a ray of C; only pairs of cones with
+    two or more rays each need an intersection. Violations are reported
+    in the order of the pairs' positions in ``fan.cones``."""
     cones = fan.cones
     violations = []
     for c in cones:
@@ -180,24 +211,32 @@ def verify_fan(fan: Fan) -> FanReport:
             violations.append(f"cone {canonical_key(c)} not pointed")
         elif any(x < 0 for r in c.rays() for x in r):
             violations.append(f"cone {canonical_key(c)} leaves the orthant")
-    if not violations:
-        # pointed cones and their faces are keyed by their ray sets alone:
-        # canonical_key is ((), sorted rays)
-        ray_sets = {frozenset(c.rays()) for c in cones}
-        for c in cones:
-            missing = sorted((tuple(sorted(s)) for s in _face_ray_sets(c)
-                              if s not in ray_sets), key=lambda r: (len(r), r))
-            violations += [f"face {((), r)} of {canonical_key(c)} missing"
-                           for r in missing]
-    if not violations:
-        for i in range(len(cones)):
-            for j in range(i + 1, len(cones)):
-                c1, c2 = cones[i], cones[j]
-                inter = intersect_cones(c1, c2)
-                if not is_face_of(inter, c1) or not is_face_of(inter, c2):
-                    violations.append(
-                        f"intersection of {canonical_key(c1)} and "
-                        f"{canonical_key(c2)} is not a common face")
+    if violations:
+        return FanReport(False, tuple(violations))
+    # pointed cones and their faces are keyed by their ray sets alone:
+    # canonical_key is ((), sorted rays)
+    ray_sets = [frozenset(c.rays()) for c in cones]
+    known = set(ray_sets)
+    proper_faces = set()
+    for c, rs in zip(cones, ray_sets):
+        face_sets = _face_ray_sets(c)
+        missing = sorted((tuple(sorted(s)) for s in face_sets
+                          if s not in known), key=lambda r: (len(r), r))
+        violations += [f"face {((), r)} of {canonical_key(c)} missing"
+                       for r in missing]
+        proper_faces |= face_sets - {rs}
+    if violations:
+        return FanReport(False, tuple(violations))
+    maximal = [i for i, rs in enumerate(ray_sets) if rs not in proper_faces]
+    wide = [i for i in maximal if len(ray_sets[i]) > 1]
+    # a cone with at most one ray is paired with the wide cones only
+    for i in maximal:
+        for j in (maximal if len(ray_sets[i]) > 1 else wide):
+            if j > i and not _meet_in_common_face(cones[i], ray_sets[i],
+                                                  cones[j], ray_sets[j]):
+                violations.append(
+                    f"intersection of {canonical_key(cones[i])} and "
+                    f"{canonical_key(cones[j])} is not a common face")
     return FanReport(not violations, tuple(violations))
 
 

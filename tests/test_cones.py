@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowfan import (AmbientMismatch, Cone, NotPointed, base_weighting,
-                     canonical_key, cone_of_weighting, dual_cone_generators,
-                     enumerate_cycles, extreme_rays, faces, intersect_cones,
-                     is_face_of, monoid_generators, oracle_extreme_rays,
-                     oracle_monoid_check, polar_dual)
+                     build_fan, canonical_key, cone_of_weighting,
+                     dual_cone_generators, enumerate_cycles, extreme_rays,
+                     faces, intersect_cones, is_face_of, monoid_generators,
+                     oracle_extreme_rays, oracle_monoid_check, polar_dual)
 from flowfan import FlowFanError, linalg
 from flowfan.cones import cycle_constraint_rows
 from flowfan.linalg import dot
@@ -126,6 +126,7 @@ def test_intersect_matches_cold_double_description(pair):
         cold.equalities, cold.inequalities)
     assert canonical_key(inter) == canonical_key(cold)
     assert canonical_key(intersect_cones(c2, c1)) == canonical_key(cold)
+    assert inter.dim() == cold.dim()
 
 
 def _dot_product_face_test(f, c):
@@ -180,9 +181,29 @@ def test_is_face_of_matches_dot_product_rule(case):
     if c.is_pointed():
         for face in faces(c):
             assert is_face_of(face, c)
-            # the rows a face gets from the table cut out exactly its rays
+            # the rows a face gets from the table cut out exactly its rays,
+            # and they are normalized as Cone.__init__ leaves them
             cut = Cone(c.ambient_dim, face.equalities, face.inequalities)
             assert canonical_key(cut) == canonical_key(face)
+            assert (cut.equalities, cut.inequalities) == (
+                face.equalities, face.inequalities)
+            assert face.dim() == cut.dim()
+
+
+def test_face_rows_match_init():
+    # faces are built without Cone.__init__; their rows are what it makes
+    # of the parent's rows with the tight inequalities as equalities
+    for g in corpus():
+        for c in build_fan(g).cones:
+            for f in faces(c):
+                tight = tuple(q for q in c.inequalities
+                              if all(dot(q, r) == 0 for r in f.rays()))
+                made = Cone(c.ambient_dim, c.equalities + tight,
+                            c.inequalities, labels=c.labels)
+                assert (f.equalities, f.inequalities, f.labels) == (
+                    made.equalities, made.inequalities, made.labels)
+                assert f.rays() == made.rays()
+                assert f.dim() == made.dim()
 
 
 def test_intersect_ambient_mismatch():

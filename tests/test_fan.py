@@ -3,15 +3,16 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowfan import (Fan, UnknownEdge, UnsupportedDimension, base_weighting,
                      build_fan, canonical_key, check_contraction_compat,
-                     cone_catalog, cone_of_weighting, find_positive_cycle,
-                     slice_fan, verify_fan)
+                     cone_catalog, cone_of_weighting, faces, find_positive_cycle,
+                     intersect_cones, is_face_of, slice_fan, verify_fan)
 from flowfan.cones import Cone
-from flowfan.fan import _embed_cone
+from flowfan.fan import _embed_cone, _meet_in_common_face
 
-from helpers import banana, corpus, loop_graph, path_graph, two_gon
+from helpers import banana, corpus, loop_graph, path_graph, random_graph, two_gon
 from test_weightings import flows_weighting
 
 
@@ -166,9 +167,129 @@ def test_verify_fan_resumes_every_intersection(monkeypatch):
 
     monkeypatch.setattr(cones_mod, "_double_description", recording)
     assert verify_fan(fan).ok
-    n = len(fan.cones)
-    assert len(starts) == n * (n - 1) // 2
+    # of the 28 cones only the three 2-D cones need an intersection: the
+    # other maximal cones are rays, and proper faces are not paired at all
+    assert len(fan.cones) == 28
+    assert len(starts) == 3
     assert all(s is not None for s in starts)
+
+
+def _all_pairs_stage(cones):
+    """The pair stage over every pair of cones, each by an intersection."""
+    violations = []
+    for i in range(len(cones)):
+        for j in range(i + 1, len(cones)):
+            c1, c2 = cones[i], cones[j]
+            inter = intersect_cones(c1, c2)
+            if not is_face_of(inter, c1) or not is_face_of(inter, c2):
+                violations.append(
+                    f"intersection of {canonical_key(c1)} and "
+                    f"{canonical_key(c2)} is not a common face")
+    return violations
+
+
+def _is_ordered_subset(items, reference):
+    it = iter(reference)
+    return all(any(x == y for y in it) for x in items)
+
+
+@st.composite
+def pair_stage_cases(draw):
+    """The fan of a generated corpus graph, or that fan with the faces of
+    a drawn orthant section added (often not a fan any more), maybe one
+    cone repeated, in a drawn order, with the fan's old maximal keys."""
+    fan = build_fan(random_graph(random.Random(draw(st.integers(0, 10**6)))))
+    cones = list(fan.cones)
+    d = len(fan.edge_order)
+    if d and draw(st.booleans()):
+        row = st.tuples(*[st.integers(-3, 3)] * d)
+        c = Cone.orthant_section(d, draw(st.lists(row, max_size=d - 1)),
+                                 labels=fan.edge_order)
+        keys = {canonical_key(x) for x in cones}
+        cones += [f for f in faces(c) if canonical_key(f) not in keys]
+        if draw(st.booleans()):
+            cones.append(draw(st.sampled_from(cones)))
+        cones = draw(st.permutations(cones))
+    return Fan(fan.graph, fan.edge_order, cones, fan.witnesses,
+               fan.maximal_keys)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=150)
+@given(pair_stage_cases())
+def test_verify_fan_agrees_with_all_pairs_reference(fan):
+    report = verify_fan(fan)
+    reference = _all_pairs_stage(fan.cones)
+    assert report.ok == (not reference)
+    assert _is_ordered_subset(report.violations, reference)
+    if report.ok:
+        assert report.violations == ()
+
+
+def _bad(c1, c2):
+    return (f"intersection of {canonical_key(c1)} and "
+            f"{canonical_key(c2)} is not a common face")
+
+
+def test_meet_in_common_face_ray_rule():
+    orthant = Cone.orthant_section(3)
+    for ray, ok in [((1, 0, 0), True),     # an extreme ray of the orthant
+                    ((1, 1, 0), False),    # inside a 2-D face
+                    ((1, 1, 1), False)]:   # in the interior
+        r = Cone.from_generators(3, [ray])
+        for args in [(r, {ray}, orthant, set(orthant.rays())),
+                     (orthant, set(orthant.rays()), r, {ray})]:
+            assert _meet_in_common_face(*args) is ok
+    plane = Cone.orthant_section(3, [(0, 0, 1)])
+    outside = Cone.from_generators(3, [(0, 0, 1)])
+    assert _meet_in_common_face(outside, {(0, 0, 1)}, plane, set(plane.rays()))
+
+
+def test_verify_fan_reports_ray_inside_a_cone():
+    orthant = Cone.orthant_section(2)
+    inside = Cone.orthant_section(2, [(1, -1)])
+    cones = {canonical_key(f): f for c in (orthant, inside) for f in faces(c)}
+    report = verify_fan(Fan(None, ((0,), (1,)), list(cones.values()), {},
+                            frozenset()))
+    assert report.violations == (_bad(orthant, inside),)
+    # in 3-D a ray inside a 2-D face of the orthant is reported against the
+    # orthant only; the all-pairs check also names the face, not maximal
+    solid = Cone.orthant_section(3)
+    ray = Cone.orthant_section(3, [(1, -1, 0), (0, 0, 1)])
+    cones = list({canonical_key(f): f for c in (solid, ray)
+                  for f in faces(c)}.values())
+    report = verify_fan(Fan(None, ((0,), (1,), (2,)), cones, {}, frozenset()))
+    reference = _all_pairs_stage(cones)
+    assert len(reference) == 2
+    assert report.violations == (_bad(solid, ray),)
+    assert _is_ordered_subset(report.violations, reference)
+
+
+def test_verify_fan_with_a_repeated_cone():
+    orthant = Cone.orthant_section(2)
+    cones = list(faces(orthant)) + [Cone.orthant_section(2)]
+    assert verify_fan(Fan(None, ((0,), (1,)), cones, {}, frozenset())).ok
+    inside = Cone.orthant_section(2, [(1, -1)])
+    cones += [Cone.orthant_section(2, [(1, -1)])] + faces(inside)
+    report = verify_fan(Fan(None, ((0,), (1,)), cones, {}, frozenset()))
+    # both copies of the orthant and of the interior ray are maximal
+    assert report.violations == (_bad(orthant, inside),) * 4
+    assert list(report.violations) == _all_pairs_stage(cones)
+
+
+def test_verify_fan_ignores_maximal_keys():
+    fan = build_fan(banana(3, 6))
+    every = frozenset(canonical_key(c) for c in fan.cones)
+    for keys in (frozenset(), every, frozenset([((), ())])):
+        assert verify_fan(Fan(fan.graph, fan.edge_order, fan.cones,
+                              fan.witnesses, keys)).ok
+    orthant = Cone.orthant_section(2)
+    inside = Cone.orthant_section(2, [(1, -1)])
+    cones = list(faces(orthant)) + [inside]
+    expected = (_bad(orthant, inside),)
+    for keys in (frozenset(), frozenset([canonical_key(orthant)]),
+                 frozenset(canonical_key(c) for c in cones)):
+        report = verify_fan(Fan(None, ((0,), (1,)), cones, {}, keys))
+        assert report.violations == expected
 
 
 def test_fan_relabel_invariance():
