@@ -13,7 +13,6 @@ the half-edge at the target of each edge's canonical orientation.
 """
 
 import argparse
-import json
 import sys
 
 from .errors import (BoxTooSmall, FlowFanError, ParseError, UnknownEdge,
@@ -21,7 +20,7 @@ from .errors import (BoxTooSmall, FlowFanError, ParseError, UnknownEdge,
 from .fan import build_fan, cone_catalog, slice_fan, verify_fan
 from .graph import contract, graph_genus, stability_report
 from .io import (edge_doc_id, emit_fan_json, emit_graph_json,
-                 parse_graph_json, _json_int)
+                 parse_graph_json, _dumps, _json_int)
 from .oracle import oracle_cone_catalog
 from .svg import render_slice_svg
 from .weightings import Weighting, base_weighting, enumeration_bound, is_weighting
@@ -73,7 +72,7 @@ def _cmd_base_weighting(args):
     g = _load_graph(args.graph)
     w = base_weighting(g)
     flows = {str(edge_doc_id(e)): _json_int(f) for e, f in w.flows().items()}
-    print(json.dumps({"flows": flows}, indent=2, sort_keys=True))
+    sys.stdout.write(_dumps({"flows": flows}))
     return 0
 
 
@@ -98,7 +97,7 @@ def _cmd_rays(args):
     fan = build_fan(g)
     doc = {"edge_order": [edge_doc_id(e) for e in fan.edge_order],
            "rays": [[_json_int(x) for x in r] for r in fan.ray_list()]}
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    sys.stdout.write(_dumps(doc))
     return 0
 
 
@@ -145,7 +144,7 @@ def _cmd_dual(args):
     gens = dual_cone_generators(g, w)
     doc = {"edge_order": [edge_doc_id(e) for e in gens.labels],
            "generators": [[_json_int(x) for x in v] for v in gens.vectors]}
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    sys.stdout.write(_dumps(doc))
     return 0
 
 

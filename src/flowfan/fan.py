@@ -15,10 +15,10 @@ from functools import cmp_to_key
 from itertools import product
 
 from .errors import UnknownEdge, UnsupportedDimension
-from .cones import (Cone, _face_ray_sets, canonical_key, cone_of_weighting,
-                    cycle_constraint_rows, faces, intersect_cones, is_face_of)
+from .cones import (Cone, _face_ray_sets, _unit_rows, canonical_key,
+                    cone_of_weighting, cycle_constraint_rows, faces,
+                    intersect_cones, is_face_of)
 from .graph import contract, cycle_basis, enumerate_cycles
-from .linalg import sign_normalized, is_zero
 from .weightings import (base_weighting, enumeration_bound, flow_bound,
                          has_positive_cycle, lift_weighting, restrict_weighting,
                          shift_along_cycle, shift_by_cycles)
@@ -34,33 +34,39 @@ def _box_vectors(h, radius):
 
 def _embed_cone(c_small, small_edges, big_edges, contracted_set):
     """Pad a cone on the surviving edges with zero coordinates on the
-    contracted edges (the product with the origin)."""
+    contracted edges (the product with the origin).
+
+    Padding with zeros keeps rows sign-normalized and rays primitive and
+    extreme, so the cone is built from the padded rows and rays of
+    ``c_small`` without a double description run; it equals
+    ``Cone.orthant_section`` over the same rows."""
     pos = {e: i for i, e in enumerate(big_edges)}
     n = len(big_edges)
-    rows = []
-    for a in c_small.equalities:
-        row = [0] * n
-        for val, e in zip(a, small_edges):
-            row[pos[e]] = val
-        rows.append(tuple(row))
-    for e in sorted(contracted_set, key=lambda e: pos[e]):
-        row = [0] * n
-        row[pos[e]] = 1
-        rows.append(tuple(row))
-    return Cone.orthant_section(n, rows, labels=big_edges)
+    units = _unit_rows(n)
+
+    def pad(v):
+        out = [0] * n
+        for x, e in zip(v, small_edges):
+            out[pos[e]] = x
+        return tuple(out)
+
+    equalities = [pad(a) for a in c_small.equalities]
+    equalities += [units[pos[e]] for e in contracted_set]
+    return Cone._pointed(n, tuple(big_edges), tuple(sorted(equalities)),
+                         tuple(sorted(units)),
+                         tuple(sorted(pad(r) for r in c_small.rays())))
 
 
-def cone_catalog(g, prune=True):
+def cone_catalog(g):
     """The exact set of weighting cones with one exact witness each.
 
     Returns a list of (cone, weighting) pairs sorted by canonical key; for
-    every pair the cone of the weighting equals the stored cone. With
-    ``prune`` the box enumeration skips weightings admitting a positive
-    cycle (their cones are supplied by the contraction recursion); the
-    output set is unchanged.
+    every pair the cone of the weighting equals the stored cone. The box
+    enumeration skips weightings admitting a positive cycle: their cones
+    are supplied by the contraction recursion.
     """
     memo = {}
-    out = _catalog(g, frozenset(), memo, prune)
+    out = _catalog(g, frozenset(), memo)
     return [pair for _, pair in sorted(out.items(), key=lambda kv: kv[0])]
 
 
@@ -69,7 +75,7 @@ def _box_radius(g, base):
     return min(flow_bound(g), enumeration_bound(g, base))
 
 
-def _catalog(g, contracted_sofar, memo, prune):
+def _catalog(g, contracted_sofar, memo):
     if contracted_sofar in memo:
         return memo[contracted_sofar]
     edges = g.edges()
@@ -79,20 +85,19 @@ def _catalog(g, contracted_sofar, memo, prune):
     seen_systems = set()
     for coeffs in _box_vectors(len(basis), _box_radius(g, base)):
         w = shift_by_cycles(g, base, coeffs, basis)
-        if prune and has_positive_cycle(g, w.values):
+        if has_positive_cycle(g, w.values):
             continue
         _, rows = cycle_constraint_rows(g, w, basis)
-        syskey = tuple(sorted(sign_normalized(r) for r in rows if not is_zero(r)))
-        if syskey in seen_systems:
-            continue
-        seen_systems.add(syskey)
         c = Cone.orthant_section(len(edges), rows, labels=edges)
+        if c.equalities in seen_systems:
+            continue
+        seen_systems.add(c.equalities)
         out.setdefault(canonical_key(c), (c, w))
 
     for cyc in enumerate_cycles(g):
         cyc_edges = frozenset(cyc.edges(g))
         res = contract(g, cyc_edges)
-        sub = _catalog(res.contracted, contracted_sofar | cyc_edges, memo, prune)
+        sub = _catalog(res.contracted, contracted_sofar | cyc_edges, memo)
         small_edges = res.contracted.edges()
         for c_small, w_small in sub.values():
             w0 = lift_weighting(g, res, w_small)

@@ -16,10 +16,14 @@ Each graph builds its order invariants once, on first use, into a
 half-edge in ``sort_key`` order, the sorted vertices, edges and legs, the
 sorted halves at each vertex and the canonical edge of each half. The
 accessors and everything that orders ids read the index, so ``sort_key``
-runs only while an index is built and in :func:`validate_graph`, which
-sees unvalidated data. The cache relies on the graph's dicts not being
-mutated once it has been read; no operation in this package mutates a
-graph, and :func:`contract` builds a new one.
+runs only while an index is built. The cache relies on the graph's dicts
+not being mutated once it has been read; no operation in this package
+mutates a graph, and :func:`contract` builds a new one.
+
+One deterministic DFS spanning forest, :func:`_spanning_forest`, serves
+the cycle basis, the components a contraction merges, the tree a
+weighting is solved on and the connectivity check of
+:func:`validate_graph`.
 """
 
 from dataclasses import dataclass
@@ -286,22 +290,13 @@ def validate_graph(g: Graph) -> GraphReport:
             problems.append(("LegSumMismatch",
                              f"leg weights sum to {total}, expected {want}"))
 
-    verts = set(g.genus_of)
-    if verts:
-        start = min(verts, key=sort_key)
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for h in g.end:
-                if g.end[h] == v and g.involution[h] != h:
-                    w = g.end[g.involution[h]]
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        if seen != verts:
+    if g.genus_of:
+        _, root, _ = _spanning_forest(g)
+        first = g.index.vertices[0]
+        unreachable = sum(1 for r in root.values() if r != first)
+        if unreachable:
             problems.append(("Disconnected",
-                             f"{len(verts) - len(seen)} vertices unreachable"))
+                             f"{unreachable} vertices unreachable"))
     return GraphReport(not problems, tuple(problems))
 
 
@@ -336,31 +331,39 @@ def stability_report(g: Graph):
     return bad
 
 
-# -- spanning tree and cycle space -----------------------------------------
+# -- spanning forest and cycle space ----------------------------------------
 
 
-def _spanning_tree(g: Graph):
-    """Deterministic DFS spanning tree from the smallest vertex.
+def _spanning_forest(g: Graph, edge_set=None):
+    """Deterministic DFS spanning forest of the subgraph on ``edge_set``
+    (default: all edges), spanning every vertex.
 
-    Returns (root, parent) where parent maps each non-root vertex to the
-    half-edge at that vertex pointing toward its tree parent.
+    Trees start from the vertices in index order and read each vertex's
+    halves in ``non_leg_halves_at`` order. Returns (order, root, parent):
+    the vertices in visiting order, each vertex's tree root (the smallest
+    vertex of its component), and for each non-root vertex the half-edge
+    at that vertex pointing toward its tree parent.
     """
-    verts = g.vertices()
-    if not verts:
-        return None, {}
-    root = verts[0]
-    parent = {}
-    seen = {root}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for h in g.non_leg_halves_at(v):
-            w = g.target(h)
-            if w not in seen:
-                seen.add(w)
-                parent[w] = g.partner(h)  # half at w toward v
-                stack.append(w)
-    return root, parent
+    index = g.index
+    order, root, parent = [], {}, {}
+    for r in index.vertices:
+        if r in root:
+            continue
+        root[r] = r
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for h in index.non_leg_halves_at.get(v, ()):
+                if edge_set is not None and index.edge_of[h] not in edge_set:
+                    continue
+                p = g.involution[h]
+                w = g.end[p]
+                if w not in root:
+                    root[w] = r
+                    parent[w] = p  # half at w toward v
+                    stack.append(w)
+    return order, root, parent
 
 
 def _tree_path_halves(g, parent, u, v):
@@ -393,14 +396,14 @@ def _tree_path_halves(g, parent, u, v):
 
 
 def cycle_basis(g: Graph):
-    """Fundamental cycles of the deterministic spanning tree.
+    """Fundamental cycles of the deterministic spanning forest.
 
     One cycle per non-tree edge, ordered by edge key. Each cycle traverses
     its non-tree edge from the edge's canonical source half and returns
     through the tree; the representative is rotated to its lexicographic
     minimum without reversal.
     """
-    root, parent = _spanning_tree(g)
+    _, _, parent = _spanning_forest(g)
     tree_edges = {g.edge_of(h) for h in parent.values()}
     out = []
     for e in g.edges():
@@ -473,21 +476,8 @@ def contract(g: Graph, edge_set) -> ContractionResult:
             raise UnknownEdge(e)
         S.add(e)
 
-    rank = g.index.rank
-    root = {v: v for v in g.genus_of}
-
-    def find(v):
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
-    for e in S:
-        a, b = find(g.source(e)), find(g.target(e))
-        if a != b:
-            small, big = sorted((a, b), key=rank.__getitem__)
-            root[big] = small
-    vertex_map = {v: find(v) for v in g.genus_of}
+    _, root, _ = _spanning_forest(g, S)
+    vertex_map = {v: root[v] for v in g.genus_of}
 
     members = {}
     for v, r in vertex_map.items():

@@ -87,7 +87,8 @@ def int_rank(rows):
 
 
 def reduce_mod(v, rref_rows):
-    """Eliminate the pivot coordinates of ``v`` against canonical rref rows.
+    """Eliminate the pivot coordinates of ``v`` against canonical rref rows,
+    whose pivots are positive as :func:`rref_int` leaves them.
 
     Only positive rescalings of ``v`` are applied, so for rays this is the
     canonical projection along the row span (direction preserved).
@@ -96,11 +97,7 @@ def reduce_mod(v, rref_rows):
     for r in rref_rows:
         p = next(j for j, x in enumerate(r) if x != 0)
         if w[p] != 0:
-            a = r[p]
-            if a < 0:  # rref rows are pivot-positive; guard anyway
-                r = tuple(-x for x in r)
-                a = -a
-            c = w[p]
+            a, c = r[p], w[p]
             w = [a * x - c * y for x, y in zip(w, r)]
     return tuple(w)
 

@@ -15,16 +15,13 @@ source half is what enters every cone constraint downstream.
 from dataclasses import dataclass
 
 from .errors import FlowFanError, MissingHalfEdge
-from .graph import Graph, Cycle, canonical_degree, cycle_basis
+from .graph import Graph, Cycle, _spanning_forest, canonical_degree, cycle_basis
 
 
 @dataclass(frozen=True)
 class Weighting:
     graph: Graph
     values: dict  # half-edge id -> int
-
-    def value(self, h):
-        return self.values[h]
 
     def flow(self, e):
         """Flow along the canonical orientation of edge ``e``."""
@@ -68,72 +65,34 @@ def is_weighting(g: Graph, candidate):
 
 def _complete_values(g: Graph, free_edges, fixed):
     """Extend ``fixed`` half-edge values over ``free_edges`` so every vertex
-    balances. Non-tree free edges get zero flow; tree flows are solved
-    bottom-up. Existence relies on connectivity of each free component and
-    on the fixed part summing to the right demands.
+    balances. Free edges off the spanning forest of the free subgraph
+    (:func:`~flowfan.graph._spanning_forest`) get zero flow; forest flows
+    are solved leaf-first, each vertex's half toward its parent carrying
+    whatever balances the vertex. Existence relies on each free component's
+    fixed part summing to the right demands.
     """
     values = dict(fixed)
     free = set(free_edges)
     for e in free:
         values[e] = 0
         values[g.involution[e]] = 0
-
-    # components of the free subgraph
-    comp = {}
-    for e in free:
-        for v in (g.source(e), g.target(e)):
-            comp.setdefault(v, v)
-
-    def find(v):
-        while comp[v] != v:
-            comp[v] = comp[comp[v]]
-            v = comp[v]
-        return v
-
-    rank = g.index.rank
-    for e in free:
-        a, b = find(g.source(e)), find(g.target(e))
-        if a != b:
-            small, big = sorted((a, b), key=rank.__getitem__)
-            comp[big] = small
-
-    groups = {}
-    for v in comp:
-        groups.setdefault(find(v), []).append(v)
-
-    for rep, verts in sorted(groups.items(), key=lambda kv: rank[kv[0]]):
-        # DFS tree inside the component over free edges
-        parent = {}
-        order = []
-        start = min(verts, key=rank.__getitem__)
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for h in g.non_leg_halves_at(v):
-                if g.edge_of(h) in free:
-                    w = g.target(h)
-                    if w not in seen:
-                        seen.add(w)
-                        parent[w] = g.partner(h)
-                        stack.append(w)
-        # solve leaf-first: the half toward the parent carries whatever makes
-        # the vertex balance (children and non-tree halves are already set)
-        for v in reversed(order):
-            if v not in parent:
-                continue
-            h = parent[v]
-            residue = -g.twist * canonical_degree(g, v) - sum(
-                values[x] for x in g.halves_at(v) if x != h)
-            values[h] = residue
-            values[g.involution[h]] = -residue
+    order, _, parent = _spanning_forest(g, free)
+    # children and non-tree halves are already set when a vertex is solved
+    for v in reversed(order):
+        h = parent.get(v)
+        if h is None:
+            continue
+        residue = -g.twist * canonical_degree(g, v) - sum(
+            values[x] for x in g.halves_at(v) if x != h)
+        values[h] = residue
+        values[g.involution[h]] = -residue
     return values
 
 
 def base_weighting(g: Graph) -> Weighting:
-    """Deterministic valid weighting: zero flow off the spanning tree,
-    tree flows solved from the per-vertex demands."""
+    """Deterministic valid weighting: zero flow off the spanning forest
+    that :func:`~flowfan.graph.cycle_basis` uses, forest flows solved from
+    the per-vertex demands."""
     fixed = {h: g.leg_weights[h] for h in g.end if g.is_leg(h)}
     values = _complete_values(g, g.edges(), fixed)
     w = Weighting(g, values)
@@ -279,9 +238,9 @@ def flow_bound(g: Graph) -> int:
       Flows*, 1993, section 3.5) splits an acyclic flow into
       source-to-sink paths of total value S, and each path uses an arc at
       most once, so every non-leg half carries at most S in absolute value.
-    * ``base_weighting`` is zero off the DFS spanning tree that
-      ``cycle_basis`` also uses: both search from the smallest vertex in
-      ``non_leg_halves_at`` order. Basis cycle i is the only basis cycle
+    * ``base_weighting`` and ``cycle_basis`` share one spanning forest,
+      ``graph._spanning_forest`` over all edges, and ``base_weighting`` is
+      zero off it by construction. Basis cycle i is the only basis cycle
       through its non-tree edge e_i and crosses it once, so the value on
       e_i is +-c_i and |c_i| <= S.
 

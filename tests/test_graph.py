@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from flowfan import (Graph, UnknownEdge, UnknownVertex, canonical_degree,
-                     contract, cycle_basis, enumerate_cycles, graph_genus,
-                     stability_report, validate_graph)
-from flowfan.graph import sort_key
+from flowfan import (Graph, UnknownEdge, UnknownVertex, base_weighting,
+                     canonical_degree, contract, cycle_basis, enumerate_cycles,
+                     graph_genus, lift_weighting, stability_report, validate_graph)
+from flowfan.graph import _spanning_forest, sort_key
 from flowfan.linalg import int_rank, solve_left
 
 from helpers import banana, corpus, loop_graph, one_edge_genus1, path_graph, two_gon
@@ -40,6 +40,9 @@ def test_validate_disconnected_and_negative_genus():
     report = validate_graph(g)
     assert "Disconnected" in report.codes()
     assert "NegativeGenus" in report.codes()
+    g = Graph.build({"a": 0, "b": 0, "c": 0}, [("e", "a", "b")], [], 0)
+    report = validate_graph(g)
+    assert report.problems == (("Disconnected", "1 vertices unreachable"),)
 
 
 def test_genus_examples():
@@ -240,17 +243,29 @@ def _ref_enumerate_cycles(g):
     return sorted(found, key=lambda t: (len(t), [sort_key(h) for h in t]))
 
 
+def _ref_forest(g, S=None):
+    """DFS forest over the edges in S (all edges if None), trees started
+    from the vertices in sort_key order: (order, root, parent)."""
+    order, root, parent = [], {}, {}
+    for r in _sorted(g.genus_of):
+        if r in root:
+            continue
+        root[r] = r
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for h in _ref_non_leg_halves_at(g, v):
+                w = _target(g, h)
+                if (S is None or _ref_edge_of(g, h) in S) and w not in root:
+                    root[w] = r
+                    parent[w] = g.involution[h]
+                    stack.append(w)
+    return order, root, parent
+
+
 def _ref_cycle_basis(g):
-    root = _sorted(g.genus_of)[0]
-    parent, seen, stack = {}, {root}, [root]
-    while stack:
-        v = stack.pop()
-        for h in _ref_non_leg_halves_at(g, v):
-            w = _target(g, h)
-            if w not in seen:
-                seen.add(w)
-                parent[w] = g.involution[h]
-                stack.append(w)
+    _, _, parent = _ref_forest(g)
 
     def up(x):
         """Tree halves from x to the root."""
@@ -305,3 +320,47 @@ def test_index_accessor_edge_cases():
         first.append("junk")
         first.reverse()
         assert accessor() == expected
+
+
+# -- the spanning forest against reference traversals ------------------------
+
+
+def _union_find_roots(g, S):
+    """Each vertex -> the sort_key-smallest vertex of its component in the
+    subgraph on the edges S."""
+    comp = {v: v for v in g.genus_of}
+
+    def find(v):
+        while comp[v] != v:
+            v = comp[v]
+        return v
+
+    for e in S:
+        a, b = sorted((find(g.end[e]), find(_target(g, e))), key=sort_key)
+        comp[b] = a
+    return {v: find(v) for v in g.genus_of}
+
+
+def test_spanning_forest_on_edge_subsets():
+    rng = random.Random(29)
+    checked = 0
+    for g in corpus() + [mixed_id_graph()]:
+        edges = g.edges()
+        subsets = [None, frozenset()] + [
+            frozenset(rng.sample(edges, rng.randint(1, len(edges))))
+            for _ in range(4) if edges]
+        for S in subsets:
+            order, root, parent = _spanning_forest(g, S)
+            assert (order, root, parent) == _ref_forest(g, S)
+            within = frozenset(edges) if S is None else S
+            tree = {g.edge_of(h) for h in parent.values()}
+            assert tree <= within
+            assert sorted(order, key=sort_key) == _sorted(g.genus_of)
+            assert root == _union_find_roots(g, within)
+            assert len(tree) == len(parent) == len(g.genus_of) - len(set(root.values()))
+            res = contract(g, within)
+            assert res.vertex_map == root
+            lifted = lift_weighting(g, res, base_weighting(res.contracted))
+            assert all(lifted.flow(e) == 0 for e in within - tree)
+            checked += 1
+    assert checked >= 1000

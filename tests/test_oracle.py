@@ -33,10 +33,16 @@ def flowfan_cone(g, w):
     return cone_of_weighting(g, w)
 
 
-def test_oracle_catalog_two_gon():
-    g = two_gon(3)
+@pytest.mark.parametrize("g, radius", [
+    pytest.param(two_gon(3), 6, id="two_gon3"),
+    pytest.param(banana(3, 4), None, id="banana3_4"),
+    pytest.param(path_graph(2, leg_weights=(1, -1)), None, id="path2"),
+])
+def test_oracle_catalog_two_gon(g, radius):
+    if radius is None:
+        radius = enumeration_bound(g, base_weighting(g))
     main = {canonical_key(c) for c, _ in cone_catalog(g)}
-    assert set(oracle_cone_catalog(g, 6)) == main
+    assert set(oracle_cone_catalog(g, radius)) == main
 
 
 def test_oracle_catalog_tree():

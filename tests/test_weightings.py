@@ -8,7 +8,7 @@ from flowfan import (FlowFanError, Graph, MissingHalfEdge, Weighting, base_weigh
                      flow_bound, is_weighting, lift_weighting, restrict_weighting,
                      shift_by_cycles)
 from flowfan.fan import _box_radius
-from flowfan.graph import _spanning_tree
+from flowfan.graph import _spanning_forest
 from flowfan.linalg import solve_left
 from flowfan import weightings
 from flowfan.weightings import has_positive_cycle
@@ -339,7 +339,7 @@ def test_base_weighting_zero_on_basis_non_tree_edges():
     checked = 0
     for g in corpus():
         basis = cycle_basis(g)
-        _, parent = _spanning_tree(g)
+        _, _, parent = _spanning_forest(g)
         tree = {g.edge_of(h) for h in parent.values()}
         non_tree = [e for e in g.edges() if e not in tree]
         assert len(non_tree) == len(basis)
