@@ -31,6 +31,8 @@ the cycle class makes basis cycles sufficient.
 """
 
 from dataclasses import dataclass
+from itertools import product
+from math import lcm
 
 from .errors import AmbientMismatch, FlowFanError, NotPointed
 from .graph import cycle_basis
@@ -432,6 +434,17 @@ def _parallelepiped_points(basis_rows, lattice_rows):
     Enumerates one representative per coset of the basis sublattice (their
     count is the determinant in lattice coordinates) and folds it into the
     parallelepiped.
+
+    In lattice coordinates the basis is the integer matrix ``C``
+    (``basis_rows = C . lattice_rows``), and a representative ``x`` folds
+    to ``(x - floor(x C^-1) C) . lattice_rows``. One elimination of
+    ``[C | I]`` gives ``D C^-1`` as an integer matrix ``M`` with ``D > 0``:
+    its rows are ``(a_j e_j | u_j)``, so row j of ``C^-1`` is ``u_j / a_j``
+    and ``D = lcm(a_j)``. With ``r = (x M) mod D`` the fractional part of
+    ``x C^-1`` is ``r / D`` exactly, so the point is
+    ``(sum_i r_i basis_rows[i]) / D``; the sum is an integer combination
+    of the lattice rows times ``D``, so the division is exact. Each point
+    then costs integer dot products only, and it is zero iff ``r`` is.
     """
     k = len(lattice_rows)
     coords = []
@@ -444,21 +457,18 @@ def _parallelepiped_points(basis_rows, lattice_rows):
     if len(H) != k:
         raise FlowFanError("basis does not span the lattice rationally")
 
-    reps = [[]]
-    for i in range(k):
-        reps = [r + [x] for r in reps for x in range(H[i][i])]
+    inv = rref_int([c + u for c, u in zip(coords, _unit_rows(k))])
+    D = lcm(*(row[j] for j, row in enumerate(inv)))
+    # column i of D C^-1, so that (x M)_i is one dot product
+    cols = tuple(zip(*(tuple(D // row[j] * u for u in row[k:])
+                       for j, row in enumerate(inv))))
+
+    basis_cols = tuple(zip(*basis_rows))
     points = []
-    for x in reps:
-        lam = linalg.solve_left(coords, tuple(x))
-        z = list(x)
-        for li, brow in zip(lam, coords):
-            f = li.numerator // li.denominator  # floor
-            if f:
-                z = [a - f * b for a, b in zip(z, brow)]
-        pt = tuple(sum(z[j] * lattice_rows[j][i] for j in range(k))
-                   for i in range(len(lattice_rows[0])))
-        if not is_zero(pt):
-            points.append(pt)
+    for x in product(*(range(H[i][i]) for i in range(k))):
+        rs = [dot(x, col) % D for col in cols]
+        if any(rs):
+            points.append(tuple(dot(rs, col) // D for col in basis_cols))
     return points
 
 
@@ -470,6 +480,12 @@ def monoid_generators(c: Cone):
     parallelepiped of each simplicial piece of a pulling triangulation
     (padded with the lineality basis). Generates all lattice points by the
     standard rounding argument; not guaranteed minimal.
+
+    A lattice point of a simplicial piece is an integer combination of its
+    basis plus a point of the half-open parallelepiped, namely its
+    fractional part; ``_parallelepiped_points`` finds one per coset of the
+    basis lattice by an integer fold through ``D C^-1``, computed once per
+    piece, so each point costs integer dot products and no elimination.
     """
     d = c.ambient_dim
     lin_lattice = linalg.integer_kernel(c.equalities + c.inequalities, d)

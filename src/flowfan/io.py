@@ -48,6 +48,12 @@ def _require(obj, key, path):
     return obj[key]
 
 
+def _read_id(value, path):
+    if isinstance(value, (list, dict)):
+        raise ParseError(path, "expected a string or number id")
+    return value
+
+
 def parse_graph_document(doc) -> Graph:
     vertices = _require(doc, "vertices", "")
     edges = _require(doc, "edges", "")
@@ -57,7 +63,7 @@ def parse_graph_document(doc) -> Graph:
         raise ParseError("/vertices", "expected a list")
     genus_of = {}
     for i, v in enumerate(vertices):
-        vid = _require(v, "id", f"/vertices/{i}")
+        vid = _read_id(_require(v, "id", f"/vertices/{i}"), f"/vertices/{i}/id")
         if vid in genus_of:
             raise ParseError(f"/vertices/{i}/id", f"duplicate vertex id {vid!r}")
         genus_of[vid] = _read_int(_require(v, "genus", f"/vertices/{i}"),
@@ -66,13 +72,16 @@ def parse_graph_document(doc) -> Graph:
         raise ParseError("/edges", "expected a list")
     edge_triples = []
     seen_edges = set()
+    # a fan's witness flows are keyed by str(id), so 1 and "1" would collide
+    seen_names = set()
     for i, e in enumerate(edges):
-        eid = _require(e, "id", f"/edges/{i}")
-        if eid in seen_edges:
+        eid = _read_id(_require(e, "id", f"/edges/{i}"), f"/edges/{i}/id")
+        if eid in seen_edges or str(eid) in seen_names:
             raise ParseError(f"/edges/{i}/id", f"duplicate edge id {eid!r}")
         seen_edges.add(eid)
-        u = _require(e, "from", f"/edges/{i}")
-        v = _require(e, "to", f"/edges/{i}")
+        seen_names.add(str(eid))
+        u = _read_id(_require(e, "from", f"/edges/{i}"), f"/edges/{i}/from")
+        v = _read_id(_require(e, "to", f"/edges/{i}"), f"/edges/{i}/to")
         for name, vid in (("from", u), ("to", v)):
             if vid not in genus_of:
                 raise ParseError(f"/edges/{i}/{name}", f"unknown vertex {vid!r}")
@@ -82,11 +91,11 @@ def parse_graph_document(doc) -> Graph:
     leg_triples = []
     seen_legs = set()
     for i, l in enumerate(legs):
-        lid = _require(l, "id", f"/legs/{i}")
+        lid = _read_id(_require(l, "id", f"/legs/{i}"), f"/legs/{i}/id")
         if lid in seen_legs:
             raise ParseError(f"/legs/{i}/id", f"duplicate leg id {lid!r}")
         seen_legs.add(lid)
-        v = _require(l, "vertex", f"/legs/{i}")
+        v = _read_id(_require(l, "vertex", f"/legs/{i}"), f"/legs/{i}/vertex")
         if v not in genus_of:
             raise ParseError(f"/legs/{i}/vertex", f"unknown vertex {v!r}")
         weight = _read_int(_require(l, "weight", f"/legs/{i}"), f"/legs/{i}/weight")
@@ -166,13 +175,51 @@ def fan_to_document(fan) -> dict:
     }
 
 
+_str = json.encoder.encode_basestring_ascii
+
+
+def _int(x):
+    x = _json_int(x)
+    return _str(x) if isinstance(x, str) else str(x)
+
+
+def _block(open_, close, items, indent):
+    """Encoded items one per line, as ``json.dumps(indent=2)`` lays out a
+    list or object at ``indent``."""
+    if not items:
+        return open_ + close
+    inner = ",\n" + indent + "  "
+    return f"{open_}\n{indent}  {inner.join(items)}\n{indent}{close}"
+
+
+def _object(pairs, indent):
+    return _block("{", "}", [f"{_str(k)}: {v}" for k, v in pairs], indent)
+
+
+def _ints(xs, indent):
+    return _block("[", "]", [_int(x) for x in xs], indent)
+
+
 def emit_fan_json(fan) -> str:
+    """The FanDocument of ``fan``, byte for byte what ``_dumps`` makes of
+    it, written straight from its fixed layout: ``json.dumps`` with an
+    indent runs the pure-Python encoder."""
     doc = fan_to_document(fan)
-    doc["rays"] = [[_json_int(x) for x in r] for r in doc["rays"]]
-    for entry in doc["cones"]:
-        entry["witness"]["flows"] = {
-            k: _json_int(v) for k, v in entry["witness"]["flows"].items()}
-    return _dumps(doc)
+    cones = [_object([
+        ("dim", str(entry["dim"])),
+        ("maximal", "true" if entry["maximal"] else "false"),
+        ("rays", _ints(entry["rays"], "      ")),
+        ("witness", _object([("flows", _object(
+            [(k, _int(v)) for k, v in sorted(entry["witness"]["flows"].items())],
+            "        "))], "      ")),
+    ], "    ") for entry in doc["cones"]]
+    counts = doc["counts"]
+    return _object([
+        ("cones", _block("[", "]", cones, "  ")),
+        ("counts", _object([(k, str(counts[k])) for k in sorted(counts)], "  ")),
+        ("edge_order", _block("[", "]", [json.dumps(e) for e in doc["edge_order"]], "  ")),
+        ("rays", _block("[", "]", [_ints(r, "    ") for r in doc["rays"]], "  ")),
+    ], "") + "\n"
 
 
 def parse_fan_json(text) -> dict:

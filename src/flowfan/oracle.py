@@ -181,18 +181,25 @@ def oracle_monoid_check(c, gens, bound):
     d = c.ambient_dim
     if d == 0:
         return True
-    lo, hi = -bound, bound
-    targets = []
-    for p in product(range(lo, hi + 1), repeat=d):
-        if (all(sum(a * x for a, x in zip(row, p)) == 0 for row in c.equalities)
-                and all(sum(b * x for b, x in zip(row, p)) >= 0
-                        for row in c.inequalities)):
-            targets.append(p)
-    if not targets:
+    # the (2 bound + 1)^d grid points as rows, in itertools.product order
+    axis = np.arange(-bound, bound + 1, dtype=np.int64)
+    grid = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    exact = None  # the grid as Python ints, for rows whose products could overflow
+    keep = np.ones(len(grid), dtype=bool)
+    for rows, test in ((c.equalities, np.equal), (c.inequalities, np.greater_equal)):
+        for row in rows:
+            if max(abs(a) for a in row) * bound * d <= np.iinfo(np.int64).max:
+                values = grid @ np.array(row, dtype=np.int64)
+            else:
+                if exact is None:
+                    exact = grid.astype(object)
+                values = exact @ np.array(row, dtype=object)
+            keep &= test(values, 0)
+    targets = grid[keep]
+    if not len(targets):
         return True
     gvecs = [tuple(int(x) for x in gv) for gv in gens]
-    if all(all(x >= 0 for x in gv) for gv in gvecs) and \
-            all(all(x >= 0 for x in t) for t in targets):
+    if all(all(x >= 0 for x in gv) for gv in gvecs) and (targets >= 0).all():
         margins = [0]  # partial sums are coordinatewise monotone
     else:
         gmax = max((max(abs(x) for x in gv) for gv in gvecs), default=1)
@@ -216,6 +223,6 @@ def oracle_monoid_check(c, gens, bound):
                 if new.any():
                     reach |= new
                     changed = True
-        if all(reach[tuple(x + W for x in t)] for t in targets):
+        if reach[tuple((targets + W).T)].all():
             return True
     return False

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import floor, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +11,8 @@ from flowfan import (AmbientMismatch, Cone, NotPointed, base_weighting,
                      dual_cone_generators, enumerate_cycles, extreme_rays,
                      faces, intersect_cones, is_face_of, monoid_generators,
                      oracle_extreme_rays, oracle_monoid_check, polar_dual)
-from flowfan import FlowFanError, linalg
-from flowfan.cones import cycle_constraint_rows
+from flowfan import FlowFanError, cones, linalg
+from flowfan.cones import _parallelepiped_points, cycle_constraint_rows
 from flowfan.linalg import dot
 
 from helpers import banana, corpus, loop_graph, path_graph, two_gon
@@ -339,6 +340,81 @@ def test_monoid_generators_cover_small_points():
     gens = monoid_generators(dual)
     assert all(dual.contains(v) for v in gens)
     assert oracle_monoid_check(dual, gens, 4)
+
+
+def _per_point_parallelepiped_points(basis_rows, lattice_rows):
+    """The rule the fold replaces: solve ``x = lam C`` for every coset
+    representative ``x`` and subtract ``floor(lam) C``."""
+    coords = [tuple(int(x) for x in linalg.solve_left(lattice_rows, b))
+              for b in basis_rows]
+    H = linalg.row_hnf(coords)
+    points = []
+    for x in product(*(range(H[i][i]) for i in range(len(coords)))):
+        z = list(x)
+        for li, row in zip(linalg.solve_left(coords, x), coords):
+            z = [a - floor(li) * b for a, b in zip(z, row)]
+        pt = tuple(dot(z, col) for col in zip(*lattice_rows))
+        if any(pt):
+            points.append(pt)
+    return points
+
+
+@st.composite
+def lattice_simplices(draw):
+    """(basis rows, lattice rows): a saturated lattice of rank k in Z^d,
+    d 1-5, often not all of Z^d, and k basis vectors in it whose matrix
+    ``C`` in lattice coordinates has determinant up to 30 in absolute
+    value: an upper triangular matrix mixed by unimodular row operations,
+    row swaps and sign flips."""
+    d = draw(st.integers(1, 5))
+    normals = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=d - 1))
+    lattice = linalg.integer_kernel(normals, d)
+    k = len(lattice)
+    C = []
+    budget = 30
+    for i in range(k):
+        a = draw(st.integers(1, budget))
+        budget //= a
+        C.append([draw(st.integers(-4, 4)) if j > i else a if j == i else 0
+                  for j in range(k)])
+    for _ in range(draw(st.integers(0, 2 * k))):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        if i != j:
+            m = draw(st.integers(-3, 3))
+            C[i] = [x + m * y for x, y in zip(C[i], C[j])]
+    C = draw(st.permutations(C))
+    C = [[-x for x in row] if draw(st.booleans()) else row for row in C]
+    basis = [tuple(dot(row, col) for col in zip(*lattice)) for row in C]
+    return basis, lattice
+
+
+@SETTINGS
+@given(lattice_simplices())
+def test_parallelepiped_points_match_per_point_rule(case):
+    basis, lattice = case
+    assert _parallelepiped_points(basis, lattice) == \
+        _per_point_parallelepiped_points(basis, lattice)
+
+
+@st.composite
+def cones_with_lineality(draw):
+    """A cone in dimension 1-4 spanned by small vectors plus up to two
+    lines, so the simplices of ``monoid_generators`` are padded with a
+    lineality basis and may span a proper subspace."""
+    d = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-2, 2)] * d)
+    lines = draw(st.lists(vec, max_size=2))
+    gens = draw(st.lists(vec, min_size=1, max_size=d + 1))
+    return Cone.from_generators(d, gens + lines + [tuple(-x for x in v) for v in lines])
+
+
+@settings(SETTINGS, max_examples=150)
+@given(cones_with_lineality())
+def test_monoid_generators_match_per_point_rule(c):
+    gens = monoid_generators(c)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cones, "_parallelepiped_points", _per_point_parallelepiped_points)
+        assert monoid_generators(c) == gens
 
 
 def test_from_generators_round_trip():

@@ -6,7 +6,7 @@ from flowfan import (ParseError, ValidationError, build_fan, emit_fan_json,
                      emit_graph_json, parse_fan_json, parse_graph_json,
                      render_slice_svg, slice_fan, validate_graph)
 from flowfan.cli import main
-from flowfan.io import fan_to_document
+from flowfan.io import _json_int, fan_to_document
 
 from helpers import banana, path_graph, star_tree, two_gon
 
@@ -108,6 +108,32 @@ def test_big_integers_emit_as_strings():
     assert parsed["cones"][-1]["witness"]["flows"]["e0"] == n
 
 
+def test_emit_fan_json_matches_json_dumps():
+    # the direct writer reproduces json.dumps(indent=2, sort_keys=True)
+    # byte for byte: empty lists and objects, big integers, mixed id types
+    from flowfan import Graph
+    n = 1 << 60
+    graphs = [two_gon(3), banana(3, 10), path_graph(2, leg_weights=(1, -1)),
+              star_tree((3, -3)),
+              Graph.build({"a": 0, "b": 0}, [("e0", "a", "b")],
+                          [("p", "a", n), ("q", "b", -n)], 0),
+              parse_graph_json(json.dumps({
+                  "vertices": [{"id": 0, "genus": 0}, {"id": "v", "genus": 1}],
+                  "edges": [{"id": 7, "from": 0, "to": "v"},
+                            {"id": "é", "from": "v", "to": 0}],
+                  "legs": [{"id": "p", "vertex": 0, "weight": 2},
+                           {"id": "q", "vertex": "v", "weight": -2}],
+                  "twist": 0}))]
+    for g in graphs:
+        fan = build_fan(g)
+        doc = fan_to_document(fan)
+        doc["rays"] = [[_json_int(x) for x in r] for r in doc["rays"]]
+        for entry in doc["cones"]:
+            flows = entry["witness"]["flows"]
+            entry["witness"]["flows"] = {k: _json_int(v) for k, v in flows.items()}
+        assert emit_fan_json(fan) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def test_fan_ray_entries_sorted_and_primitive():
     fan = build_fan(banana(3, 10))
     doc = parse_fan_json(emit_fan_json(fan))
@@ -168,6 +194,39 @@ def test_cli_parse_error(tmp_path):
     doc = json.loads(json.dumps(TWO_GON_DOC))
     del doc["twist"]
     assert main(["genus", write_doc(tmp_path, doc)]) == 2
+
+
+@pytest.mark.parametrize("part, key, bad", [
+    ("vertices", "id", [1]),
+    ("edges", "id", {"a": 1}),
+    ("legs", "id", ["p"]),
+    ("edges", "from", ["u"]),
+    ("legs", "vertex", {}),
+])
+def test_cli_rejects_array_and_object_ids(tmp_path, capsys, part, key, bad):
+    doc = json.loads(json.dumps(TWO_GON_DOC))
+    doc[part][0][key] = bad
+    assert main(["fan", write_doc(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"parse error at /{part}/0/{key}: expected a string or number id"]
+
+
+def test_cli_rejects_edge_ids_equal_as_strings(tmp_path, capsys):
+    # the witness flows are keyed by str(id): 1 and "1" would share a key
+    doc = json.loads(json.dumps(TWO_GON_DOC))
+    doc["edges"][0]["id"] = 1
+    doc["edges"][1]["id"] = "1"
+    assert main(["fan", write_doc(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "parse error at /edges/1/id: duplicate edge id '1'"]
+    doc["edges"][1]["id"] = 2
+    assert main(["fan", write_doc(tmp_path, doc)]) == 0
+    flows = json.loads(capsys.readouterr().out)["cones"][-1]["witness"]["flows"]
+    assert sorted(flows) == ["1", "2"]
 
 
 def test_cli_genus_and_base_weighting(tmp_path, capsys):

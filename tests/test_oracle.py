@@ -96,3 +96,14 @@ def test_oracle_monoid_examples():
     assert not oracle_monoid_check(halfplane, [(1, 0)], 2)
     with pytest.raises(ValueError):
         oracle_monoid_check(orthant, [(1, 0)], 7)
+
+
+def test_oracle_monoid_rows_beyond_int64():
+    # over Z only the origin satisfies x (2^62 + 1) = y 2^62 in the box, but
+    # modulo 2^64 so do (0, 4) and (0, -4): the target scan must stay exact
+    line = Cone(2, [(2**62 + 1, -2**62)])
+    assert oracle_monoid_check(line, [], 5)
+    # x + (2^63 + 1) y >= 0 keeps y >= 1, and x >= 0 on y = 0
+    big = Cone(2, inequalities=[(1, 2**63 + 1)])
+    assert oracle_monoid_check(big, [(1, 0), (-1, 0), (0, 1)], 5)
+    assert not oracle_monoid_check(big, [(1, 0), (-1, 0), (0, 2)], 5)
