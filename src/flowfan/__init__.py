@@ -5,10 +5,10 @@ compute weightings, the cones they cut out of the edge orthant, and the
 finite face-closed fan they assemble into.
 """
 
-from .errors import (AmbientMismatch, BoxTooSmall, DimensionTooLarge,
-                     FlowFanError, MissingHalfEdge, NotPointed, ParseError,
-                     UnknownEdge, UnknownVertex, UnsupportedDimension,
-                     ValidationError)
+from .errors import (AmbientMismatch, BoxTooSmall, BudgetExceeded,
+                     DimensionTooLarge, FlowFanError, MissingHalfEdge,
+                     NotPointed, ParseError, UnknownEdge, UnknownVertex,
+                     UnsupportedDimension, ValidationError)
 from .graph import (ContractionResult, Cycle, Graph, GraphReport,
                     canonical_degree, contract, cycle_basis, enumerate_cycles,
                     graph_genus, stability_report, validate_graph)
@@ -29,7 +29,7 @@ from .svg import render_slice_svg
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbientMismatch", "BoxTooSmall", "Cone", "ContractionResult", "Cycle",
+    "AmbientMismatch", "BoxTooSmall", "BudgetExceeded", "Cone", "ContractionResult", "Cycle",
     "DimensionTooLarge", "DualGenerators", "Fan", "FanReport", "FlowFanError",
     "Graph", "GraphReport", "MissingHalfEdge", "NotPointed", "ParseError",
     "SliceCell", "SliceDescription", "UnknownEdge", "UnknownVertex",

@@ -193,9 +193,12 @@ def _cmd_oracle_check(args):
     if computed == set(reference):
         print(f"ok: {len(computed)} cones agree at box radius {radius}")
         return 0
-    missing = len(set(reference) - computed)
-    extra = len(computed - set(reference))
-    print(f"mismatch: {missing} missing, {extra} extra", file=sys.stderr)
+    missing = sorted(set(reference) - computed)
+    extra = sorted(computed - set(reference))
+    print(f"mismatch: {len(missing)} missing, {len(extra)} extra", file=sys.stderr)
+    for label, keys in (("missing", missing), ("extra", extra)):
+        for key in keys:
+            print(f"{label} cone: {key}", file=sys.stderr)
     return 1
 
 

@@ -2,11 +2,12 @@
 
 A cone is held by its H-representation: integer equality rows a (a.t = 0)
 and inequality rows b (b.t >= 0). The V-representation (extreme rays of
-the pointed part plus a lineality basis) is computed lazily by a
-deterministic double description pass: constraints are inserted in sorted
-order, candidate rays from crossing pairs are kept only when an exact rank
-test certifies extremality, and rays are canonicalised by reduction
-modulo the lineality span. All arithmetic is arbitrary-precision integer.
+the pointed part plus a lineality basis) is computed by a deterministic
+double description pass, lazily except for orthant sections: constraints
+are inserted in sorted order, candidate rays from crossing pairs are kept
+only when an exact rank test certifies extremality, and rays are
+canonicalised by reduction modulo the lineality span. All arithmetic is
+arbitrary-precision integer.
 
 After every insertion the pass holds the rows inserted so far, a
 lineality basis and the extreme rays of the cone those rows cut out. A
@@ -14,7 +15,9 @@ solved pointed cone is such a state with an empty lineality, so a pass
 can resume from it and insert only further rows; the extremality test
 still sees every row, and the rays are those of a pass from scratch.
 ``Cone.intersect`` resumes from the solved pointed operand with fewer
-rays, which makes the pairwise check of a fan cheap.
+rays, which makes the pairwise check of a fan cheap, and
+``Cone.orthant_section`` resumes from the orthant, a solved pointed cone
+whose rays are the unit vectors, and inserts its equalities only.
 
 A cone caches what it computes: its rays and lineality, its dimension,
 and a tight-set table of its ray frozenset plus, per inequality row, the
@@ -31,15 +34,17 @@ the cycle class makes basis cycles sufficient.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import lcm, prod
 
-from .errors import AmbientMismatch, FlowFanError, NotPointed
+from .errors import AmbientMismatch, BudgetExceeded, FlowFanError, NotPointed
 from .graph import cycle_basis
 from . import linalg
 from .linalg import dot, int_rank, is_zero, primitive, reduce_mod, rref_int, sign_normalized
 
 
+@lru_cache(maxsize=None)
 def _unit_rows(dim):
     return tuple(tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim))
 
@@ -161,8 +166,18 @@ class Cone:
 
     @classmethod
     def orthant_section(cls, ambient_dim, equalities=(), labels=None):
-        """The cone {t >= 0 : equalities . t = 0} inside the orthant."""
-        return cls(ambient_dim, equalities, _unit_rows(ambient_dim), labels)
+        """The cone {t >= 0 : equalities . t = 0} inside the orthant.
+
+        Solved at once: the orthant is a pointed cone whose rays are the
+        sorted unit vectors, so double description resumes from it and
+        inserts the normalized equalities only."""
+        units = tuple(sorted(_unit_rows(ambient_dim)))
+        equalities = _normalize_rows(equalities, equalities=True)
+        _, rays = _double_description(ambient_dim, equalities, (),
+                                      start=((), units, units))
+        return cls._pointed(ambient_dim,
+                            tuple(labels) if labels is not None else None,
+                            equalities, units, rays)
 
     @classmethod
     def from_generators(cls, ambient_dim, vectors, labels=None):
@@ -276,12 +291,12 @@ def cycle_constraint_rows(g, w, cycles=None):
     """One integer row per cycle: entry at edge e is the value of w on the
     source half of e as the cycle traverses it, zero off the cycle."""
     edges = g.edges()
-    index = {e: i for i, e in enumerate(edges)}
+    pos = g.index.edge_pos
     rows = []
     for cyc in (cycles if cycles is not None else cycle_basis(g)):
         row = [0] * len(edges)
         for h in cyc.halves:
-            row[index[g.edge_of(h)]] = w.values[h]
+            row[pos[h]] = w.values[h]
         rows.append(tuple(row))
     return edges, rows
 
@@ -427,9 +442,32 @@ def _triangulate_rays(c: Cone):
     return pull(frozenset(rays))
 
 
-def _parallelepiped_points(basis_rows, lattice_rows):
+# the most parallelepiped points monoid_generators folds for one cone
+MONOID_POINT_LIMIT = 1_000_000
+
+
+def _lattice_coords(basis_rows, lattice_rows):
+    """(C, H): the basis in coordinates of the saturated lattice rows,
+    ``basis_rows = C . lattice_rows``, as integer rows, and the Hermite
+    form of ``C``, whose diagonal product ``|det C|`` counts the cosets of
+    the basis sublattice."""
+    k = len(lattice_rows)
+    coords = []
+    for b in basis_rows:
+        sol = linalg.solve_left(lattice_rows, b)
+        if sol is None or any(x.denominator != 1 for x in sol):
+            raise FlowFanError(f"basis vector {b} does not lie in the lattice")
+        coords.append(tuple(int(x) for x in sol))
+    H = linalg.row_hnf(coords)
+    if len(H) != k:
+        raise FlowFanError("basis does not span the lattice rationally")
+    return coords, H
+
+
+def _parallelepiped_points(basis_rows, lattice_rows, lattice_coords):
     """Integer points of the half-open parallelepiped spanned by
-    ``basis_rows``, all lying in the saturated lattice ``lattice_rows``.
+    ``basis_rows``, all lying in the saturated lattice ``lattice_rows``;
+    ``lattice_coords`` is ``_lattice_coords(basis_rows, lattice_rows)``.
 
     Enumerates one representative per coset of the basis sublattice (their
     count is the determinant in lattice coordinates) and folds it into the
@@ -447,16 +485,7 @@ def _parallelepiped_points(basis_rows, lattice_rows):
     then costs integer dot products only, and it is zero iff ``r`` is.
     """
     k = len(lattice_rows)
-    coords = []
-    for b in basis_rows:
-        sol = linalg.solve_left(lattice_rows, b)
-        if sol is None or any(x.denominator != 1 for x in sol):
-            raise FlowFanError(f"basis vector {b} does not lie in the lattice")
-        coords.append(tuple(int(x) for x in sol))
-    H = linalg.row_hnf(coords)
-    if len(H) != k:
-        raise FlowFanError("basis does not span the lattice rationally")
-
+    coords, H = lattice_coords
     inv = rref_int([c + u for c, u in zip(coords, _unit_rows(k))])
     D = lcm(*(row[j] for j, row in enumerate(inv)))
     # column i of D C^-1, so that (x M)_i is one dot product
@@ -486,6 +515,11 @@ def monoid_generators(c: Cone):
     fractional part; ``_parallelepiped_points`` finds one per coset of the
     basis lattice by an integer fold through ``D C^-1``, computed once per
     piece, so each point costs integer dot products and no elimination.
+
+    The cosets are counted before any point is folded: every piece's
+    Hermite form is built first, and when the diagonal products sum to
+    more than ``MONOID_POINT_LIMIT`` the call raises ``BudgetExceeded``
+    with that sum.
     """
     d = c.ambient_dim
     lin_lattice = linalg.integer_kernel(c.equalities + c.inequalities, d)
@@ -499,8 +533,15 @@ def monoid_generators(c: Cone):
         span_rows = list(lin_lattice) + list(rays)
         normals = linalg.integer_kernel(span_rows, d)
         lattice = linalg.integer_kernel(normals, d)
+        pieces = []
         for simplex in _triangulate_rays(c):
             basis = list(lin_lattice) + list(simplex)
-            for pt in _parallelepiped_points(basis, lattice):
-                gens.add(pt)
+            pieces.append((basis, _lattice_coords(basis, lattice)))
+        estimate = sum(prod(H[i][i] for i in range(len(H)))
+                       for _, (_, H) in pieces)
+        if estimate > MONOID_POINT_LIMIT:
+            raise BudgetExceeded("monoid_generators: parallelepiped points",
+                                 estimate, MONOID_POINT_LIMIT)
+        for basis, lattice_coords in pieces:
+            gens.update(_parallelepiped_points(basis, lattice, lattice_coords))
     return sorted(gens)

@@ -37,6 +37,16 @@ class DimensionTooLarge(FlowFanError, ValueError):
     pass
 
 
+class BudgetExceeded(FlowFanError):
+    """An input whose work, estimated before it starts, is above a fixed
+    limit. ``estimate`` and ``limit`` are in the same unit."""
+
+    def __init__(self, message, estimate, limit):
+        super().__init__(f"{message}: estimated {estimate}, limit {limit}")
+        self.estimate = estimate
+        self.limit = limit
+
+
 class ParseError(FlowFanError, ValueError):
     """Structured JSON parse failure. ``path`` points at the offending node."""
 

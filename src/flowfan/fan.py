@@ -7,6 +7,12 @@ cycle delegates to the contracted graph, whose catalog embeds with zeros
 on the contracted edges. Closing the catalog under faces gives the fan.
 The box radius is the smaller of two proved bounds, the flow-decomposition
 bound :func:`flow_bound` and the paper's :func:`enumeration_bound`.
+
+The box is walked on the integer arrays of
+:class:`~flowfan.weightings.FlowCore`, built once per graph: each point
+is a list, tested for a positive cycle by one DFS, and its rows are a
+gather. Only the witness of a new constraint system becomes a
+:class:`~flowfan.weightings.Weighting`.
 """
 
 from dataclasses import dataclass
@@ -15,13 +21,13 @@ from functools import cmp_to_key
 from itertools import product
 
 from .errors import UnknownEdge, UnsupportedDimension
-from .cones import (Cone, _face_ray_sets, _unit_rows, canonical_key,
-                    cone_of_weighting, cycle_constraint_rows, faces,
-                    intersect_cones, is_face_of)
-from .graph import contract, cycle_basis, enumerate_cycles
-from .weightings import (base_weighting, enumeration_bound, flow_bound,
-                         has_positive_cycle, lift_weighting, restrict_weighting,
-                         shift_along_cycle, shift_by_cycles)
+from .cones import (Cone, _face_ray_sets, _normalize_rows, _unit_rows,
+                    canonical_key, cone_of_weighting, faces, intersect_cones,
+                    is_face_of)
+from .graph import contract, enumerate_cycles
+from .weightings import (FlowCore, _positive_cycle, enumeration_bound,
+                         flow_bound, lift_weighting, restrict_weighting,
+                         shift_along_cycle)
 
 
 def _box_vectors(h, radius):
@@ -29,7 +35,7 @@ def _box_vectors(h, radius):
     if h == 0:
         return [()]
     vs = product(range(-radius, radius + 1), repeat=h)
-    return sorted(vs, key=lambda v: (sum(abs(x) for x in v), v))
+    return sorted(vs, key=lambda v: (sum(map(abs, v)), v))
 
 
 def _embed_cone(c_small, small_edges, big_edges, contracted_set):
@@ -79,20 +85,22 @@ def _catalog(g, contracted_sofar, memo):
     if contracted_sofar in memo:
         return memo[contracted_sofar]
     edges = g.edges()
-    base = base_weighting(g)
-    basis = cycle_basis(g)
+    core = FlowCore.build(g)
+    index = g.index
     out = {}
     seen_systems = set()
-    for coeffs in _box_vectors(len(basis), _box_radius(g, base)):
-        w = shift_by_cycles(g, base, coeffs, basis)
-        if has_positive_cycle(g, w.values):
+    for coeffs in _box_vectors(len(core.cycles), _box_radius(g, core.base_weighting)):
+        x = core.shifted(coeffs)
+        if _positive_cycle(index, x) is not None:
             continue
-        _, rows = cycle_constraint_rows(g, w, basis)
-        c = Cone.orthant_section(len(edges), rows, labels=edges)
-        if c.equalities in seen_systems:
+        # raw rows never repeat (basis cycle i alone carries -c_i on its
+        # non-tree edge), so systems are compared after normalizing
+        system = _normalize_rows(core.rows(x), equalities=True)
+        if system in seen_systems:
             continue
-        seen_systems.add(c.equalities)
-        out.setdefault(canonical_key(c), (c, w))
+        seen_systems.add(system)
+        c = Cone.orthant_section(len(edges), system, labels=edges)
+        out.setdefault(canonical_key(c), (c, core.weighting(x)))
 
     for cyc in enumerate_cycles(g):
         cyc_edges = frozenset(cyc.edges(g))

@@ -16,9 +16,15 @@ Each graph builds its order invariants once, on first use, into a
 half-edge in ``sort_key`` order, the sorted vertices, edges and legs, the
 sorted halves at each vertex and the canonical edge of each half. The
 accessors and everything that orders ids read the index, so ``sort_key``
-runs only while an index is built. The cache relies on the graph's dicts
-not being mutated once it has been read; no operation in this package
-mutates a graph, and :func:`contract` builds a new one.
+runs only while an index is built. The index also numbers the vertices
+and edges by their sorted positions and holds integer arrays over them:
+each half's edge position and its sign against its edge, and each
+vertex's non-leg halves as (edge position, sign, position of the vertex
+at the partner half) triples. A flow on these arrays is a list with one
+source-half value per edge position; the positive-cycle search and the
+catalog's box walk run on such lists. The cache relies on the graph's
+dicts not being mutated once it has been read; no operation in this
+package mutates a graph, and :func:`contract` builds a new one.
 
 One deterministic DFS spanning forest, :func:`_spanning_forest`, serves
 the cycle basis, the components a contraction merges, the tree a
@@ -56,6 +62,14 @@ class GraphIndex:
         non_leg_halves_at: vertex id -> the non-leg part of ``halves_at``
         edge_of: half-edge id -> canonical key of its edge (a leg maps to
             itself)
+        edge_pos: non-leg half-edge id -> position of its edge in ``edges``
+        sign: non-leg half-edge id -> +1 for the canonical source half of
+            its edge, -1 for the other half; a half's value is its sign
+            times the value on the edge's canonical source half
+        arcs: vertex position -> its non-leg halves in ``non_leg_halves_at``
+            order as (edge position, sign, position of the vertex at the
+            partner half): the out-arcs of the vertex, read for each flow
+            by the sign of the half's value
     """
 
     rank: dict
@@ -65,6 +79,9 @@ class GraphIndex:
     halves_at: dict
     non_leg_halves_at: dict
     edge_of: dict
+    edge_pos: dict
+    sign: dict
+    arcs: tuple
 
     @classmethod
     def build(cls, g):
@@ -80,15 +97,28 @@ class GraphIndex:
             halves_at.setdefault(g.end[h], []).append(h)
             if p != h:
                 non_leg_halves_at.setdefault(g.end[h], []).append(h)
+        vertices = tuple(sorted(g.genus_of, key=rank.__getitem__))
+        edges = tuple(h for h in halves
+                      if edge_of[h] == h and g.involution[h] != h)
+        vpos = {v: i for i, v in enumerate(vertices)}
+        edge_pos, sign = {}, {}
+        for i, e in enumerate(edges):
+            p = g.involution[e]
+            edge_pos[e] = edge_pos[p] = i
+            sign[e], sign[p] = 1, -1
         return cls(
             rank=rank,
-            vertices=tuple(sorted(g.genus_of, key=rank.__getitem__)),
-            edges=tuple(h for h in halves
-                        if edge_of[h] == h and g.involution[h] != h),
+            vertices=vertices,
+            edges=edges,
             legs=tuple(h for h in halves if g.involution[h] == h),
             halves_at={v: tuple(hs) for v, hs in halves_at.items()},
             non_leg_halves_at={v: tuple(hs) for v, hs in non_leg_halves_at.items()},
-            edge_of=edge_of)
+            edge_of=edge_of,
+            edge_pos=edge_pos,
+            sign=sign,
+            arcs=tuple(tuple((edge_pos[h], sign[h], vpos[g.end[g.involution[h]]])
+                             for h in non_leg_halves_at.get(v, ()))
+                       for v in vertices))
 
 
 @dataclass(frozen=True)

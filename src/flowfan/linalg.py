@@ -14,7 +14,7 @@ Two eliminations carry the module, both on integers only:
   (Hermite) basis of a row lattice over Z. :func:`integer_kernel` reads
   a saturated kernel basis off the Hermite form of ``[rows^T | I]``.
 
-The brute-force oracle keeps its own ``Fraction`` elimination on purpose,
+The brute-force oracle keeps its own integer elimination on purpose,
 so that cross-checks against it share no code with this module.
 """
 

@@ -7,9 +7,8 @@ with the cone or fan modules; only the graph and weighting layers are
 reused, as those define the objects under test.
 """
 
-from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from .errors import BoxTooSmall, DimensionTooLarge, NotPointed
 from .graph import contract, cycle_basis, enumerate_cycles
@@ -17,34 +16,40 @@ from .weightings import base_weighting, enumeration_bound, shift_by_cycles
 
 
 def _kernel(rows, dim):
-    """Basis of the rational kernel of the rows (Fraction elimination)."""
-    m = [[Fraction(x) for x in r] for r in rows]
+    """Basis of the rational kernel of the rows, as integer vectors.
+
+    Fraction-free Gauss-Jordan elimination: a row is cleared against the
+    pivot row p at column c as ``p[c] * row - row[c] * p`` and divided by
+    the gcd of its entries. For each free column f the basis vector is
+    ``L`` at f and ``-m[r][f] * L / m[r][c_r]`` at the pivot column c_r of
+    each reduced row r, with ``L`` the lcm of the pivots.
+    """
+    m = [list(r) for r in rows]
     pivots = []
-    row = 0
     for col in range(dim):
-        piv = None
-        for i in range(row, len(m)):
-            if m[i][col] != 0:
-                piv = i
-                break
+        top = len(pivots)
+        piv = next((i for i in range(top, len(m)) if m[i][col] != 0), None)
         if piv is None:
             continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = m[row][col]
-        m[row] = [x / inv for x in m[row]]
-        for i in range(len(m)):
-            if i != row and m[i][col] != 0:
-                c = m[i][col]
-                m[i] = [x - c * y for x, y in zip(m[i], m[row])]
+        m[top], m[piv] = m[piv], m[top]
+        p = m[top]
+        a = p[col]
+        for i, r in enumerate(m):
+            b = r[col]
+            if i != top and b != 0:
+                r = [a * x - b * y for x, y in zip(r, p)]
+                g = gcd(*r)
+                m[i] = [x // g for x in r] if g > 1 else r
         pivots.append(col)
-        row += 1
-    free = [c for c in range(dim) if c not in pivots]
+    L = lcm(*(m[r][c] for r, c in enumerate(pivots)))
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * dim
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
+    for f in range(dim):
+        if f in pivots:
+            continue
+        v = [0] * dim
+        v[f] = L
+        for r, c in enumerate(pivots):
+            v[c] = -m[r][f] * (L // m[r][c])
         basis.append(tuple(v))
     return basis
 
@@ -54,14 +59,8 @@ def _rank(rows, dim):
 
 
 def _to_primitive(vec):
-    den = 1
-    for x in vec:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+    g = gcd(*vec)
+    return tuple(x // g for x in vec) if g > 1 else tuple(vec)
 
 
 def oracle_extreme_rays(c):

@@ -10,6 +10,11 @@ with prescribed values on legs. The *flow* of an edge is the value carried
 by the target half of its canonical orientation; "flow a from u to v"
 means the half at v carries +a. For a directed edge the value on its
 source half is what enters every cone constraint downstream.
+
+Since opposite halves cancel, a weighting is also a list with one value
+per edge position, that of the edge's canonical source half. The
+positive-cycle search and :class:`FlowCore`, the catalog's box walk,
+run on such lists; the public functions keep half-edge dicts.
 """
 
 from dataclasses import dataclass
@@ -148,43 +153,46 @@ def lift_weighting(g: Graph, contraction, w_small: Weighting) -> Weighting:
     return Weighting(g, values)
 
 
-def _positive_cycle_halves(g: Graph, values):
-    """Directed cycle whose source halves all carry positive values, or None.
+def _edge_values(g: Graph, values):
+    """A weighting's half-edge values as the list of its source-half
+    values in edge order (see :class:`~flowfan.graph.GraphIndex`)."""
+    return [values[e] for e in g.index.edges]
 
-    DFS over the digraph with one arc per positively valued non-leg half.
+
+def _positive_cycle(index, x):
+    """A directed cycle whose halves all carry positive values, as a list
+    of (edge position, sign) pairs, or None; ``x`` holds one source-half
+    value per edge position.
+
+    One DFS over the digraph with an arc for each half of positive value
+    ``sign * x[edge]``. Trees start from the vertices in index order and
+    read arcs in ``index.arcs`` order; the first arc back to a vertex on
+    the current path closes the cycle, which is the path from that vertex
+    plus the arc (a loop closes at once).
     """
-    arcs = {}
-    for v in g.vertices():
-        arcs[v] = [h for h in g.non_leg_halves_at(v) if values[h] > 0]
-    state = {v: 0 for v in arcs}  # 0 new, 1 on stack, 2 done
-    for v0 in g.vertices():
-        if state[v0] != 0:
+    arcs = index.arcs
+    depth = [-1] * len(arcs)  # -1 new, -2 done, else position on the path
+    for v0 in range(len(arcs)):
+        if depth[v0] != -1:
             continue
-        path = []  # halves
+        depth[v0] = 0
+        path = []  # arc k leads from the vertex at depth k to depth k + 1
         stack = [(v0, iter(arcs[v0]))]
-        state[v0] = 1
         while stack:
             v, it = stack[-1]
-            advanced = False
-            for h in it:
-                t = g.target(h)
-                if state[t] == 1:
-                    # back arc closes a cycle: the path segment from t, then h
-                    if t == v:
-                        return (h,)
-                    for i, ph in enumerate(path):
-                        if g.source(ph) == t:
-                            return tuple(path[i:] + [h])
-                    raise AssertionError("gray vertex missing from the path")
-                if state[t] == 0:
-                    path.append(h)
-                    state[t] = 1
-                    stack.append((t, iter(arcs[t])))
-                    advanced = True
-                    break
-            if not advanced:
+            for i, s, t in it:
+                if s * x[i] > 0:
+                    d = depth[t]
+                    if d >= 0:
+                        return path[d:] + [(i, s)]
+                    if d == -1:
+                        depth[t] = len(stack)
+                        path.append((i, s))
+                        stack.append((t, iter(arcs[t])))
+                        break
+            else:
                 stack.pop()
-                state[v] = 2
+                depth[v] = -2
                 if path:
                     path.pop()
     return None
@@ -194,14 +202,75 @@ def find_positive_cycle(g: Graph, w: Weighting):
     """A directed cycle along which the weighting is strictly positive on
     every source half, or None. Such a cycle forces its edge coordinates to
     vanish on the whole compatibility cone."""
-    halves = _positive_cycle_halves(g, w.values)
-    if halves is None:
+    arcs = _positive_cycle(g.index, _edge_values(g, w.values))
+    if arcs is None:
         return None
+    edges = g.index.edges
+    halves = tuple(edges[i] if s > 0 else g.involution[edges[i]] for i, s in arcs)
     return Cycle(halves).canonical(g, allow_reversal=False)
 
 
 def has_positive_cycle(g: Graph, values) -> bool:
-    return _positive_cycle_halves(g, values) is not None
+    """Whether the weighting with these half-edge values has a positive
+    cycle. Only the canonical source halves are read: the other half of
+    an edge carries the opposite value in any weighting."""
+    return _positive_cycle(g.index, _edge_values(g, values)) is not None
+
+
+@dataclass(frozen=True)
+class FlowCore:
+    """The coset ``base_weighting(g)`` + cycle space on integer arrays.
+
+    A flow is a list ``x`` of source-half values in edge order. ``base`` is
+    the base weighting as such a list and ``cycles`` holds each basis cycle
+    of :func:`~flowfan.graph.cycle_basis` as the (edge position, sign)
+    pairs of its halves, so shifting by the basis is a list add, the
+    cycle rows of a flow are a gather and the positive-cycle test is
+    :func:`_positive_cycle` on the list. A :class:`Weighting` is built
+    only when one is asked for.
+    """
+
+    graph: Graph
+    base_weighting: Weighting
+    base: tuple
+    cycles: tuple
+
+    @classmethod
+    def build(cls, g: Graph):
+        w = base_weighting(g)
+        index = g.index
+        cycles = tuple(tuple((index.edge_pos[h], index.sign[h]) for h in cyc.halves)
+                       for cyc in cycle_basis(g))
+        return cls(g, w, tuple(_edge_values(g, w.values)), cycles)
+
+    def shifted(self, coeffs):
+        """The flow ``shift_by_cycles(g, base, coeffs)`` as a list."""
+        x = list(self.base)
+        for c, cyc in zip(coeffs, self.cycles):
+            if c:
+                for i, s in cyc:
+                    x[i] -= c * s
+        return x
+
+    def rows(self, x):
+        """The rows of :func:`~flowfan.cones.cycle_constraint_rows` over
+        the basis: each basis half's value at its edge position."""
+        n = len(x)
+        out = []
+        for cyc in self.cycles:
+            row = [0] * n
+            for i, s in cyc:
+                row[i] = s * x[i]
+            out.append(tuple(row))
+        return out
+
+    def weighting(self, x):
+        """The :class:`Weighting` of flow ``x``, keys in the base's order."""
+        index = self.graph.index
+        values = {h: (index.sign[h] * x[index.edge_pos[h]] if h in index.edge_pos
+                      else v)
+                  for h, v in self.base_weighting.values.items()}
+        return Weighting(self.graph, values)
 
 
 def enumeration_bound(g: Graph, w: Weighting) -> int:

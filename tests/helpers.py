@@ -96,3 +96,42 @@ def random_graph(rng):
 def corpus(count=200, seed=20260809):
     rng = random.Random(seed)
     return [random_graph(rng) for _ in range(count)]
+
+
+def ref_positive_cycle_halves(g, values):
+    """Reference positive-cycle search on half-edge dicts: a DFS over one
+    arc per positively valued non-leg half, vertices and halves in sorted
+    order. Returns the cycle's halves as the DFS closes it, or None."""
+    arcs = {v: [h for h in g.non_leg_halves_at(v) if values[h] > 0]
+            for v in g.vertices()}
+    state = {v: 0 for v in arcs}  # 0 new, 1 on stack, 2 done
+    for v0 in g.vertices():
+        if state[v0] != 0:
+            continue
+        path = []
+        stack = [(v0, iter(arcs[v0]))]
+        state[v0] = 1
+        while stack:
+            v, it = stack[-1]
+            advanced = False
+            for h in it:
+                t = g.target(h)
+                if state[t] == 1:
+                    if t == v:
+                        return (h,)
+                    for i, ph in enumerate(path):
+                        if g.source(ph) == t:
+                            return tuple(path[i:] + [h])
+                    raise AssertionError("gray vertex missing from the path")
+                if state[t] == 0:
+                    path.append(h)
+                    state[t] = 1
+                    stack.append((t, iter(arcs[t])))
+                    advanced = True
+                    break
+            if not advanced:
+                stack.pop()
+                state[v] = 2
+                if path:
+                    path.pop()
+    return None

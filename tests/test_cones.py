@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from math import floor, gcd
@@ -11,7 +12,7 @@ from flowfan import (AmbientMismatch, Cone, NotPointed, base_weighting,
                      dual_cone_generators, enumerate_cycles, extreme_rays,
                      faces, intersect_cones, is_face_of, monoid_generators,
                      oracle_extreme_rays, oracle_monoid_check, polar_dual)
-from flowfan import FlowFanError, cones, linalg
+from flowfan import BudgetExceeded, FlowFanError, cones, linalg
 from flowfan.cones import _parallelepiped_points, cycle_constraint_rows
 from flowfan.linalg import dot
 
@@ -128,6 +129,34 @@ def test_intersect_matches_cold_double_description(pair):
     assert canonical_key(inter) == canonical_key(cold)
     assert canonical_key(intersect_cones(c2, c1)) == canonical_key(cold)
     assert inter.dim() == cold.dim()
+
+
+@st.composite
+def orthant_systems(draw):
+    """(d, equality rows) in dimension 0-5: up to d + 1 rows, often
+    sparse, sometimes repeated, scaled or zero."""
+    d = draw(st.integers(0, 5))
+    row = st.tuples(*[st.integers(-4, 4)] * d)
+    rows = draw(st.lists(row, max_size=d + 1))
+    if rows and draw(st.booleans()):
+        rows.append(tuple(-2 * x for x in draw(st.sampled_from(rows))))
+    return d, rows
+
+
+@SETTINGS
+@given(orthant_systems())
+def test_orthant_section_matches_cold_double_description(case):
+    d, rows = case
+    c = Cone.orthant_section(d, rows, labels=range(d))
+    units = cones._unit_rows(d)
+    cold = Cone(d, rows, units, labels=range(d))
+    lin, rays = cones._double_description(d, cold.equalities, cold.inequalities)
+    assert (c.equalities, c.inequalities, c.labels) == (
+        cold.equalities, cold.inequalities, cold.labels)
+    assert lin == () and c.lineality() == ()
+    assert c.rays() == rays
+    assert canonical_key(c) == canonical_key(cold)
+    assert c.dim() == cold.dim()
 
 
 def _dot_product_face_test(f, c):
@@ -342,9 +371,10 @@ def test_monoid_generators_cover_small_points():
     assert oracle_monoid_check(dual, gens, 4)
 
 
-def _per_point_parallelepiped_points(basis_rows, lattice_rows):
+def _per_point_parallelepiped_points(basis_rows, lattice_rows, lattice_coords):
     """The rule the fold replaces: solve ``x = lam C`` for every coset
-    representative ``x`` and subtract ``floor(lam) C``."""
+    representative ``x`` and subtract ``floor(lam) C``. Works out ``C``
+    itself, ignoring ``lattice_coords``."""
     coords = [tuple(int(x) for x in linalg.solve_left(lattice_rows, b))
               for b in basis_rows]
     H = linalg.row_hnf(coords)
@@ -392,8 +422,9 @@ def lattice_simplices(draw):
 @given(lattice_simplices())
 def test_parallelepiped_points_match_per_point_rule(case):
     basis, lattice = case
-    assert _parallelepiped_points(basis, lattice) == \
-        _per_point_parallelepiped_points(basis, lattice)
+    coords = cones._lattice_coords(basis, lattice)
+    assert _parallelepiped_points(basis, lattice, coords) == \
+        _per_point_parallelepiped_points(basis, lattice, coords)
 
 
 @st.composite
@@ -415,6 +446,38 @@ def test_monoid_generators_match_per_point_rule(c):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cones, "_parallelepiped_points", _per_point_parallelepiped_points)
         assert monoid_generators(c) == gens
+
+
+# the five-dimensional cone whose simplices hold 6,297,343,240 cosets
+HUGE_CONE_ROWS = ((-3, -3, 3, -3, 1), (-2, 3, -1, 0, 2), (0, -2, -2, 2, -3),
+                  (0, -1, -3, 3, 1), (1, 0, -2, 0, 0), (2, -1, -3, 1, 2))
+
+
+def test_monoid_generators_refuse_before_folding(monkeypatch):
+    def no_fold(*args):
+        raise AssertionError("a point was folded")
+
+    monkeypatch.setattr(cones, "_parallelepiped_points", no_fold)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as info:
+        monoid_generators(Cone(5, (), HUGE_CONE_ROWS))
+    assert time.perf_counter() - start < 1.0
+    assert info.value.estimate == 6_297_343_240
+    assert info.value.limit == cones.MONOID_POINT_LIMIT
+    assert isinstance(info.value, FlowFanError)
+    assert "6297343240" in str(info.value)
+
+
+def test_monoid_budget_counts_every_piece(monkeypatch):
+    # the square cone over (1,0), (1,2): one simplex of determinant 2 in Z^2
+    c = Cone.from_generators(2, [(1, 0), (1, 2)])
+    assert monoid_generators(c) == [(1, 0), (1, 1), (1, 2)]
+    monkeypatch.setattr(cones, "MONOID_POINT_LIMIT", 1)
+    with pytest.raises(BudgetExceeded) as info:
+        monoid_generators(c)
+    assert info.value.estimate == 2
+    monkeypatch.setattr(cones, "MONOID_POINT_LIMIT", 2)
+    assert monoid_generators(c) == [(1, 0), (1, 1), (1, 2)]
 
 
 def test_from_generators_round_trip():

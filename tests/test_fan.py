@@ -9,10 +9,14 @@ from flowfan import (Fan, UnknownEdge, UnsupportedDimension, base_weighting,
                      build_fan, canonical_key, check_contraction_compat,
                      cone_catalog, cone_of_weighting, faces, find_positive_cycle,
                      intersect_cones, is_face_of, slice_fan, verify_fan)
-from flowfan.cones import Cone
+from flowfan import cones as cones_module, fan as fan_module
+from flowfan.cones import Cone, cycle_constraint_rows
 from flowfan.fan import _embed_cone, _meet_in_common_face
+from flowfan.graph import contract, cycle_basis, enumerate_cycles
+from flowfan.weightings import lift_weighting, shift_along_cycle, shift_by_cycles
 
-from helpers import banana, corpus, loop_graph, path_graph, random_graph, two_gon
+from helpers import (banana, corpus, loop_graph, path_graph, random_graph,
+                     ref_positive_cycle_halves, two_gon)
 from test_weightings import flows_weighting
 
 
@@ -58,6 +62,61 @@ def test_tree_catalog_is_orthant():
     assert len(cat) == 1
     c, w = cat[0]
     assert c.rays() == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+
+
+def _dict_walk_catalog(g, contracted_sofar=frozenset(), memo=None):
+    """The catalog walked on half-edge dicts: every box point through
+    ``shift_by_cycles``, the reference positive-cycle DFS,
+    ``cycle_constraint_rows`` and a cone solved from scratch; the
+    contraction recursion as in the engine. Returns key -> (cone, witness)."""
+    memo = {} if memo is None else memo
+    if contracted_sofar in memo:
+        return memo[contracted_sofar]
+    edges = g.edges()
+    base = base_weighting(g)
+    basis = cycle_basis(g)
+    out = {}
+    seen = set()
+    for coeffs in fan_module._box_vectors(len(basis), fan_module._box_radius(g, base)):
+        w = shift_by_cycles(g, base, coeffs, basis)
+        if ref_positive_cycle_halves(g, w.values) is not None:
+            continue
+        c = Cone(len(edges), cycle_constraint_rows(g, w, basis)[1],
+                 cones_module._unit_rows(len(edges)), labels=edges)
+        if c.equalities not in seen:
+            seen.add(c.equalities)
+            out.setdefault(canonical_key(c), (c, w))
+    for cyc in enumerate_cycles(g):
+        cyc_edges = frozenset(cyc.edges(g))
+        res = contract(g, cyc_edges)
+        sub = _dict_walk_catalog(res.contracted, contracted_sofar | cyc_edges, memo)
+        for c_small, w_small in sub.values():
+            w0 = lift_weighting(g, res, w_small)
+            w_lift = shift_along_cycle(g, w0, cyc, -(w0.max_abs() + 1))
+            c_big = _embed_cone(c_small, res.contracted.edges(), edges, cyc_edges)
+            out.setdefault(canonical_key(c_big), (c_big, w_lift))
+    memo[contracted_sofar] = out
+    return out
+
+
+def _catalog_items(pairs):
+    return [(canonical_key(c), c.equalities, list(w.values.items()))
+            for c, w in pairs]
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=60)
+@given(st.sampled_from(corpus()))
+def test_catalog_witnesses_match_dict_walk(g):
+    expected = sorted(_dict_walk_catalog(g).values(),
+                      key=lambda pair: canonical_key(pair[0]))
+    assert _catalog_items(cone_catalog(g)) == _catalog_items(expected)
+
+
+@pytest.mark.parametrize("g", [banana(3, 4), loop_graph(), loop_graph(legs=(3, -3))])
+def test_catalog_witnesses_match_dict_walk_on_fixed_graphs(g):
+    expected = sorted(_dict_walk_catalog(g).values(),
+                      key=lambda pair: canonical_key(pair[0]))
+    assert _catalog_items(cone_catalog(g)) == _catalog_items(expected)
 
 
 def test_witness_soundness():

@@ -307,6 +307,26 @@ def test_index_matches_sort_key_reference():
             assert contract(g, [e]).vertex_map[ends[1]] == min(ends, key=sort_key)
 
 
+def test_index_arrays_match_halves():
+    for g in corpus() + [mixed_id_graph(), loop_graph(), banana(4, 3)]:
+        index = g.index
+        vertices = _sorted(g.genus_of)
+        edges = _sorted({_ref_edge_of(g, h) for h in g.end if g.involution[h] != h})
+        for h in g.end:
+            if g.involution[h] == h:
+                assert h not in index.edge_pos and h not in index.sign
+                continue
+            assert edges[index.edge_pos[h]] == _ref_edge_of(g, h)
+            assert index.sign[h] == (1 if h == _ref_edge_of(g, h) else -1)
+        assert len(index.arcs) == len(vertices)
+        for v, arcs in zip(vertices, index.arcs):
+            halves = _ref_non_leg_halves_at(g, v)
+            assert [(edges[i], s) for i, s, _ in arcs] == [
+                (_ref_edge_of(g, h), 1 if h == _ref_edge_of(g, h) else -1)
+                for h in halves]
+            assert [vertices[t] for _, _, t in arcs] == [_target(g, h) for h in halves]
+
+
 def test_index_accessor_edge_cases():
     g = mixed_id_graph()
     assert validate_graph(g).ok

@@ -345,3 +345,42 @@ def test_cli_oracle_check(tmp_path, capsys):
     assert main(["oracle-check", path]) == 0
     assert "agree" in capsys.readouterr().out
     assert main(["oracle-check", path, "--box-radius", "1"]) == 1
+
+
+def test_cli_oracle_check_lists_every_missing_and_extra_cone(tmp_path, capsys,
+                                                             monkeypatch):
+    from flowfan import canonical_key, cli
+    from flowfan.cones import Cone
+
+    path = write_doc(tmp_path, TWO_GON_DOC)
+    catalog = cli.cone_catalog(parse_graph_json(json.dumps(TWO_GON_DOC)))
+    dropped = [canonical_key(c) for c, _ in catalog[1:3]]
+    fake = Cone.orthant_section(2, [(1, -5)])  # the ray (5, 1), in no cone
+    monkeypatch.setattr(
+        cli, "cone_catalog",
+        lambda g: catalog[:1] + catalog[3:] + [(fake, catalog[0][1])])
+    assert main(["oracle-check", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "mismatch: 2 missing, 1 extra",
+        *(f"missing cone: {k}" for k in sorted(dropped)),
+        f"extra cone: {canonical_key(fake)}"]
+
+
+def test_cli_fan_bytes_identical_under_python_O(tmp_path):
+    # library checks raise instead of asserting, so -O changes no output
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = write_doc(tmp_path, banana_doc(n=4, edges=3))
+    runs = [subprocess.run([sys.executable, *flags, "-m", "flowfan.cli", "fan", path],
+                           capture_output=True, check=True, env=env).stdout
+            for flags in ([], ["-O"])]
+    assert runs[1] == runs[0]
+    assert parse_fan_json(runs[0].decode())["counts"]["maximal"] > 0

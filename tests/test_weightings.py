@@ -2,8 +2,9 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flowfan import (FlowFanError, Graph, MissingHalfEdge, Weighting, base_weighting,
+from flowfan import (Cycle, FlowFanError, Graph, MissingHalfEdge, Weighting, base_weighting,
                      contract, cycle_basis, enumeration_bound, find_positive_cycle,
                      flow_bound, is_weighting, lift_weighting, restrict_weighting,
                      shift_by_cycles)
@@ -11,9 +12,11 @@ from flowfan.fan import _box_radius
 from flowfan.graph import _spanning_forest
 from flowfan.linalg import solve_left
 from flowfan import weightings
-from flowfan.weightings import has_positive_cycle
+from flowfan.cones import cycle_constraint_rows
+from flowfan.weightings import FlowCore, _positive_cycle, has_positive_cycle
 
-from helpers import banana, corpus, loop_graph, one_edge_genus1, path_graph, two_gon
+from helpers import (banana, corpus, loop_graph, one_edge_genus1, path_graph,
+                     ref_positive_cycle_halves, two_gon)
 
 
 def flows_weighting(g, flows):
@@ -364,3 +367,56 @@ def test_lift_weighting_inverts_restrict():
         ok, _ = is_weighting(g, w)
         assert ok
         assert restrict_weighting(g, w, res).values == w_small.values
+
+
+# -- the integer-array flow core against the half-edge dict path -------------
+
+CYCLIC_GRAPHS = [g for g in corpus() if cycle_basis(g)] + [
+    banana(4, 3), loop_graph(legs=(3, -3)), loop_graph(genus=0, legs=(2, -2))]
+
+
+@st.composite
+def shifted_flows(draw):
+    """(graph, flow core, coefficients): a corpus graph with cycles and a
+    shift by up to a few units beyond the flow bound, so both acyclic and
+    cyclic flows come up."""
+    g = draw(st.sampled_from(CYCLIC_GRAPHS))
+    core = FlowCore.build(g)
+    r = flow_bound(g) + 2
+    coeffs = draw(st.lists(st.integers(-r, r), min_size=len(core.cycles),
+                           max_size=len(core.cycles)))
+    return g, core, coeffs
+
+
+FLOW_SETTINGS = settings(deadline=None, derandomize=True, database=None,
+                         max_examples=400)
+
+
+@FLOW_SETTINGS
+@given(shifted_flows())
+def test_array_positive_cycle_matches_dict_search(case):
+    g, core, coeffs = case
+    w = shift_by_cycles(g, core.base_weighting, coeffs)
+    x = core.shifted(coeffs)
+    assert x == [w.values[e] for e in g.edges()]
+    ref = ref_positive_cycle_halves(g, w.values)
+    assert (_positive_cycle(g.index, x) is None) == (ref is None)
+    assert has_positive_cycle(g, w.values) == (ref is not None)
+    cyc = find_positive_cycle(g, w)
+    if ref is None:
+        assert cyc is None
+    else:
+        assert cyc == Cycle(ref).canonical(g, allow_reversal=False)
+        assert all(w.values[h] > 0 for h in cyc.halves)
+
+
+@FLOW_SETTINGS
+@given(shifted_flows())
+def test_flow_core_rows_and_witness_match_dict_path(case):
+    g, core, coeffs = case
+    basis = cycle_basis(g)
+    w = shift_by_cycles(g, core.base_weighting, coeffs, basis)
+    x = core.shifted(coeffs)
+    assert core.rows(x) == cycle_constraint_rows(g, w, basis)[1]
+    # same values in the same key order as shift_by_cycles leaves them
+    assert list(core.weighting(x).values.items()) == list(w.values.items())
