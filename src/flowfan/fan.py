@@ -1,41 +1,30 @@
 """Enumeration and verification of the fan of weighting cones.
 
-The catalog of all cones attached to weightings of a graph is finite: a
-box of cycle-space shifts around the base weighting yields every cone of
-a weighting without a positive cycle, and each weighting with a positive
-cycle delegates to the contracted graph, whose catalog embeds with zeros
-on the contracted edges. Closing the catalog under faces gives the fan.
-The box radius is the smaller of two proved bounds, the flow-decomposition
-bound :func:`flow_bound` and the paper's :func:`enumeration_bound`.
+The catalog of all cones attached to weightings of a graph is finite:
+the weightings without a positive cycle, which
+:meth:`~flowfan.weightings.FlowCore.acyclic_coefficients` enumerates in
+the cycle space around the base weighting, yield every cone of such a
+weighting, and each weighting with a positive cycle delegates to the
+contracted graph, whose catalog embeds with zeros on the contracted
+edges. Closing the catalog under faces gives the fan.
 
-The box is walked on the integer arrays of
-:class:`~flowfan.weightings.FlowCore`, built once per graph: each point
-is a list, tested for a positive cycle by one DFS, and its rows are a
-gather. Only the witness of a new constraint system becomes a
+The acyclic flows are lists on the integer arrays of
+:class:`~flowfan.weightings.FlowCore`, built once per graph, and their
+rows are a gather. Only the witness of a new constraint system becomes a
 :class:`~flowfan.weightings.Weighting`.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import product
 
 from .errors import UnknownEdge, UnsupportedDimension
 from .cones import (Cone, _face_ray_sets, _normalize_rows, _unit_rows,
                     canonical_key, cone_of_weighting, faces, intersect_cones,
                     is_face_of)
 from .graph import contract, enumerate_cycles
-from .weightings import (FlowCore, _positive_cycle, enumeration_bound,
-                         flow_bound, lift_weighting, restrict_weighting,
+from .weightings import (FlowCore, lift_weighting, restrict_weighting,
                          shift_along_cycle)
-
-
-def _box_vectors(h, radius):
-    """Integer vectors of sup norm <= radius in graded lexicographic order."""
-    if h == 0:
-        return [()]
-    vs = product(range(-radius, radius + 1), repeat=h)
-    return sorted(vs, key=lambda v: (sum(map(abs, v)), v))
 
 
 def _embed_cone(c_small, small_edges, big_edges, contracted_set):
@@ -67,32 +56,24 @@ def cone_catalog(g):
     """The exact set of weighting cones with one exact witness each.
 
     Returns a list of (cone, weighting) pairs sorted by canonical key; for
-    every pair the cone of the weighting equals the stored cone. The box
-    enumeration skips weightings admitting a positive cycle: their cones
-    are supplied by the contraction recursion.
+    every pair the cone of the weighting equals the stored cone. The
+    enumeration visits only weightings without a positive cycle: the cones
+    of the others are supplied by the contraction recursion.
     """
     memo = {}
     out = _catalog(g, frozenset(), memo)
     return [pair for _, pair in sorted(out.items(), key=lambda kv: kv[0])]
 
 
-def _box_radius(g, base):
-    """Neither proved bound is below the other on every graph."""
-    return min(flow_bound(g), enumeration_bound(g, base))
-
-
 def _catalog(g, contracted_sofar, memo):
-    if contracted_sofar in memo:
-        return memo[contracted_sofar]
+    """The catalog of ``g`` as key -> (cone, witness), stored in ``memo``
+    under ``contracted_sofar``; callers look the memo up first."""
     edges = g.edges()
     core = FlowCore.build(g)
-    index = g.index
     out = {}
     seen_systems = set()
-    for coeffs in _box_vectors(len(core.cycles), _box_radius(g, core.base_weighting)):
+    for coeffs in core.acyclic_coefficients():
         x = core.shifted(coeffs)
-        if _positive_cycle(index, x) is not None:
-            continue
         # raw rows never repeat (basis cycle i alone carries -c_i on its
         # non-tree edge), so systems are compared after normalizing
         system = _normalize_rows(core.rows(x), equalities=True)
@@ -104,17 +85,22 @@ def _catalog(g, contracted_sofar, memo):
 
     for cyc in enumerate_cycles(g):
         cyc_edges = frozenset(cyc.edges(g))
-        res = contract(g, cyc_edges)
-        sub = _catalog(res.contracted, contracted_sofar | cyc_edges, memo)
-        small_edges = res.contracted.edges()
+        key = contracted_sofar | cyc_edges
+        sub = memo.get(key)
+        if sub is None:
+            sub = _catalog(contract(g, cyc_edges).contracted, key, memo)
+        # contraction keeps the other edge keys and their order
+        small_edges = [e for e in edges if e not in cyc_edges]
         for c_small, w_small in sub.values():
-            w0 = lift_weighting(g, res, w_small)
+            c_big = _embed_cone(c_small, small_edges, edges, cyc_edges)
+            k = canonical_key(c_big)
+            if k in out:
+                continue
+            w0 = lift_weighting(g, cyc_edges, w_small)
             bump = w0.max_abs() + 1
             # negative circulation raises all source halves along the cycle,
             # making it positive, so the lifted cone splits off exactly
-            w_lift = shift_along_cycle(g, w0, cyc, -bump)
-            c_big = _embed_cone(c_small, small_edges, edges, cyc_edges)
-            out.setdefault(canonical_key(c_big), (c_big, w_lift))
+            out[k] = (c_big, shift_along_cycle(g, w0, cyc, -bump))
 
     memo[contracted_sofar] = out
     return out

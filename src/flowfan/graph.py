@@ -22,9 +22,10 @@ each half's edge position and its sign against its edge, and each
 vertex's non-leg halves as (edge position, sign, position of the vertex
 at the partner half) triples. A flow on these arrays is a list with one
 source-half value per edge position; the positive-cycle search and the
-catalog's box walk run on such lists. The cache relies on the graph's
-dicts not being mutated once it has been read; no operation in this
-package mutates a graph, and :func:`contract` builds a new one.
+catalog's enumeration of acyclic flows run on such lists. The cache
+relies on the graph's dicts not being mutated once it has been read; no
+operation in this package mutates a graph, and :func:`contract` builds a
+new one.
 
 One deterministic DFS spanning forest, :func:`_spanning_forest`, serves
 the cycle basis, the components a contraction merges, the tree a
@@ -281,9 +282,10 @@ class GraphReport:
 def validate_graph(g: Graph) -> GraphReport:
     """Check the graph invariants on arbitrary candidate data.
 
-    Reported codes: MalformedInvolution, NegativeGenus, Disconnected,
-    LegSumMismatch and LegWeightMismatch (weights not matching the fixed
-    points of the involution).
+    Reported codes: MalformedInvolution, NegativeGenus, Disconnected (also
+    for a graph with no vertices, which is not connected), LegSumMismatch
+    and LegWeightMismatch (weights not matching the fixed points of the
+    involution).
     """
     problems = []
     halves = set(g.end)
@@ -320,7 +322,9 @@ def validate_graph(g: Graph) -> GraphReport:
             problems.append(("LegSumMismatch",
                              f"leg weights sum to {total}, expected {want}"))
 
-    if g.genus_of:
+    if not g.genus_of:
+        problems.append(("Disconnected", "graph has no vertices"))
+    else:
         _, root, _ = _spanning_forest(g)
         first = g.index.vertices[0]
         unreachable = sum(1 for r in root.values() if r != first)

@@ -13,8 +13,10 @@ source half is what enters every cone constraint downstream.
 
 Since opposite halves cancel, a weighting is also a list with one value
 per edge position, that of the edge's canonical source half. The
-positive-cycle search and :class:`FlowCore`, the catalog's box walk,
-run on such lists; the public functions keep half-edge dicts.
+positive-cycle search and :class:`FlowCore`, whose
+:meth:`~FlowCore.acyclic_coefficients` gives the catalog its weightings
+without a positive cycle, run on such lists; the public functions keep
+half-edge dicts.
 """
 
 from dataclasses import dataclass
@@ -74,13 +76,16 @@ def _complete_values(g: Graph, free_edges, fixed):
     (:func:`~flowfan.graph._spanning_forest`) get zero flow; forest flows
     are solved leaf-first, each vertex's half toward its parent carrying
     whatever balances the vertex. Existence relies on each free component's
-    fixed part summing to the right demands.
+    fixed part summing to the right demands. The free halves follow the
+    fixed ones in edge order, so the key order of the result does not
+    depend on how ``free_edges`` iterates.
     """
     values = dict(fixed)
     free = set(free_edges)
-    for e in free:
-        values[e] = 0
-        values[g.involution[e]] = 0
+    for e in g.index.edges:
+        if e in free:
+            values[e] = 0
+            values[g.involution[e]] = 0
     order, _, parent = _spanning_forest(g, free)
     # children and non-tree halves are already set when a vertex is solved
     for v in reversed(order):
@@ -147,9 +152,12 @@ def restrict_weighting(g: Graph, w: Weighting, contraction) -> Weighting:
 def lift_weighting(g: Graph, contraction, w_small: Weighting) -> Weighting:
     """Right inverse of :func:`restrict_weighting`: extend a weighting of the
     contracted graph over the contracted edges (zero flow off a spanning
-    tree of each contracted component)."""
-    fixed = dict(w_small.values)
-    values = _complete_values(g, contraction.contracted_set, fixed)
+    tree of each contracted component).
+
+    Only the contracted edges are read, so ``contraction`` is either the
+    :class:`~flowfan.graph.ContractionResult` or the set of those edges."""
+    edge_set = getattr(contraction, "contracted_set", contraction)
+    values = _complete_values(g, edge_set, w_small.values)
     return Weighting(g, values)
 
 
@@ -264,6 +272,79 @@ class FlowCore:
             out.append(tuple(row))
         return out
 
+    def acyclic_coefficients(self):
+        """Every coefficient vector ``c`` whose flow ``shifted(c)`` has no
+        positive cycle, in graded lexicographic order ``(sum |c_i|, c)``.
+
+        All of them lie in the box ``max |c_i| <= S = flow_bound(g)`` (see
+        :func:`flow_bound`), which is searched depth first, one
+        coefficient at a time. Each edge value is the base value minus
+        ``s * c_j`` for every basis cycle ``j`` crossing the edge with sign
+        ``s``, so once some coefficients are fixed it lies within
+        ``S * (free cycles through the edge)`` of its partial value. A
+        prefix is cut when some edge's interval misses ``[-S, S]``, where
+        every edge of an acyclic flow stays, or when the arcs whose sign
+        the intervals already settle hold a positive cycle. Along one
+        coefficient each edge value has slope -1, 0 or 1, so which arcs
+        are settled, and their signs, change only at a few integer
+        breakpoints, and one :func:`_positive_cycle` call decides each run
+        of values between them. On the last coefficient nothing is left
+        free, and the settled arcs are those of the flow itself.
+        """
+        index = self.graph.index
+        cycles = self.cycles
+        h = len(cycles)
+        if h == 0:
+            return [()]  # a forest has no cycle
+        S = flow_bound(self.graph)
+        # free[i]: the basis cycles after the current one through edge i
+        free = [0] * len(self.base)
+        for cyc in cycles[1:]:
+            for i, _ in cyc:
+                free[i] += 1
+        out = []
+
+        def shift(x, cyc, c):
+            y = list(x)
+            for i, s in cyc:
+                y[i] -= s * c
+            return y
+
+        def descend(k, prefix, x):
+            cyc = cycles[k]
+            last = k == h - 1
+            # on (i, s) the value is s * (p - c), p = s * x[i], and the free
+            # cycles move it by at most r: it can reach [-S, S] only for
+            # |p - c| <= r + S, and its sign is settled for |p - c| > r
+            lo, hi, cuts = -S, S, set()
+            for i, s in cyc:
+                p, r = s * x[i], S * free[i]
+                lo, hi = max(lo, p - r - S), min(hi, p + r + S)
+                cuts.update((p - r, p + r + 1))
+            if lo > hi:
+                return
+            starts = [lo] + sorted(c for c in cuts if lo < c <= hi)
+            kept = []
+            for a, b in zip(starts, starts[1:] + [hi + 1]):
+                y = shift(x, cyc, a)
+                if not last:
+                    y = [v if abs(v) > S * f else 0 for v, f in zip(y, free)]
+                if _positive_cycle(index, y) is None:
+                    kept.extend(range(a, b))
+            if last:
+                out.extend(prefix + (c,) for c in kept)
+                return
+            for i, _ in cycles[k + 1]:
+                free[i] -= 1
+            for c in kept:
+                descend(k + 1, prefix + (c,), shift(x, cyc, c))
+            for i, _ in cycles[k + 1]:
+                free[i] += 1
+
+        descend(0, (), self.base)
+        out.sort(key=lambda c: (sum(map(abs, c)), c))
+        return out
+
     def weighting(self, x):
         """The :class:`Weighting` of flow ``x``, keys in the base's order."""
         index = self.graph.index
@@ -279,9 +360,9 @@ def enumeration_bound(g: Graph, w: Weighting) -> int:
     a positive cycle. Here m is the largest absolute half-edge value, h the
     first Betti number, and phi(0) = 1, phi(n) = sum_{j<n} phi(j).
 
-    The catalog walks the smaller of this and :func:`flow_bound`; the
-    oracle keeps this bound on purpose, so that it checks the engine's
-    radius with an independent one."""
+    The catalog's enumeration rests on :func:`flow_bound` instead; the
+    oracle walks its unpruned box at this bound on purpose, so that it
+    checks the engine with an independent one."""
     h = len(g.edges()) - len(g.genus_of) + 1
     phi = [1]
     for n in range(1, h + 1):

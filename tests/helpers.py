@@ -1,8 +1,10 @@
 """Shared graph constructors and the randomized test corpus."""
 
 import random
+from itertools import product
 
-from flowfan import Graph, graph_genus, validate_graph
+from flowfan import (Graph, enumeration_bound, flow_bound, graph_genus,
+                     validate_graph)
 
 
 def two_gon(n, twist=0):
@@ -91,6 +93,19 @@ def random_graph(rng):
         report = validate_graph(g)
         assert report.ok, report.problems
         return g
+
+
+def box_radius(g, base):
+    """Radius of the reference box walk: the smaller of the two proved
+    bounds, neither of which is below the other on every graph."""
+    return min(flow_bound(g), enumeration_bound(g, base))
+
+
+def box_vectors(h, radius):
+    """All integer vectors of sup norm <= radius, unpruned, in graded
+    lexicographic order (sum of absolute values, then the vector)."""
+    vs = product(range(-radius, radius + 1), repeat=h)
+    return sorted(vs, key=lambda v: (sum(map(abs, v)), v))
 
 
 def corpus(count=200, seed=20260809):

@@ -9,14 +9,14 @@ from flowfan import (Fan, UnknownEdge, UnsupportedDimension, base_weighting,
                      build_fan, canonical_key, check_contraction_compat,
                      cone_catalog, cone_of_weighting, faces, find_positive_cycle,
                      intersect_cones, is_face_of, slice_fan, verify_fan)
-from flowfan import cones as cones_module, fan as fan_module
+from flowfan import cones as cones_module
 from flowfan.cones import Cone, cycle_constraint_rows
 from flowfan.fan import _embed_cone, _meet_in_common_face
 from flowfan.graph import contract, cycle_basis, enumerate_cycles
 from flowfan.weightings import lift_weighting, shift_along_cycle, shift_by_cycles
 
-from helpers import (banana, corpus, loop_graph, path_graph, random_graph,
-                     ref_positive_cycle_halves, two_gon)
+from helpers import (banana, box_radius, box_vectors, corpus, loop_graph,
+                     path_graph, random_graph, ref_positive_cycle_halves, two_gon)
 from test_weightings import flows_weighting
 
 
@@ -77,7 +77,7 @@ def _dict_walk_catalog(g, contracted_sofar=frozenset(), memo=None):
     basis = cycle_basis(g)
     out = {}
     seen = set()
-    for coeffs in fan_module._box_vectors(len(basis), fan_module._box_radius(g, base)):
+    for coeffs in box_vectors(len(basis), box_radius(g, base)):
         w = shift_by_cycles(g, base, coeffs, basis)
         if ref_positive_cycle_halves(g, w.values) is not None:
             continue

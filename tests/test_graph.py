@@ -45,6 +45,11 @@ def test_validate_disconnected_and_negative_genus():
     assert report.problems == (("Disconnected", "1 vertices unreachable"),)
 
 
+def test_validate_graph_without_vertices():
+    report = validate_graph(Graph({}, {}, {}, {}, 0))
+    assert report.problems == (("Disconnected", "graph has no vertices"),)
+
+
 def test_genus_examples():
     assert graph_genus(two_gon(3)) == 1
     assert graph_genus(banana(3, 10)) == 2

@@ -187,6 +187,17 @@ def test_cli_validate_failure(tmp_path):
     assert main(["validate", write_doc(tmp_path, doc)]) == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "genus", "fan"])
+def test_cli_graph_without_vertices_is_disconnected(tmp_path, capsys, command):
+    doc = {"vertices": [], "edges": [], "legs": [], "twist": 0}
+    assert main([command, write_doc(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    message = "Disconnected: graph has no vertices"
+    assert message in captured.out + captured.err
+    if command != "validate":
+        assert captured.out == ""
+
+
 def test_cli_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

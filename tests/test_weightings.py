@@ -2,21 +2,21 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from flowfan import (Cycle, FlowFanError, Graph, MissingHalfEdge, Weighting, base_weighting,
-                     contract, cycle_basis, enumeration_bound, find_positive_cycle,
-                     flow_bound, is_weighting, lift_weighting, restrict_weighting,
-                     shift_by_cycles)
-from flowfan.fan import _box_radius
+                     cone_catalog, contract, cycle_basis, enumerate_cycles,
+                     enumeration_bound, find_positive_cycle, flow_bound,
+                     graph_genus, is_weighting, lift_weighting, restrict_weighting,
+                     shift_by_cycles, validate_graph)
 from flowfan.graph import _spanning_forest
 from flowfan.linalg import solve_left
 from flowfan import weightings
 from flowfan.cones import cycle_constraint_rows
 from flowfan.weightings import FlowCore, _positive_cycle, has_positive_cycle
 
-from helpers import (banana, corpus, loop_graph, one_edge_genus1, path_graph,
-                     ref_positive_cycle_halves, two_gon)
+from helpers import (banana, box_radius, box_vectors, corpus, loop_graph,
+                     one_edge_genus1, path_graph, ref_positive_cycle_halves, two_gon)
 
 
 def flows_weighting(g, flows):
@@ -307,7 +307,7 @@ def test_flow_bound_examples():
     base = base_weighting(g)
     assert flow_bound(g) == 4
     assert enumeration_bound(g, base) == 2
-    assert _box_radius(g, base) == 2
+    assert box_radius(g, base) == 2
     b = banana(4, 3)
     assert flow_bound(b) == 3 < enumeration_bound(b, base_weighting(b))
 
@@ -322,7 +322,7 @@ def test_beyond_box_radius_has_positive_cycle():
         if not basis:
             continue
         w = base_weighting(g)
-        r = _box_radius(g, w)
+        r = box_radius(g, w)
         shell = [c for c in product(range(-r - 1, r + 2), repeat=len(basis))
                  if max(map(abs, c)) == r + 1]
         far = []
@@ -420,3 +420,90 @@ def test_flow_core_rows_and_witness_match_dict_path(case):
     assert core.rows(x) == cycle_constraint_rows(g, w, basis)[1]
     # same values in the same key order as shift_by_cycles leaves them
     assert list(core.weighting(x).values.items()) == list(w.values.items())
+
+
+# -- the catalog's acyclic-flow enumerator against the unpruned box ----------
+
+def _box_survivors(g, core):
+    """Reference: every point of the box at the smaller proved radius, in
+    graded lexicographic order, kept when its flow has no positive cycle."""
+    radius = box_radius(g, core.base_weighting)
+    return [c for c in box_vectors(len(core.cycles), radius)
+            if _positive_cycle(g.index, core.shifted(c)) is None]
+
+
+def _with_contractions(graphs):
+    """The graphs and every graph the catalog's contraction recursion
+    reaches from them, each contracted edge set once."""
+    out = []
+    for g in graphs:
+        seen = set()
+        todo = [(g, frozenset())]
+        while todo:
+            h, done = todo.pop()
+            out.append(h)
+            for cyc in enumerate_cycles(h):
+                key = done | frozenset(cyc.edges(h))
+                if key not in seen:
+                    seen.add(key)
+                    todo.append((contract(h, key - done).contracted, key))
+    return out
+
+
+CORPUS_FAMILY = _with_contractions(corpus())
+BOX_POINT_CAP = 20_000
+
+
+@st.composite
+def small_graphs(draw):
+    """A connected graph on up to four vertices with first Betti number
+    at most 3 (loops and parallel edges allowed), genera 0 or 1, twist 0
+    or 1 and up to three legs of weight in [-8, 8]."""
+    nv = draw(st.integers(1, 4))
+    genus_of = {f"v{i}": draw(st.integers(0, 1)) for i in range(nv)}
+    ends = [(draw(st.integers(0, i - 1)), i) for i in range(1, nv)]
+    ends += draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)),
+                          max_size=3))
+    edges = [(f"e{j}", f"v{u}", f"v{v}") for j, (u, v) in enumerate(ends)]
+    twist = draw(st.integers(0, 1))
+    skeleton = Graph.build(genus_of, edges, [], twist)
+    target = -twist * (2 * graph_genus(skeleton) - 2)
+    head = draw(st.lists(st.integers(-8, 8), max_size=2))
+    tail = target - sum(head)
+    assume(abs(tail) <= 8)
+    legs = [(f"l{j}", f"v{draw(st.integers(0, nv - 1))}", w)
+            for j, w in enumerate(head + [tail])]
+    g = Graph.build(genus_of, edges, legs, twist)
+    assert validate_graph(g).ok
+    return g
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=400,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(st.one_of(st.sampled_from(CORPUS_FAMILY), small_graphs()))
+def test_acyclic_coefficients_match_box_survivors(g):
+    core = FlowCore.build(g)
+    radius = box_radius(g, core.base_weighting)
+    assume((2 * radius + 1) ** len(core.cycles) <= BOX_POINT_CAP)
+    assert core.acyclic_coefficients() == _box_survivors(g, core)
+
+
+@pytest.mark.parametrize("g", [banana(6, 5), banana(5, 10)])
+def test_acyclic_coefficients_match_box_survivors_on_bananas(g):
+    core = FlowCore.build(g)
+    got = core.acyclic_coefficients()
+    assert got == _box_survivors(g, core)
+    assert got
+
+
+def test_catalog_positive_cycle_calls_on_banana(monkeypatch):
+    # the box at radius 5 makes 161,108 calls over banana(6,5)'s recursion
+    calls = []
+
+    def counted(index, x):
+        calls.append(1)
+        return _positive_cycle(index, x)
+
+    monkeypatch.setattr(weightings, "_positive_cycle", counted)
+    assert len(cone_catalog(banana(6, 5))) == 63
+    assert 0 < len(calls) <= 20_000
