@@ -18,6 +18,12 @@ still sees every row, and the rays are those of a pass from scratch.
 rays, which makes the pairwise check of a fan cheap, and
 ``Cone.orthant_section`` resumes from the orthant, a solved pointed cone
 whose rays are the unit vectors, and inserts its equalities only.
+``orthant_section`` is the path for general rows, that of
+:func:`cone_of_weighting`. The catalog reads the rays of a weighting's
+cone off the flow's directed bonds instead
+(:meth:`~flowfan.weightings.FlowCore.rays`) and builds the cone with
+``Cone._pointed``; it falls back to ``orthant_section`` only on graphs
+too large for that search.
 
 A cone caches what it computes: its rays and lineality, its dimension,
 and a tight-set table of its ray frozenset plus, per inequality row, the

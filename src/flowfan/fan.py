@@ -9,9 +9,15 @@ contracted graph, whose catalog embeds with zeros on the contracted
 edges. Closing the catalog under faces gives the fan.
 
 The acyclic flows are lists on the integer arrays of
-:class:`~flowfan.weightings.FlowCore`, built once per graph, and their
-rows are a gather. Only the witness of a new constraint system becomes a
-:class:`~flowfan.weightings.Weighting`.
+:class:`~flowfan.weightings.FlowCore`, built once per graph.
+:meth:`~flowfan.weightings.FlowCore.rays` reads each flow's cone off the
+directed bonds of the digraph the flow orients, so a flow whose cone is
+already in the catalog is skipped before any row is normalized or any
+:class:`~flowfan.cones.Cone` is built, and only the witness of a new cone
+becomes a :class:`~flowfan.weightings.Weighting`. A flow whose graph,
+with its zero-flow edges contracted, has more than
+``weightings.BOND_VERTEX_LIMIT`` vertices is solved by double
+description from the orthant instead.
 """
 
 from dataclasses import dataclass
@@ -69,18 +75,25 @@ def _catalog(g, contracted_sofar, memo):
     """The catalog of ``g`` as key -> (cone, witness), stored in ``memo``
     under ``contracted_sofar``; callers look the memo up first."""
     edges = g.edges()
+    labels = tuple(edges)
+    units = tuple(sorted(_unit_rows(len(edges))))
     core = FlowCore.build(g)
     out = {}
-    seen_systems = set()
+    solved = set()  # the systems left to double description
     for coeffs in core.acyclic_coefficients():
         x = core.shifted(coeffs)
-        # raw rows never repeat (basis cycle i alone carries -c_i on its
-        # non-tree edge), so systems are compared after normalizing
-        system = _normalize_rows(core.rows(x), equalities=True)
-        if system in seen_systems:
+        rays = core.rays(x)
+        # a pointed cone's key is ((), its rays)
+        if rays is not None and ((), rays) in out:
             continue
-        seen_systems.add(system)
-        c = Cone.orthant_section(len(edges), system, labels=edges)
+        system = _normalize_rows(core.rows(x), equalities=True)
+        if rays is not None:
+            c = Cone._pointed(len(edges), labels, system, units, rays)
+        elif system in solved:
+            continue
+        else:
+            solved.add(system)
+            c = Cone.orthant_section(len(edges), system, labels=labels)
         out.setdefault(canonical_key(c), (c, core.weighting(x)))
 
     for cyc in enumerate_cycles(g):
@@ -130,6 +143,25 @@ class Fan:
         return [c for c in self.cones if canonical_key(c) in self.maximal_keys]
 
 
+def _maximal_keys(raysets):
+    """The keys whose ray set is strictly inside no other ray set.
+
+    A strict superset of a nonempty ray set holds each of its rays, so its
+    candidates are the sets listed under its rarest ray in a ray -> sets
+    index; the empty set is below every other set."""
+    by_ray = {}
+    for rs in raysets.values():
+        for r in rs:
+            by_ray.setdefault(r, []).append(rs)
+
+    def covered(rs):
+        candidates = (min((by_ray[r] for r in rs), key=len) if rs
+                      else raysets.values())
+        return any(rs < other for other in candidates)
+
+    return frozenset(k for k, rs in raysets.items() if not covered(rs))
+
+
 def build_fan(g) -> Fan:
     """Close the cone catalog under faces and flag the maximal cones.
 
@@ -145,10 +177,7 @@ def build_fan(g) -> Fan:
         k = canonical_key(c)
         cones[k] = c
         witnesses[k] = w
-    raysets = {k: frozenset(c.rays()) for k, c in cones.items()}
-    maximal = frozenset(
-        k for k, rs in raysets.items()
-        if not any(rs < rs2 for rs2 in raysets.values()))
+    maximal = _maximal_keys({k: frozenset(c.rays()) for k, c in cones.items()})
     for k, c in list(cones.items()):
         w = witnesses[k]
         for f in faces(c):

@@ -15,12 +15,15 @@ Since opposite halves cancel, a weighting is also a list with one value
 per edge position, that of the edge's canonical source half. The
 positive-cycle search and :class:`FlowCore`, whose
 :meth:`~FlowCore.acyclic_coefficients` gives the catalog its weightings
-without a positive cycle, run on such lists; the public functions keep
-half-edge dicts.
+without a positive cycle and whose :meth:`~FlowCore.rays` reads a
+weighting's cone off the directed bonds of the digraph it orients, run
+on such lists; the public functions keep half-edge dicts.
 """
 
 from dataclasses import dataclass
+from math import lcm
 
+from .cones import _unit_rows
 from .errors import FlowFanError, MissingHalfEdge
 from .graph import Graph, Cycle, _spanning_forest, canonical_degree, cycle_basis
 
@@ -225,6 +228,52 @@ def has_positive_cycle(g: Graph, values) -> bool:
     return _positive_cycle(g.index, _edge_values(g, values)) is not None
 
 
+# the most vertices of G/Z whose vertex sets FlowCore.rays searches; a
+# flow with more leaves its cone to double description
+BOND_VERTEX_LIMIT = 12
+
+
+def _bond_sides(succ, pred):
+    """The directed bonds of a connected digraph on vertices 0..k-1, given
+    by bit masks: ``succ[v]`` holds the heads of the arcs leaving v and
+    ``pred[v]`` the tails of the arcs entering it.
+
+    Returns the side containing vertex 0 of each bond, as a bit mask, in
+    increasing order. A vertex set U and its complement W cut out a
+    directed bond when both are connected and no two arcs cross the cut
+    in opposite directions. Visits the 2^(k-1) - 1 proper sets U holding
+    vertex 0; the arcs leaving and entering every vertex set are built up
+    one vertex at a time, so each set costs a few bit operations plus the
+    connectivity walks of the sets that pass the direction test.
+    """
+    k = len(succ)
+    full = (1 << k) - 1
+    out_of = [0] * (full + 1)
+    into = [0] * (full + 1)
+    for m in range(1, full + 1):
+        low = m & -m
+        v = low.bit_length() - 1
+        out_of[m] = out_of[m ^ low] | succ[v]
+        into[m] = into[m ^ low] | pred[v]
+
+    def connected(m):
+        reach = m & -m
+        while True:
+            grown = reach | (out_of[reach] | into[reach]) & m
+            if grown == reach:
+                return reach == m
+            reach = grown
+
+    sides = []
+    for U in range(1, full, 2):
+        W = full ^ U
+        if out_of[U] & W and into[U] & W:
+            continue
+        if connected(U) and connected(W):
+            sides.append(U)
+    return sides
+
+
 @dataclass(frozen=True)
 class FlowCore:
     """The coset ``base_weighting(g)`` + cycle space on integer arrays.
@@ -234,14 +283,16 @@ class FlowCore:
     of :func:`~flowfan.graph.cycle_basis` as the (edge position, sign)
     pairs of its halves, so shifting by the basis is a list add, the
     cycle rows of a flow are a gather and the positive-cycle test is
-    :func:`_positive_cycle` on the list. A :class:`Weighting` is built
-    only when one is asked for.
+    :func:`_positive_cycle` on the list. ``ends`` holds each edge's
+    source and target vertex positions, from which :meth:`rays` reads a
+    flow's cone. A :class:`Weighting` is built only when one is asked for.
     """
 
     graph: Graph
     base_weighting: Weighting
     base: tuple
     cycles: tuple
+    ends: tuple
 
     @classmethod
     def build(cls, g: Graph):
@@ -249,7 +300,12 @@ class FlowCore:
         index = g.index
         cycles = tuple(tuple((index.edge_pos[h], index.sign[h]) for h in cyc.halves)
                        for cyc in cycle_basis(g))
-        return cls(g, w, tuple(_edge_values(g, w.values)), cycles)
+        ends = [None] * len(index.edges)
+        for v, arcs in enumerate(index.arcs):
+            for i, s, t in arcs:
+                if s > 0:
+                    ends[i] = (v, t)
+        return cls(g, w, tuple(_edge_values(g, w.values)), cycles, tuple(ends))
 
     def shifted(self, coeffs):
         """The flow ``shift_by_cycles(g, base, coeffs)`` as a list."""
@@ -272,6 +328,76 @@ class FlowCore:
             out.append(tuple(row))
         return out
 
+    def rays(self, x):
+        """The sorted primitive extreme rays of the cone of flow ``x``, the
+        cone of :func:`~flowfan.cones.cone_of_weighting`, or None when G/Z,
+        the graph with the zero-flow edges contracted, has more than
+        ``BOND_VERTEX_LIMIT`` vertices.
+
+        A vector ``t >= 0`` lies in the cone when ``(x_e t_e)`` sums to
+        zero around every cycle, that is when it is a tension: the
+        differences of a vertex potential. Let Z be the edges of zero flow.
+        The coordinates on Z are free, so the cone is the orthant on Z
+        times the cone on the other edges, where the tension is zero on Z
+        and so a tension of G/Z. Orient each edge of G/Z along its flow,
+        from the end whose half carries the positive value, as
+        :func:`_positive_cycle` reads it; then ``|x_e| t_e`` ranges over
+        the nonnegative tensions of that digraph. Their extreme rays are
+        the digraph's directed bonds, its cuts between two connected
+        vertex sets crossed by every arc in the same direction
+        (Rockafellar, "The elementary vectors of a subspace of R^N", 1969;
+        Bjoerner, Las Vergnas, Sturmfels, White and Ziegler, *Oriented
+        Matroids*, 1999). So the rays are the unit vector of
+        each edge in Z and, for each directed bond, the vector with
+        ``L / |x_e|`` on its edges and zero elsewhere, where L is the lcm
+        of those ``|x_e|``; its entries have gcd 1. An edge on a directed
+        cycle of G/Z, a loop of G/Z among them, lies in no directed bond
+        and is zero on the whole cone.
+
+        The vertices of G/Z are the components of Z, numbered in the order
+        of their first vertex, and :func:`_bond_sides` searches their
+        vertex sets, 2^(k-1) of them for k components.
+        """
+        arcs = self.graph.index.arcs
+        label = [-1] * len(arcs)
+        k = 0
+        for v0 in range(len(arcs)):
+            if label[v0] < 0:
+                label[v0] = k
+                stack = [v0]
+                while stack:
+                    for i, _, t in arcs[stack.pop()]:
+                        if not x[i] and label[t] < 0:
+                            label[t] = k
+                            stack.append(t)
+                k += 1
+        if k > BOND_VERTEX_LIMIT:
+            return None
+        n = len(x)
+        units = _unit_rows(n)
+        out = [units[i] for i, v in enumerate(x) if not v]
+        if k > 1:
+            succ, pred = [0] * k, [0] * k
+            cut = []  # (edge position, tail, head, |flow|) across components
+            for i, (a, b) in enumerate(self.ends):
+                v = x[i]
+                a, b = label[a], label[b]
+                if a != b:
+                    if v < 0:
+                        a, b, v = b, a, -v
+                    succ[a] |= 1 << b
+                    pred[b] |= 1 << a
+                    cut.append((i, a, b, v))
+            for U in _bond_sides(succ, pred):
+                bond = [(i, v) for i, a, b, v in cut if (U >> a ^ U >> b) & 1]
+                L = lcm(*(v for _, v in bond))
+                ray = [0] * n
+                for i, v in bond:
+                    ray[i] = L // v
+                out.append(tuple(ray))
+        out.sort()
+        return tuple(out)
+
     def acyclic_coefficients(self):
         """Every coefficient vector ``c`` whose flow ``shifted(c)`` has no
         positive cycle, in graded lexicographic order ``(sum |c_i|, c)``.
@@ -290,6 +416,16 @@ class FlowCore:
         breakpoints, and one :func:`_positive_cycle` call decides each run
         of values between them. On the last coefficient nothing is left
         free, and the settled arcs are those of the flow itself.
+
+        A prefix is also cut by volume, once ``sum |c_j|`` exceeds
+        ``S * (|V| - 1)``. An acyclic flow splits into source-to-sink
+        paths of total value S, and all paths through an edge cross it
+        the same way (see :func:`flow_bound`). Each path is simple, so it
+        has at most ``|V| - 1`` edges, and the absolute edge values sum to
+        at most ``S * (|V| - 1)``. The non-tree edge of basis cycle j
+        carries ``+-c_j``, these edges are distinct, and so ``sum |c_j|``
+        is at most that volume; each coefficient is searched only within
+        what the prefix leaves of it.
         """
         index = self.graph.index
         cycles = self.cycles
@@ -297,6 +433,7 @@ class FlowCore:
         if h == 0:
             return [()]  # a forest has no cycle
         S = flow_bound(self.graph)
+        volume = S * (len(index.vertices) - 1)
         # free[i]: the basis cycles after the current one through edge i
         free = [0] * len(self.base)
         for cyc in cycles[1:]:
@@ -310,13 +447,13 @@ class FlowCore:
                 y[i] -= s * c
             return y
 
-        def descend(k, prefix, x):
+        def descend(k, prefix, x, room):
             cyc = cycles[k]
             last = k == h - 1
             # on (i, s) the value is s * (p - c), p = s * x[i], and the free
             # cycles move it by at most r: it can reach [-S, S] only for
             # |p - c| <= r + S, and its sign is settled for |p - c| > r
-            lo, hi, cuts = -S, S, set()
+            lo, hi, cuts = -min(S, room), min(S, room), set()
             for i, s in cyc:
                 p, r = s * x[i], S * free[i]
                 lo, hi = max(lo, p - r - S), min(hi, p + r + S)
@@ -337,11 +474,11 @@ class FlowCore:
             for i, _ in cycles[k + 1]:
                 free[i] -= 1
             for c in kept:
-                descend(k + 1, prefix + (c,), shift(x, cyc, c))
+                descend(k + 1, prefix + (c,), shift(x, cyc, c), room - abs(c))
             for i, _ in cycles[k + 1]:
                 free[i] += 1
 
-        descend(0, (), self.base)
+        descend(0, (), self.base, volume)
         out.sort(key=lambda c: (sum(map(abs, c)), c))
         return out
 

@@ -44,6 +44,23 @@ def path_graph(num_edges, leg_weights=(), twist=0):
     return Graph.build(verts, edges, legs, twist)
 
 
+def chain(num_edges, n):
+    """A path on ``num_edges`` edges with legs +n / -n at its two ends."""
+    verts = {f"v{i:02d}": 0 for i in range(num_edges + 1)}
+    edges = [(f"e{i:02d}", f"v{i:02d}", f"v{i + 1:02d}") for i in range(num_edges)]
+    return Graph.build(verts, edges, [("p", "v00", n), ("q", f"v{num_edges:02d}", -n)])
+
+
+def ring(num_vertices, n):
+    """A cycle on ``num_vertices`` vertices with legs +n / -n at two
+    opposite vertices."""
+    verts = {f"v{i:02d}": 0 for i in range(num_vertices)}
+    edges = [(f"e{i:02d}", f"v{i:02d}", f"v{(i + 1) % num_vertices:02d}")
+             for i in range(num_vertices)]
+    return Graph.build(verts, edges,
+                       [("p", "v00", n), ("q", f"v{num_vertices // 2:02d}", -n)])
+
+
 def star_tree(leg_weights, twist=0):
     """Single vertex carrying only legs."""
     return Graph.build({"u": 0}, [],

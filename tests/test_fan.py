@@ -13,10 +13,12 @@ from flowfan import cones as cones_module
 from flowfan.cones import Cone, cycle_constraint_rows
 from flowfan.fan import _embed_cone, _meet_in_common_face
 from flowfan.graph import contract, cycle_basis, enumerate_cycles
+from flowfan import weightings
 from flowfan.weightings import lift_weighting, shift_along_cycle, shift_by_cycles
 
-from helpers import (banana, box_radius, box_vectors, corpus, loop_graph,
-                     path_graph, random_graph, ref_positive_cycle_halves, two_gon)
+from helpers import (banana, box_radius, box_vectors, chain, corpus, loop_graph,
+                     path_graph, random_graph, ref_positive_cycle_halves, ring,
+                     two_gon)
 from test_weightings import flows_weighting
 
 
@@ -117,6 +119,35 @@ def test_catalog_witnesses_match_dict_walk_on_fixed_graphs(g):
     expected = sorted(_dict_walk_catalog(g).values(),
                       key=lambda pair: canonical_key(pair[0]))
     assert _catalog_items(cone_catalog(g)) == _catalog_items(expected)
+
+
+LIMIT = weightings.BOND_VERTEX_LIMIT
+
+
+@pytest.mark.parametrize("g, searched", [
+    # G/Z's vertex count for each bond search, one per flow searched
+    (chain(30, 3), []),
+    # the two flows zero on one half-ring leave 10 vertices, the other
+    # two all 20; the contracted ring is one vertex, with no sets to search
+    (ring(20, 3), [10, 10]),
+    (chain(LIMIT - 1, 3), [LIMIT]),
+    (chain(LIMIT, 3), []),
+])
+def test_catalog_falls_back_to_dd_above_the_bond_vertex_limit(monkeypatch, g, searched):
+    expected = sorted(_dict_walk_catalog(g).values(),
+                      key=lambda pair: canonical_key(pair[0]))
+    sizes = []
+    bond_sides = weightings._bond_sides
+
+    def counted(succ, pred):
+        sizes.append(len(succ))
+        return bond_sides(succ, pred)
+
+    monkeypatch.setattr(weightings, "_bond_sides", counted)
+    assert _catalog_items(cone_catalog(g)) == _catalog_items(expected)
+    assert sorted(sizes) == searched
+    # each search visits the 2^(k-1) - 1 proper vertex sets holding vertex 0
+    assert sum(2 ** (k - 1) - 1 for k in sizes) < 2 ** LIMIT
 
 
 def test_witness_soundness():

@@ -12,7 +12,7 @@ from flowfan import (Cycle, FlowFanError, Graph, MissingHalfEdge, Weighting, bas
 from flowfan.graph import _spanning_forest
 from flowfan.linalg import solve_left
 from flowfan import weightings
-from flowfan.cones import cycle_constraint_rows
+from flowfan.cones import Cone, canonical_key, cone_of_weighting, cycle_constraint_rows
 from flowfan.weightings import FlowCore, _positive_cycle, has_positive_cycle
 
 from helpers import (banana, box_radius, box_vectors, corpus, loop_graph,
@@ -507,3 +507,100 @@ def test_catalog_positive_cycle_calls_on_banana(monkeypatch):
     monkeypatch.setattr(weightings, "_positive_cycle", counted)
     assert len(cone_catalog(banana(6, 5))) == 63
     assert 0 < len(calls) <= 20_000
+
+
+def test_catalog_positive_cycle_calls_on_banana_8_10(monkeypatch):
+    # the volume cut; without it the enumerator makes 1,485,042 calls
+    calls = []
+
+    def counted(index, x):
+        calls.append(1)
+        return _positive_cycle(index, x)
+
+    monkeypatch.setattr(weightings, "_positive_cycle", counted)
+    assert len(cone_catalog(banana(8, 10))) == 291
+    assert 0 < len(calls) <= 100_000
+
+
+# -- a flow's cone read off its directed bonds -------------------------------
+
+def _dd_rays(core, x):
+    return Cone.orthant_section(len(x), core.rows(x)).rays()
+
+
+@st.composite
+def any_flows(draw):
+    """(flow core, x): a generated graph with first Betti number at most 3
+    or a graph the corpus recursion reaches, and an integer edge vector
+    that is zero on about half the edges, so that zero edges close
+    directed cycles of G/Z and loops carry flow or none. The cone formula
+    holds for any vector, acyclic or not."""
+    g = draw(st.one_of(st.sampled_from(CORPUS_FAMILY), small_graphs()))
+    core = FlowCore.build(g)
+    x = draw(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3, 6)),
+                      min_size=len(core.base), max_size=len(core.base)))
+    return core, x
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=400,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(any_flows())
+def test_bond_rays_match_orthant_section(case):
+    core, x = case
+    assert core.rays(x) == _dd_rays(core, x)
+
+
+def test_bond_rays_match_orthant_section_on_corpus_recursion():
+    flows = 0
+    for g in CORPUS_FAMILY:
+        core = FlowCore.build(g)
+        for coeffs in core.acyclic_coefficients():
+            x = core.shifted(coeffs)
+            assert core.rays(x) == _dd_rays(core, x)
+            flows += 1
+    assert flows > len(CORPUS_FAMILY)
+
+
+TRIANGLE = Graph.build({"a": 0, "b": 0, "c": 0},
+                       [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a")])
+LOOP_AND_EDGE = Graph.build({"u": 0, "v": 0}, [("e1", "u", "u"), ("e2", "u", "v")],
+                            [("p", "u", 1), ("q", "v", -1)])
+
+
+@pytest.mark.parametrize("g, x, rays", [
+    # zero e3 merges c into a, so a -> b -> c closes a directed cycle of G/Z
+    (TRIANGLE, [1, 1, 0], ((0, 0, 1),)),
+    (TRIANGLE, [2, -3, 0], ((0, 0, 1), (3, 2, 0))),
+    (TRIANGLE, [1, 2, 3], ()),
+    (TRIANGLE, [1, 2, -3], ((0, 3, 2), (3, 0, 1))),
+    # {v0, v2} is crossed one way only but is not connected
+    (path_graph(2), [1, -1], ((0, 1), (1, 0))),
+    # a loop with flow is zero on the cone, one without is free
+    (LOOP_AND_EDGE, [2, 1], ((0, 1),)),
+    (LOOP_AND_EDGE, [0, -1], ((0, 1), (1, 0))),
+    (loop_graph(), [0], ((1,),)),
+    (loop_graph(), [-4], ()),
+])
+def test_bond_rays_examples(g, x, rays):
+    core = FlowCore.build(g)
+    assert core.rays(x) == rays == _dd_rays(core, x)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=150,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(st.one_of(st.sampled_from(CORPUS_FAMILY), small_graphs()))
+def test_catalog_cones_match_orthant_section(g):
+    # each key's cone is the orthant section of its first acyclic flow
+    core = FlowCore.build(g)
+    first = {}
+    for coeffs in core.acyclic_coefficients():
+        x = core.shifted(coeffs)
+        ref = Cone.orthant_section(len(x), core.rows(x), labels=g.edges())
+        first.setdefault(canonical_key(ref), ref)
+    catalog = {canonical_key(c): (c, w) for c, w in cone_catalog(g)}
+    for k, ref in first.items():
+        c = catalog[k][0]
+        assert (c.rays(), c.equalities, c.inequalities, c.labels) == (
+            ref.rays(), ref.equalities, ref.inequalities, ref.labels)
+    for k, (c, w) in catalog.items():
+        assert canonical_key(cone_of_weighting(g, w)) == k
