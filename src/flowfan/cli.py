@@ -114,6 +114,8 @@ def _parse_flows(flows_text, g):
         name = name.strip()
         if name not in by_id:
             raise UnknownEdge(name)
+        if by_id[name] in flows:
+            raise ValidationError("BadFlows", f"duplicate flow for edge {name!r}")
         try:
             flows[by_id[name]] = int(val.strip())
         except ValueError:

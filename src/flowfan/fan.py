@@ -1,12 +1,13 @@
 """Enumeration and verification of the fan of weighting cones.
 
-The catalog of all cones attached to weightings of a graph is finite:
+The catalog of all cones attached to weightings of a graph G is finite:
 the weightings without a positive cycle, which
 :meth:`~flowfan.weightings.FlowCore.acyclic_coefficients` enumerates in
 the cycle space around the base weighting, yield every cone of such a
 weighting, and each weighting with a positive cycle delegates to the
-contracted graph, whose catalog embeds with zeros on the contracted
-edges. Closing the catalog under faces gives the fan.
+contracted graph. One depth-first walk visits each contracted graph G/K,
+K a union of cycles, once, and embeds its cones straight into G's edges
+with zeros on K. Closing the catalog under faces gives the fan.
 
 The acyclic flows are lists on the integer arrays of
 :class:`~flowfan.weightings.FlowCore`, built once per graph.
@@ -19,15 +20,14 @@ with its zero-flow edges contracted, has more than
 ``weightings.BOND_VERTEX_LIMIT`` vertices is solved by double
 description from the orthant instead.
 """
-
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
 from .errors import UnknownEdge, UnsupportedDimension
-from .cones import (Cone, _face_ray_sets, _normalize_rows, _unit_rows,
-                    canonical_key, cone_of_weighting, faces, intersect_cones,
-                    is_face_of)
+from .cones import (Cone, _face_cone, _face_ray_sets, _normalize_rows,
+                    _unit_rows, canonical_key, cone_of_weighting,
+                    intersect_cones, is_face_of)
 from .graph import contract, enumerate_cycles
 from .weightings import (FlowCore, lift_weighting, restrict_weighting,
                          shift_along_cycle)
@@ -64,16 +64,47 @@ def cone_catalog(g):
     Returns a list of (cone, weighting) pairs sorted by canonical key; for
     every pair the cone of the weighting equals the stored cone. The
     enumeration visits only weightings without a positive cycle: the cones
-    of the others are supplied by the contraction recursion.
+    of the others come from the contracted graphs G/K, K a union of cycles.
+
+    A key's witness is that of its first occurrence in the preorder of the
+    recursion into every cycle of every contracted graph. The walk keeps
+    that preorder but visits each K once: a repeat of K is no descendant
+    of its first visit (K grows down a branch), which has thus already
+    added every key the repeat would reach, so no first occurrence moves.
     """
-    memo = {}
-    out = _catalog(g, frozenset(), memo)
+    out = {}
+    _visit(tuple(g.edges()), g, frozenset(), [], out, set())
     return [pair for _, pair in sorted(out.items(), key=lambda kv: kv[0])]
 
 
-def _catalog(g, contracted_sofar, memo):
-    """The catalog of ``g`` as key -> (cone, witness), stored in ``memo``
-    under ``contracted_sofar``; callers look the memo up first."""
+def _visit(edges, h, contracted, path, out, seen):
+    """Add the cones of ``h`` = G/K, K = ``contracted``, new to ``out`` as
+    key -> (cone, witness) in G's ``edges``, then visit G/(K | C) for each
+    cycle C of ``h`` whose edge set K | C is not in ``seen``. ``path``
+    lists the (graph, cycle edges, cycle) steps from G down to ``h``."""
+    for k, (c, w) in _acyclic_catalog(h).items():
+        if contracted:
+            c = _embed_cone(c, h.edges(), edges, contracted)
+            k = canonical_key(c)
+        if k in out:
+            continue
+        for gp, cyc_edges, cyc in reversed(path):
+            # a negative circulation makes the cycle positive
+            w0 = lift_weighting(gp, cyc_edges, w)
+            w = shift_along_cycle(gp, w0, cyc, -(w0.max_abs() + 1))
+        out[k] = (c, w)
+    for cyc in enumerate_cycles(h):
+        cyc_edges = frozenset(cyc.edges(h))
+        key = contracted | cyc_edges
+        if key not in seen:
+            seen.add(key)
+            _visit(edges, contract(h, cyc_edges).contracted, key,
+                   path + [(h, cyc_edges, cyc)], out, seen)
+
+
+def _acyclic_catalog(g):
+    """The cones of the weightings of ``g`` without a positive cycle, as
+    key -> (cone, first witness) in enumeration order."""
     edges = g.edges()
     labels = tuple(edges)
     units = tuple(sorted(_unit_rows(len(edges))))
@@ -95,27 +126,6 @@ def _catalog(g, contracted_sofar, memo):
             solved.add(system)
             c = Cone.orthant_section(len(edges), system, labels=labels)
         out.setdefault(canonical_key(c), (c, core.weighting(x)))
-
-    for cyc in enumerate_cycles(g):
-        cyc_edges = frozenset(cyc.edges(g))
-        key = contracted_sofar | cyc_edges
-        sub = memo.get(key)
-        if sub is None:
-            sub = _catalog(contract(g, cyc_edges).contracted, key, memo)
-        # contraction keeps the other edge keys and their order
-        small_edges = [e for e in edges if e not in cyc_edges]
-        for c_small, w_small in sub.values():
-            c_big = _embed_cone(c_small, small_edges, edges, cyc_edges)
-            k = canonical_key(c_big)
-            if k in out:
-                continue
-            w0 = lift_weighting(g, cyc_edges, w_small)
-            bump = w0.max_abs() + 1
-            # negative circulation raises all source halves along the cycle,
-            # making it positive, so the lifted cone splits off exactly
-            out[k] = (c_big, shift_along_cycle(g, w0, cyc, -bump))
-
-    memo[contracted_sofar] = out
     return out
 
 
@@ -143,50 +153,30 @@ class Fan:
         return [c for c in self.cones if canonical_key(c) in self.maximal_keys]
 
 
-def _maximal_keys(raysets):
-    """The keys whose ray set is strictly inside no other ray set.
-
-    A strict superset of a nonempty ray set holds each of its rays, so its
-    candidates are the sets listed under its rarest ray in a ray -> sets
-    index; the empty set is below every other set."""
-    by_ray = {}
-    for rs in raysets.values():
-        for r in rs:
-            by_ray.setdefault(r, []).append(rs)
-
-    def covered(rs):
-        candidates = (min((by_ray[r] for r in rs), key=len) if rs
-                      else raysets.values())
-        return any(rs < other for other in candidates)
-
-    return frozenset(k for k, rs in raysets.items() if not covered(rs))
-
-
 def build_fan(g) -> Fan:
     """Close the cone catalog under faces and flag the maximal cones.
 
-    Maximality, strict inclusion of ray sets, is tested among the catalog
-    cones only: a cone the face closure adds is a face of a catalog cone
-    with a different key, hence a proper face with strictly fewer rays, so
-    it is not maximal, and a catalog cone below it is also below that
-    catalog cone."""
-    catalog = cone_catalog(g)
-    cones = {}
-    witnesses = {}
-    for c, w in catalog:
+    Faces are closed on ray sets: each catalog cone, in key order, lends
+    its witness to its faces not yet in the fan, and only those are built
+    as cones. A cone is maximal when it is no catalog cone's proper face;
+    a face of a face is a face, so this is :func:`verify_fan`'s rule."""
+    cones, witnesses = {}, {}
+    for c, w in cone_catalog(g):
         k = canonical_key(c)
-        cones[k] = c
-        witnesses[k] = w
-    maximal = _maximal_keys({k: frozenset(c.rays()) for k, c in cones.items()})
+        cones[k], witnesses[k] = c, w
+    proper = set()
     for k, c in list(cones.items()):
-        w = witnesses[k]
-        for f in faces(c):
-            fk = canonical_key(f)
-            cones.setdefault(fk, f)
-            witnesses.setdefault(fk, w)
+        for s in _face_ray_sets(c):
+            fk = ((), tuple(sorted(s)))  # a pointed cone's key
+            if fk == k:
+                continue
+            proper.add(fk)
+            if fk not in cones:
+                cones[fk] = _face_cone(c, s)
+                witnesses[fk] = witnesses[k]
+    maximal = frozenset(cones) - proper
     ordered = sorted(cones.values(), key=lambda c: (c.dim(), c.rays()))
-    edge_order = tuple(g.edges())
-    return Fan(g, edge_order, ordered, witnesses, maximal)
+    return Fan(g, tuple(g.edges()), ordered, witnesses, maximal)
 
 
 @dataclass(frozen=True)

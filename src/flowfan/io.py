@@ -40,10 +40,15 @@ def _read_int(value, path):
     raise ParseError(path, "expected an integer")
 
 
+def _expect(value, kind, path):
+    if not isinstance(value, kind):
+        what = {list: "a list", dict: "an object", bool: "a boolean"}[kind]
+        raise ParseError(path, f"expected {what}")
+    return value
+
+
 def _require(obj, key, path):
-    if not isinstance(obj, dict):
-        raise ParseError(path or "/", "expected an object")
-    if key not in obj:
+    if key not in _expect(obj, dict, path or "/"):
         raise ParseError(f"{path}/{key}", "missing required key")
     return obj[key]
 
@@ -55,12 +60,10 @@ def _read_id(value, path):
 
 
 def parse_graph_document(doc) -> Graph:
-    vertices = _require(doc, "vertices", "")
-    edges = _require(doc, "edges", "")
-    legs = _require(doc, "legs", "")
+    vertices = _expect(_require(doc, "vertices", ""), list, "/vertices")
+    edges = _expect(_require(doc, "edges", ""), list, "/edges")
+    legs = _expect(_require(doc, "legs", ""), list, "/legs")
     twist = _read_int(_require(doc, "twist", ""), "/twist")
-    if not isinstance(vertices, list):
-        raise ParseError("/vertices", "expected a list")
     genus_of = {}
     for i, v in enumerate(vertices):
         vid = _read_id(_require(v, "id", f"/vertices/{i}"), f"/vertices/{i}/id")
@@ -68,8 +71,6 @@ def parse_graph_document(doc) -> Graph:
             raise ParseError(f"/vertices/{i}/id", f"duplicate vertex id {vid!r}")
         genus_of[vid] = _read_int(_require(v, "genus", f"/vertices/{i}"),
                                   f"/vertices/{i}/genus")
-    if not isinstance(edges, list):
-        raise ParseError("/edges", "expected a list")
     edge_triples = []
     seen_edges = set()
     # a fan's witness flows are keyed by str(id), so 1 and "1" would collide
@@ -86,8 +87,6 @@ def parse_graph_document(doc) -> Graph:
             if vid not in genus_of:
                 raise ParseError(f"/edges/{i}/{name}", f"unknown vertex {vid!r}")
         edge_triples.append((eid, u, v))
-    if not isinstance(legs, list):
-        raise ParseError("/legs", "expected a list")
     leg_triples = []
     seen_legs = set()
     for i, l in enumerate(legs):
@@ -228,25 +227,29 @@ def parse_fan_json(text) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("/", f"invalid JSON: {exc.msg}") from None
-    rays = _require(doc, "rays", "")
-    out_rays = [[_read_int(x, f"/rays/{i}/{j}") for j, x in enumerate(r)]
+    rays = _expect(_require(doc, "rays", ""), list, "/rays")
+    out_rays = [[_read_int(x, f"/rays/{i}/{j}")
+                 for j, x in enumerate(_expect(r, list, f"/rays/{i}"))]
                 for i, r in enumerate(rays)]
     cones = []
-    for i, entry in enumerate(_require(doc, "cones", "")):
-        flows = _require(_require(entry, "witness", f"/cones/{i}"),
-                         "flows", f"/cones/{i}/witness")
+    for i, entry in enumerate(_expect(_require(doc, "cones", ""), list, "/cones")):
+        path = f"/cones/{i}"
+        flows = _expect(_require(_require(entry, "witness", path),
+                                "flows", f"{path}/witness"),
+                       dict, f"{path}/witness/flows")
+        maximal = _expect(_require(entry, "maximal", path), bool, f"{path}/maximal")
+        cone_rays = _expect(_require(entry, "rays", path), list, f"{path}/rays")
         cones.append({
-            "rays": [_read_int(x, f"/cones/{i}/rays") for x in
-                     _require(entry, "rays", f"/cones/{i}")],
-            "dim": _read_int(_require(entry, "dim", f"/cones/{i}"), f"/cones/{i}/dim"),
-            "maximal": bool(_require(entry, "maximal", f"/cones/{i}")),
+            "rays": [_read_int(x, f"{path}/rays/{j}") for j, x in enumerate(cone_rays)],
+            "dim": _read_int(_require(entry, "dim", path), f"{path}/dim"),
+            "maximal": maximal,
             "witness": {"flows": {
-                k: _read_int(v, f"/cones/{i}/witness/flows/{k}")
+                k: _read_int(v, f"{path}/witness/flows/{k}")
                 for k, v in sorted(flows.items())}},
         })
-    counts = _require(doc, "counts", "")
+    counts = _expect(_require(doc, "counts", ""), dict, "/counts")
     return {
-        "edge_order": list(_require(doc, "edge_order", "")),
+        "edge_order": _expect(_require(doc, "edge_order", ""), list, "/edge_order"),
         "rays": out_rays,
         "cones": cones,
         "counts": {k: _read_int(v, f"/counts/{k}") for k, v in sorted(counts.items())},

@@ -61,6 +61,26 @@ def ring(num_vertices, n):
                        [("p", "v00", n), ("q", f"v{num_vertices // 2:02d}", -n)])
 
 
+def necklace(k, m, n):
+    """``k`` vertices in a ring, ``m`` parallel edges between neighbours,
+    legs +n at v0 and -n at v_{k//2}."""
+    verts = {f"v{i}": 0 for i in range(k)}
+    edges = [(f"e{i}_{j}", f"v{i}", f"v{(i + 1) % k}")
+             for i in range(k) for j in range(m)]
+    return Graph.build(verts, edges, [("p", "v0", n), ("q", f"v{k // 2}", -n)])
+
+
+def complete_graph(leg_weights):
+    """The complete graph on one vertex per leg weight, a leg of that
+    weight at each vertex."""
+    k = len(leg_weights)
+    verts = {f"v{i}": 0 for i in range(k)}
+    edges = [(f"e{i}{j}", f"v{i}", f"v{j}")
+             for i in range(k) for j in range(i + 1, k)]
+    legs = [(f"l{i}", f"v{i}", w) for i, w in enumerate(leg_weights)]
+    return Graph.build(verts, edges, legs)
+
+
 def star_tree(leg_weights, twist=0):
     """Single vertex carrying only legs."""
     return Graph.build({"u": 0}, [],

@@ -10,15 +10,16 @@ from flowfan import (Fan, UnknownEdge, UnsupportedDimension, base_weighting,
                      cone_catalog, cone_of_weighting, faces, find_positive_cycle,
                      intersect_cones, is_face_of, slice_fan, verify_fan)
 from flowfan import cones as cones_module
+from flowfan import fan as fan_module
 from flowfan.cones import Cone, cycle_constraint_rows
 from flowfan.fan import _embed_cone, _meet_in_common_face
 from flowfan.graph import contract, cycle_basis, enumerate_cycles
 from flowfan import weightings
 from flowfan.weightings import lift_weighting, shift_along_cycle, shift_by_cycles
 
-from helpers import (banana, box_radius, box_vectors, chain, corpus, loop_graph,
-                     path_graph, random_graph, ref_positive_cycle_halves, ring,
-                     two_gon)
+from helpers import (banana, box_radius, box_vectors, chain, complete_graph,
+                     corpus, loop_graph, necklace, path_graph, random_graph,
+                     ref_positive_cycle_halves, ring, two_gon)
 from test_weightings import flows_weighting
 
 
@@ -114,11 +115,50 @@ def test_catalog_witnesses_match_dict_walk(g):
     assert _catalog_items(cone_catalog(g)) == _catalog_items(expected)
 
 
-@pytest.mark.parametrize("g", [banana(3, 4), loop_graph(), loop_graph(legs=(3, -3))])
+# the necklaces and K4 contract three or more levels deep and reach some
+# contracted sets by two routes
+@pytest.mark.parametrize("g", [banana(3, 4), loop_graph(), loop_graph(legs=(3, -3)),
+                               necklace(3, 2, 1), necklace(3, 2, 2),
+                               complete_graph((2, -2, 1, -1))])
 def test_catalog_witnesses_match_dict_walk_on_fixed_graphs(g):
     expected = sorted(_dict_walk_catalog(g).values(),
                       key=lambda pair: canonical_key(pair[0]))
     assert _catalog_items(cone_catalog(g)) == _catalog_items(expected)
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_catalog_visits_each_contracted_set_once(monkeypatch):
+    g = necklace(3, 3, 3)
+    counts = {}
+    for name in ("contract", "lift_weighting", "_embed_cone"):
+        _count_calls(monkeypatch, fan_module, name, counts)
+    catalog = cone_catalog(g)
+    assert len(catalog) == 455
+    h = len(cycle_basis(g))
+    # 403 distinct unions of cycles, each contracted once
+    assert counts["contract"] == 403
+    # a witness is lifted once per contraction level, only for a new key
+    assert counts["lift_weighting"] <= len(catalog) * h
+    # each contracted set's acyclic cones are embedded once (723 today)
+    assert counts["_embed_cone"] <= 1000
+
+
+@pytest.mark.parametrize("g, built", [(banana(3, 20), 0), (necklace(3, 3, 3), 42)])
+def test_build_fan_builds_each_added_face_once(monkeypatch, g, built):
+    counts = {}
+    _count_calls(monkeypatch, fan_module, "_face_cone", counts)
+    fan = build_fan(g)
+    assert len(fan.cones) - len(cone_catalog(g)) == built
+    assert counts.get("_face_cone", 0) == built
 
 
 LIMIT = weightings.BOND_VERTEX_LIMIT
@@ -169,7 +209,7 @@ def test_build_fan_counts():
 
 
 def test_maximal_keys_match_scan_over_all_cones():
-    # build_fan scans the catalog cones only; the face closure adds none
+    # build_fan flags the cones that are no catalog cone's proper face
     for g in corpus(60) + [banana(3, 10), banana(4, 3)]:
         fan = build_fan(g)
         raysets = [frozenset(c.rays()) for c in fan.cones]

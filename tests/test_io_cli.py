@@ -79,6 +79,30 @@ def test_emit_fan_counts():
     assert doc_banana["counts"]["maximal"] == 39
 
 
+@pytest.mark.parametrize("keys, value, path, message", [
+    (["rays"], 7, "/rays", "expected a list"),
+    (["rays", 0], {"0": 1}, "/rays/0", "expected a list"),
+    (["cones"], "cones", "/cones", "expected a list"),
+    (["cones", 0, "rays"], 3, "/cones/0/rays", "expected a list"),
+    (["cones", 0, "witness", "flows"], [1, 2], "/cones/0/witness/flows",
+     "expected an object"),
+    (["counts"], [5], "/counts", "expected an object"),
+    (["cones", 0, "maximal"], "false", "/cones/0/maximal", "expected a boolean"),
+    (["cones", 1, "maximal"], 1, "/cones/1/maximal", "expected a boolean"),
+    (["edge_order"], "e1", "/edge_order", "expected a list"),
+], ids=["rays", "ray-row", "cones", "cone-rays", "flows", "counts",
+        "maximal-string", "maximal-int", "edge-order"])
+def test_parse_fan_json_rejects_malformed_documents(keys, value, path, message):
+    doc = json.loads(emit_fan_json(build_fan(two_gon(3))))
+    node = doc
+    for k in keys[:-1]:
+        node = node[k]
+    node[keys[-1]] = value
+    with pytest.raises(ParseError) as err:
+        parse_fan_json(json.dumps(doc))
+    assert (err.value.path, err.value.message) == (path, message)
+
+
 def test_fan_document_round_trip_and_determinism():
     fan = build_fan(two_gon(4))
     text1 = emit_fan_json(fan)
@@ -300,6 +324,16 @@ def test_cli_dual(tmp_path, capsys):
     assert [3, -3, 0] in doc["generators"]
     assert main(["dual", path, "--flows", "e1=3,e2=3,e3=5"]) == 1
     assert main(["dual", path, "--flows", "e9=1,e2=3,e3=4"]) == 1
+
+
+def test_cli_dual_rejects_a_repeated_edge(tmp_path, capsys):
+    # the last value alone, e1=2, e2=1, would be a valid weighting
+    path = write_doc(tmp_path, TWO_GON_DOC)
+    assert main(["dual", path, "--flows", "e1=5,e2=1,e1=2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "validation error: BadFlows: duplicate flow for edge 'e1'"]
 
 
 def test_cli_contract(tmp_path, capsys):
