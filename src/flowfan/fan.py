@@ -6,8 +6,9 @@ the weightings without a positive cycle, which
 the cycle space around the base weighting, yield every cone of such a
 weighting, and each weighting with a positive cycle delegates to the
 contracted graph. One depth-first walk visits each contracted graph G/K,
-K a union of cycles, once, and embeds its cones straight into G's edges
-with zeros on K. Closing the catalog under faces gives the fan.
+K a union of cycles, once. It reads the key of each cone of G/K off the
+cone's rays padded with zeros on K, and embeds into G's edges only a
+cone whose key is new. Closing the catalog under faces gives the fan.
 
 The acyclic flows are lists on the integer arrays of
 :class:`~flowfan.weightings.FlowCore`, built once per graph.
@@ -33,29 +34,55 @@ from .weightings import (FlowCore, lift_weighting, restrict_weighting,
                          shift_along_cycle)
 
 
-def _embed_cone(c_small, small_edges, big_edges, contracted_set):
-    """Pad a cone on the surviving edges with zero coordinates on the
-    contracted edges (the product with the origin).
+@dataclass(frozen=True)
+class _Embedding:
+    """Pads vectors on the edges of G/K with zero coordinates on the
+    contracted edges K, into G's edges; built once per contracted graph.
+
+    Fields:
+        edges: G's edges
+        slots: the position in ``edges`` of each edge of G/K, in order
+        zero_rows: the unit rows of the edges of K
+        units: the sorted unit rows of ``edges``
+    """
+
+    edges: tuple
+    slots: tuple
+    zero_rows: tuple
+    units: tuple
+
+    @classmethod
+    def build(cls, small_edges, big_edges, contracted_set):
+        pos = {e: i for i, e in enumerate(big_edges)}
+        units = _unit_rows(len(big_edges))
+        return cls(tuple(big_edges), tuple(pos[e] for e in small_edges),
+                   tuple(units[pos[e]] for e in contracted_set),
+                   tuple(sorted(units)))
+
+    def pad(self, v):
+        out = [0] * len(self.edges)
+        for x, i in zip(v, self.slots):
+            out[i] = x
+        return tuple(out)
+
+    def rays(self, c_small):
+        """The sorted padded rays of ``c_small``, the rays of its embedding."""
+        return tuple(sorted(map(self.pad, c_small.rays())))
+
+
+def _embed_cone(c_small, emb, rays):
+    """The cone ``c_small`` on the edges of G/K, padded by the
+    :class:`_Embedding` ``emb`` with zero coordinates on K (the product
+    with the origin); ``rays`` are ``emb.rays(c_small)``.
 
     Padding with zeros keeps rows sign-normalized and rays primitive and
     extreme, so the cone is built from the padded rows and rays of
     ``c_small`` without a double description run; it equals
     ``Cone.orthant_section`` over the same rows."""
-    pos = {e: i for i, e in enumerate(big_edges)}
-    n = len(big_edges)
-    units = _unit_rows(n)
-
-    def pad(v):
-        out = [0] * n
-        for x, e in zip(v, small_edges):
-            out[pos[e]] = x
-        return tuple(out)
-
-    equalities = [pad(a) for a in c_small.equalities]
-    equalities += [units[pos[e]] for e in contracted_set]
-    return Cone._pointed(n, tuple(big_edges), tuple(sorted(equalities)),
-                         tuple(sorted(units)),
-                         tuple(sorted(pad(r) for r in c_small.rays())))
+    equalities = [emb.pad(a) for a in c_small.equalities]
+    equalities += emb.zero_rows
+    return Cone._pointed(len(emb.edges), emb.edges, tuple(sorted(equalities)),
+                         emb.units, rays)
 
 
 def cone_catalog(g):
@@ -82,12 +109,14 @@ def _visit(edges, h, contracted, path, out, seen):
     key -> (cone, witness) in G's ``edges``, then visit G/(K | C) for each
     cycle C of ``h`` whose edge set K | C is not in ``seen``. ``path``
     lists the (graph, cycle edges, cycle) steps from G down to ``h``."""
+    emb = _Embedding.build(h.edges(), edges, contracted) if contracted else None
     for k, (c, w) in _acyclic_catalog(h).items():
-        if contracted:
-            c = _embed_cone(c, h.edges(), edges, contracted)
-            k = canonical_key(c)
+        if emb is not None:
+            k = ((), emb.rays(c))  # the key of the pointed embedded cone
         if k in out:
             continue
+        if emb is not None:
+            c = _embed_cone(c, emb, k[1])
         for gp, cyc_edges, cyc in reversed(path):
             # a negative circulation makes the cycle positive
             w0 = lift_weighting(gp, cyc_edges, w)
@@ -276,7 +305,7 @@ def check_contraction_compat(g, edge_set) -> CompatReport:
         if e not in edges:
             raise UnknownEdge(e)
     res = contract(g, S)
-    small_edges = res.contracted.edges()
+    emb = _Embedding.build(res.contracted.edges(), edges, S)
     cycles_on_S = [cyc for cyc in enumerate_cycles(g) if cyc.edge_set(g) == S]
     violations = []
     checked = 0
@@ -284,15 +313,15 @@ def check_contraction_compat(g, edge_set) -> CompatReport:
         checked += 1
         w_res = restrict_weighting(g, w, res)
         c_res = cone_of_weighting(res.contracted, w_res)
-        emb = _embed_cone(c_res, small_edges, edges, S)
-        if not c.contains_cone(emb):
+        emb_c = _embed_cone(c_res, emb, emb.rays(c_res))
+        if not c.contains_cone(emb_c):
             violations.append(f"inclusion fails for witness {w.flows()}")
             continue
         positive = any(
             all(w.values[h] > 0 for h in orient.halves)
             for cyc in cycles_on_S
             for orient in (cyc, cyc.reversed(g)))
-        if positive and canonical_key(emb) != canonical_key(c):
+        if positive and canonical_key(emb_c) != canonical_key(c):
             violations.append(f"equality fails for witness {w.flows()}")
     return CompatReport(not violations, checked, tuple(violations))
 

@@ -15,17 +15,23 @@ Each graph builds its order invariants once, on first use, into a
 :class:`GraphIndex` cached on the instance: the rank of every vertex and
 half-edge in ``sort_key`` order, the sorted vertices, edges and legs, the
 sorted halves at each vertex and the canonical edge of each half. The
-accessors and everything that orders ids read the index, so ``sort_key``
-runs only while an index is built. The index also numbers the vertices
-and edges by their sorted positions and holds integer arrays over them:
-each half's edge position and its sign against its edge, and each
-vertex's non-leg halves as (edge position, sign, position of the vertex
-at the partner half) triples. A flow on these arrays is a list with one
-source-half value per edge position; the positive-cycle search and the
-catalog's enumeration of acyclic flows run on such lists. The cache
-relies on the graph's dicts not being mutated once it has been read; no
-operation in this package mutates a graph, and :func:`contract` builds a
-new one.
+accessors and everything that orders ids read the index. The index also
+numbers the vertices and edges by their sorted positions and holds
+integer arrays over them: each half's edge position and its sign against
+its edge, each vertex's non-leg halves as (edge position, sign, position
+of the vertex at the partner half) triples, and each edge's end
+positions. A flow on these arrays is a list with one source-half value
+per edge position; the positive-cycle search, the cycle search of
+:func:`enumerate_cycles` and the catalog's enumeration of acyclic flows
+run on such lists. The cache relies on the graph's dicts not being
+mutated once it has been read; no operation in this package mutates a
+graph, and :func:`contract` builds a new one.
+
+``sort_key`` runs only while the index of a graph built from scratch is
+made. :func:`contract` hands the contracted graph an index built on the
+parent's ranks: every surviving id keeps its ``sort_key``, so those ranks
+already order the child's ids, and a whole chain of contractions shares
+the ranks of its root.
 
 One deterministic DFS spanning forest, :func:`_spanning_forest`, serves
 the cycle basis, the components a contraction merges, the tree a
@@ -57,7 +63,10 @@ class GraphIndex:
     """Order invariants of one graph, built once by :attr:`Graph.index`.
 
     Fields:
-        rank: vertex or half-edge id -> its position in ``sort_key`` order
+        rank: vertex or half-edge id -> an int that orders the ids as
+            ``sort_key`` does: the position in that order for a graph
+            indexed from scratch; the rank of an ancestor graph, which may
+            also hold ids that are gone, for a contracted one
         vertices, edges, legs: sorted tuples of ids (edges by canonical key)
         halves_at: vertex id -> sorted tuple of the half-edges at it
         non_leg_halves_at: vertex id -> the non-leg part of ``halves_at``
@@ -71,6 +80,8 @@ class GraphIndex:
             order as (edge position, sign, position of the vertex at the
             partner half): the out-arcs of the vertex, read for each flow
             by the sign of the half's value
+        ends: edge position -> the positions of the vertices at its
+            canonical source half and at the other half
     """
 
     rank: dict
@@ -83,11 +94,16 @@ class GraphIndex:
     edge_pos: dict
     sign: dict
     arcs: tuple
+    ends: tuple
 
     @classmethod
-    def build(cls, g):
-        ids = sorted(set(g.genus_of).union(g.end), key=sort_key)
-        rank = {x: i for i, x in enumerate(ids)}
+    def build(cls, g, rank=None):
+        """The index of ``g``. A given ``rank`` must order every id of ``g``
+        as ``sort_key`` does; it is kept as the index's rank, and
+        ``sort_key`` runs only when ``rank`` is None."""
+        if rank is None:
+            ids = sorted(set(g.genus_of).union(g.end), key=sort_key)
+            rank = {x: i for i, x in enumerate(ids)}
         halves = sorted(g.end, key=rank.__getitem__)
         edge_of = {}
         halves_at = {}
@@ -119,7 +135,9 @@ class GraphIndex:
             sign=sign,
             arcs=tuple(tuple((edge_pos[h], sign[h], vpos[g.end[g.involution[h]]])
                              for h in non_leg_halves_at.get(v, ()))
-                       for v in vertices))
+                       for v in vertices),
+            ends=tuple((vpos[g.end[e]], vpos[g.end[g.involution[e]]])
+                       for e in edges))
 
 
 @dataclass(frozen=True)
@@ -455,32 +473,46 @@ def enumerate_cycles(g: Graph):
     Self-loops count as length-1 cycles; a cycle repeats no vertex and no
     undirected edge. Representatives are the lexicographically smallest
     directed form, sorted by (length, halves).
+
+    Each cycle is found once, already in that form (Tiernan, CACM 1970;
+    Johnson, SIAM J. Comput. 1975). Edges are ordered by their canonical
+    source halves, which are the smaller halves of their edges, so of
+    all the halves of a cycle, in both of its orientations, the least is
+    the canonical source half e0 of its first edge. The smallest form is
+    thus the orientation holding e0, rotated to start at it. For each
+    edge e0 in edge order a DFS runs from the target of e0 back to its
+    source, on paths that repeat no vertex, hence no edge, through later
+    edges only; a loop closes at once. A cycle is closed only by the
+    search from its first edge, along the one path that its smallest form
+    lists after e0, so it is found exactly once and no rotation or
+    reversal is ever built.
     """
-    found = {}
+    index = g.index
+    arcs, edges, rank = index.arcs, index.edges, index.rank
+    other = [g.involution[e] for e in edges]
+    on_path = [False] * len(arcs)
+    path, found = [], []
 
-    def close(path):
-        cyc = Cycle(tuple(path)).canonical(g)
-        found.setdefault(cyc.halves, cyc)
+    def extend(v, i0, start):
+        on_path[v] = True
+        for i, s, t in arcs[v]:
+            if i > i0:
+                path.append(edges[i] if s > 0 else other[i])
+                if t == start:
+                    found.append(Cycle(tuple(path)))
+                elif not on_path[t]:
+                    extend(t, i0, start)
+                path.pop()
+        on_path[v] = False
 
-    def extend(path, used_edges, interior):
-        v = g.target(path[-1])
-        start = g.source(path[0])
+    for i0, (start, v) in enumerate(index.ends):
+        path.append(edges[i0])
         if v == start:
-            close(path)
-            return
-        if v in interior:
-            return
-        interior = interior | {v}
-        for h in g.non_leg_halves_at(v):
-            e = g.edge_of(h)
-            if e in used_edges:
-                continue
-            extend(path + [h], used_edges | {e}, interior)
-
-    rank = g.index.rank
-    for h0 in sorted((h for h in g.end if not g.is_leg(h)), key=rank.__getitem__):
-        extend([h0], {g.edge_of(h0)}, set())
-    return sorted(found.values(),
+            found.append(Cycle(tuple(path)))
+        else:
+            extend(v, i0, start)
+        path.pop()
+    return sorted(found,
                   key=lambda c: (len(c.halves), tuple(map(rank.__getitem__, c.halves))))
 
 
@@ -502,6 +534,11 @@ def contract(g: Graph, edge_set) -> ContractionResult:
     vertex (named after its smallest member) whose genus is the sum of the
     member genera plus the first Betti number of the component, so total
     genus is preserved and the canonical degree is additive.
+
+    The contracted graph comes with its :class:`GraphIndex` built on the
+    ranks of ``g``: it keeps every surviving half-edge id and names each
+    merged vertex after one of ``g``'s, so ``g``'s ranks order its ids as
+    ``sort_key`` does and no id is sorted by ``sort_key`` again.
     """
     edges = set(g.edges())
     S = set()
@@ -529,5 +566,8 @@ def contract(g: Graph, edge_set) -> ContractionResult:
     end = {h: vertex_map[v] for h, v in g.end.items() if h not in dropped}
     involution = {h: p for h, p in g.involution.items() if h not in dropped}
     contracted = Graph(genus_of, end, involution, dict(g.leg_weights), g.twist)
+    # a surviving id keeps its sort_key, so the parent's ranks order the
+    # child's ids; the index is stored where Graph.index caches it
+    vars(contracted)["index"] = GraphIndex.build(contracted, g.index.rank)
     edge_map = {e: e for e in edges - S}
     return ContractionResult(contracted, vertex_map, edge_map, frozenset(S))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .cones import _unit_rows
-from .errors import FlowFanError, MissingHalfEdge
+from .errors import BudgetExceeded, FlowFanError, MissingHalfEdge
 from .graph import Graph, Cycle, _spanning_forest, canonical_degree, cycle_basis
 
 
@@ -232,6 +232,9 @@ def has_positive_cycle(g: Graph, values) -> bool:
 # flow with more leaves its cone to double description
 BOND_VERTEX_LIMIT = 12
 
+# the most coefficient values FlowCore.acyclic_coefficients lists
+FLOW_LIMIT = 1_000_000
+
 
 def _bond_sides(succ, pred):
     """The directed bonds of a connected digraph on vertices 0..k-1, given
@@ -283,16 +286,15 @@ class FlowCore:
     of :func:`~flowfan.graph.cycle_basis` as the (edge position, sign)
     pairs of its halves, so shifting by the basis is a list add, the
     cycle rows of a flow are a gather and the positive-cycle test is
-    :func:`_positive_cycle` on the list. ``ends`` holds each edge's
-    source and target vertex positions, from which :meth:`rays` reads a
-    flow's cone. A :class:`Weighting` is built only when one is asked for.
+    :func:`_positive_cycle` on the list. :meth:`rays` reads a flow's cone
+    off the index's ``ends``, each edge's source and target vertex
+    positions. A :class:`Weighting` is built only when one is asked for.
     """
 
     graph: Graph
     base_weighting: Weighting
     base: tuple
     cycles: tuple
-    ends: tuple
 
     @classmethod
     def build(cls, g: Graph):
@@ -300,12 +302,7 @@ class FlowCore:
         index = g.index
         cycles = tuple(tuple((index.edge_pos[h], index.sign[h]) for h in cyc.halves)
                        for cyc in cycle_basis(g))
-        ends = [None] * len(index.edges)
-        for v, arcs in enumerate(index.arcs):
-            for i, s, t in arcs:
-                if s > 0:
-                    ends[i] = (v, t)
-        return cls(g, w, tuple(_edge_values(g, w.values)), cycles, tuple(ends))
+        return cls(g, w, tuple(_edge_values(g, w.values)), cycles)
 
     def shifted(self, coeffs):
         """The flow ``shift_by_cycles(g, base, coeffs)`` as a list."""
@@ -358,7 +355,8 @@ class FlowCore:
         of their first vertex, and :func:`_bond_sides` searches their
         vertex sets, 2^(k-1) of them for k components.
         """
-        arcs = self.graph.index.arcs
+        index = self.graph.index
+        arcs = index.arcs
         label = [-1] * len(arcs)
         k = 0
         for v0 in range(len(arcs)):
@@ -379,7 +377,7 @@ class FlowCore:
         if k > 1:
             succ, pred = [0] * k, [0] * k
             cut = []  # (edge position, tail, head, |flow|) across components
-            for i, (a, b) in enumerate(self.ends):
+            for i, (a, b) in enumerate(index.ends):
                 v = x[i]
                 a, b = label[a], label[b]
                 if a != b:
@@ -426,6 +424,11 @@ class FlowCore:
         carries ``+-c_j``, these edges are distinct, and so ``sum |c_j|``
         is at most that volume; each coefficient is searched only within
         what the prefix leaves of it.
+
+        The search counts the coefficient values it keeps, on every level;
+        those on the last level are the flows. Before a run of values is
+        listed that would take the count above ``FLOW_LIMIT``, it raises
+        ``BudgetExceeded``, so huge leg weights are refused, not listed.
         """
         index = self.graph.index
         cycles = self.cycles
@@ -440,6 +443,7 @@ class FlowCore:
             for i, _ in cyc:
                 free[i] += 1
         out = []
+        listed = 0
 
         def shift(x, cyc, c):
             y = list(x)
@@ -448,6 +452,7 @@ class FlowCore:
             return y
 
         def descend(k, prefix, x, room):
+            nonlocal listed
             cyc = cycles[k]
             last = k == h - 1
             # on (i, s) the value is s * (p - c), p = s * x[i], and the free
@@ -467,6 +472,11 @@ class FlowCore:
                 if not last:
                     y = [v if abs(v) > S * f else 0 for v, f in zip(y, free)]
                 if _positive_cycle(index, y) is None:
+                    listed += b - a
+                    if listed > FLOW_LIMIT:
+                        raise BudgetExceeded(
+                            "acyclic_coefficients: coefficient values listed",
+                            listed, FLOW_LIMIT)
                     kept.extend(range(a, b))
             if last:
                 out.extend(prefix + (c,) for c in kept)

@@ -81,6 +81,15 @@ def complete_graph(leg_weights):
     return Graph.build(verts, edges, legs)
 
 
+def wheel(k, n):
+    """A hub joined to each vertex of a ``k``-cycle, legs +n at the hub and
+    -n at the first rim vertex."""
+    verts = {"hub": 0, **{f"r{i}": 0 for i in range(k)}}
+    edges = [(f"s{i}", "hub", f"r{i}") for i in range(k)]
+    edges += [(f"t{i}", f"r{i}", f"r{(i + 1) % k}") for i in range(k)]
+    return Graph.build(verts, edges, [("p", "hub", n), ("q", "r0", -n)])
+
+
 def star_tree(leg_weights, twist=0):
     """Single vertex carrying only legs."""
     return Graph.build({"u": 0}, [],

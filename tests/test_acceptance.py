@@ -15,7 +15,7 @@ from flowfan import (Weighting, base_weighting, build_fan, canonical_key,
                      oracle_monoid_check, polar_dual, render_slice_svg,
                      restrict_weighting, shift_by_cycles, slice_fan,
                      verify_fan)
-from flowfan.fan import _embed_cone
+from flowfan.fan import _embed_cone, _Embedding
 
 from helpers import banana, corpus, two_gon
 
@@ -23,6 +23,13 @@ CORPUS_SEED = 20260809
 CORPUS_SIZE = 200
 
 _state = {}
+
+
+def _padded(c_small, small_edges, big_edges, contracted_set):
+    """``c_small`` on the edges of a contraction, padded with zeros on the
+    contracted edges into the big graph's edges."""
+    emb = _Embedding.build(small_edges, big_edges, contracted_set)
+    return _embed_cone(c_small, emb, emb.rays(c_small))
 
 
 def _report(name, ok, detail):
@@ -171,8 +178,8 @@ def test_criterion_5_decomposition(corpus_graphs):
                     S = cyc.edge_set(g)
                     res = contract(g, S)
                     w_res = restrict_weighting(g, w, res)
-                    emb = _embed_cone(cone_of_weighting(res.contracted, w_res),
-                                      res.contracted.edges(), edges, S)
+                    emb = _padded(cone_of_weighting(res.contracted, w_res),
+                                  res.contracted.edges(), edges, S)
                     equality_checked += 1
                     if canonical_key(emb) != canonical_key(cone_of_weighting(g, w)):
                         failures += 1
@@ -181,8 +188,8 @@ def test_criterion_5_decomposition(corpus_graphs):
             S = frozenset(rng.sample(edges, rng.randint(1, len(edges))))
             res = contract(g, S)
             w_res = restrict_weighting(g, base, res)
-            emb = _embed_cone(cone_of_weighting(res.contracted, w_res),
-                              res.contracted.edges(), edges, S)
+            emb = _padded(cone_of_weighting(res.contracted, w_res),
+                          res.contracted.edges(), edges, S)
             inclusion_checked += 1
             if not cone_of_weighting(g, base).contains_cone(emb):
                 failures += 1

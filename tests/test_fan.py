@@ -12,7 +12,7 @@ from flowfan import (Fan, UnknownEdge, UnsupportedDimension, base_weighting,
 from flowfan import cones as cones_module
 from flowfan import fan as fan_module
 from flowfan.cones import Cone, cycle_constraint_rows
-from flowfan.fan import _embed_cone, _meet_in_common_face
+from flowfan.fan import _embed_cone, _Embedding, _meet_in_common_face
 from flowfan.graph import contract, cycle_basis, enumerate_cycles
 from flowfan import weightings
 from flowfan.weightings import lift_weighting, shift_along_cycle, shift_by_cycles
@@ -96,7 +96,8 @@ def _dict_walk_catalog(g, contracted_sofar=frozenset(), memo=None):
         for c_small, w_small in sub.values():
             w0 = lift_weighting(g, res, w_small)
             w_lift = shift_along_cycle(g, w0, cyc, -(w0.max_abs() + 1))
-            c_big = _embed_cone(c_small, res.contracted.edges(), edges, cyc_edges)
+            emb = _Embedding.build(res.contracted.edges(), edges, cyc_edges)
+            c_big = _embed_cone(c_small, emb, emb.rays(c_small))
             out.setdefault(canonical_key(c_big), (c_big, w_lift))
     memo[contracted_sofar] = out
     return out
@@ -148,8 +149,20 @@ def test_catalog_visits_each_contracted_set_once(monkeypatch):
     assert counts["contract"] == 403
     # a witness is lifted once per contraction level, only for a new key
     assert counts["lift_weighting"] <= len(catalog) * h
-    # each contracted set's acyclic cones are embedded once (723 today)
+    # a cone is embedded only for a key new to the catalog (264 today)
     assert counts["_embed_cone"] <= 1000
+
+
+def test_catalog_embeds_only_new_keys(monkeypatch):
+    g = necklace(3, 3, 3)
+    root_keys = fan_module._acyclic_catalog(g)
+    counts = {}
+    _count_calls(monkeypatch, fan_module, "_embed_cone", counts)
+    catalog = cone_catalog(g)
+    # every key of the root's own cones is new when the root is visited
+    assert {canonical_key(c) for c, _ in catalog} >= set(root_keys)
+    # one embed per key first reached in a contracted graph: 455 - 191
+    assert counts["_embed_cone"] == len(catalog) - len(root_keys) == 264
 
 
 @pytest.mark.parametrize("g, built", [(banana(3, 20), 0), (necklace(3, 3, 3), 42)])
@@ -469,7 +482,8 @@ def test_embed_cone_inclusion_for_any_contraction():
         w = base_weighting(g)
         small = res.contracted.edges()
         c_small = cone_of_weighting(res.contracted, restrict_weighting(g, w, res))
-        emb = _embed_cone(c_small, small, edges, S)
+        padding = _Embedding.build(small, edges, S)
+        emb = _embed_cone(c_small, padding, padding.rays(c_small))
         assert cone_of_weighting(g, w).contains_cone(emb)
         # the padded rays are those a double description run finds
         rows = [tuple(dict(zip(small, a)).get(e, 0) for e in edges)

@@ -1,14 +1,18 @@
 import random
+from dataclasses import fields
 
 import pytest
 
 from flowfan import (Graph, UnknownEdge, UnknownVertex, base_weighting,
                      canonical_degree, contract, cycle_basis, enumerate_cycles,
                      graph_genus, lift_weighting, stability_report, validate_graph)
-from flowfan.graph import _spanning_forest, sort_key
+from flowfan import fan as fan_module
+from flowfan import graph as graph_module
+from flowfan.graph import GraphIndex, _spanning_forest, sort_key
 from flowfan.linalg import int_rank, solve_left
 
-from helpers import banana, corpus, loop_graph, one_edge_genus1, path_graph, two_gon
+from helpers import (banana, complete_graph, corpus, loop_graph, necklace,
+                     one_edge_genus1, path_graph, two_gon, wheel)
 
 
 def test_validate_two_gon_ok():
@@ -312,6 +316,51 @@ def test_index_matches_sort_key_reference():
             assert contract(g, [e]).vertex_map[ends[1]] == min(ends, key=sort_key)
 
 
+def _check_inherited_index(g):
+    """``g``'s index, inherited through contractions, against one built
+    from scratch, and its cycles against the reference search."""
+    fresh = GraphIndex.build(g)
+    for f in fields(GraphIndex):
+        if f.name != "rank":
+            assert getattr(g.index, f.name) == getattr(fresh, f.name), f.name
+    ids = set(g.genus_of).union(g.end)
+    rank = g.index.rank
+    assert len({rank[x] for x in ids}) == len(ids)
+    assert sorted(ids, key=rank.__getitem__) == _sorted(ids)
+    assert [c.halves for c in enumerate_cycles(g)] == _ref_enumerate_cycles(g)
+
+
+def test_contracted_index_and_cycles_match_references():
+    graphs = corpus() + [mixed_id_graph(), necklace(3, 3, 3),
+                         complete_graph((2, -2, 0, 0, 0)), wheel(4, 2), wheel(5, 3)]
+    checked = 0
+    for g in graphs:
+        for cyc in enumerate_cycles(g):
+            child = contract(g, cyc.edge_set(g)).contracted
+            assert child.index.rank is g.index.rank
+            _check_inherited_index(child)
+            checked += 1
+            for cyc2 in enumerate_cycles(child):
+                # G/(C | C') for every cycle C' of G/C
+                _check_inherited_index(contract(child, cyc2.edge_set(child)).contracted)
+                checked += 1
+    assert checked >= 1000
+
+
+@pytest.mark.parametrize("g", [banana(4, 3), necklace(3, 3, 3)])
+def test_catalog_sorts_no_id_by_sort_key(monkeypatch, g):
+    g.index  # the root's index is the one built by sort_key
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return sort_key(x)
+
+    monkeypatch.setattr(graph_module, "sort_key", counted)
+    assert fan_module.cone_catalog(g)
+    assert calls == []
+
+
 def test_index_arrays_match_halves():
     for g in corpus() + [mixed_id_graph(), loop_graph(), banana(4, 3)]:
         index = g.index
@@ -330,6 +379,8 @@ def test_index_arrays_match_halves():
                 (_ref_edge_of(g, h), 1 if h == _ref_edge_of(g, h) else -1)
                 for h in halves]
             assert [vertices[t] for _, _, t in arcs] == [_target(g, h) for h in halves]
+        assert [(vertices[a], vertices[b]) for a, b in index.ends] == [
+            (g.end[e], _target(g, e)) for e in edges]
 
 
 def test_index_accessor_edge_cases():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from flowfan import (ParseError, ValidationError, build_fan, emit_fan_json,
                      render_slice_svg, slice_fan, validate_graph)
 from flowfan.cli import main
 from flowfan.io import _json_int, fan_to_document
+from flowfan.weightings import FLOW_LIMIT, FlowCore
 
 from helpers import banana, path_graph, star_tree, two_gon
 
@@ -429,3 +431,23 @@ def test_cli_fan_bytes_identical_under_python_O(tmp_path):
             for flags in ([], ["-O"])]
     assert runs[1] == runs[0]
     assert parse_fan_json(runs[0].decode())["counts"]["maximal"] > 0
+
+
+def test_cli_fan_refuses_huge_leg_weights(tmp_path, capsys):
+    path = write_doc(tmp_path, banana_doc(10**30, edges=2))
+    t0 = time.perf_counter()
+    assert main(["fan", path]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert f"limit {FLOW_LIMIT}" in lines[0]
+
+
+def test_cli_fan_lists_flows_below_the_budget(tmp_path, capsys):
+    assert len(FlowCore.build(banana(2, 10**4)).acyclic_coefficients()) == 10_001
+    path = write_doc(tmp_path, banana_doc(10**4, edges=2))
+    assert main(["fan", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["cones"]
