@@ -31,7 +31,9 @@ frozenset of rays on that row's hyperplane. Face enumeration and the
 face test read the table instead of taking dot products. The caches rely
 on the rows never changing after construction, which nothing in this
 package does. Intersections and faces are built from rows that are
-normalized already, without passing them through ``__init__`` again.
+normalized already, without passing them through ``__init__`` again. A
+face inherits its table, cut down to its rays, and a facet also its
+dimension, one less than its parent's.
 
 The cone attached to a weighting w lives in the non-negative orthant of
 Q^E and is cut out by one equality per basis cycle, with entries the
@@ -337,15 +339,39 @@ def _face_ray_sets(c: Cone):
     return seen
 
 
-def _face_cone(c: Cone, ray_subset):
-    """The face of pointed ``c`` with the given rays: ``c`` with its rows
-    tight on them turned into equalities."""
+def _facet_ray_sets(c: Cone):
+    """The facets of pointed ``c``, each given by the frozenset of its rays:
+    the inclusion-maximal proper tight sets of its inequality rows, in row
+    order. Every face of ``c`` but ``c`` itself lies in a facet, and is a
+    face of it (Ziegler, *Lectures on Polytopes*, section 2.2)."""
+    full, tight_sets = c._tight_sets()
+    proper = [t for t in dict.fromkeys(tight_sets) if t != full]
+    return [t for t in proper if not any(t < u for u in proper)]
+
+
+def _face(c: Cone, ray_subset):
+    """The face of pointed ``c`` with the rays in the frozenset
+    ``ray_subset``: ``c`` with its rows tight on them turned into
+    equalities. The face keeps ``c``'s inequality rows, so its tight-set
+    table is ``c``'s cut down to ``ray_subset``, without a dot product."""
     _, tight_sets = c._tight_sets()
+    face_tight = tuple(t & ray_subset for t in tight_sets)
     tight = {sign_normalized(q)
-             for q, t in zip(c.inequalities, tight_sets) if ray_subset <= t}
-    return Cone._pointed(c.ambient_dim, c.labels,
+             for q, t in zip(c.inequalities, face_tight) if t == ray_subset}
+    face = Cone._pointed(c.ambient_dim, c.labels,
                          tuple(sorted(tight.union(c.equalities))),
                          c.inequalities, tuple(sorted(ray_subset)))
+    face._tight = (ray_subset, face_tight)
+    return face
+
+
+def _face_cone(c: Cone, facet):
+    """The facet of pointed ``c`` with the rays in ``facet``, one of
+    ``_facet_ray_sets(c)``, as :func:`_face` builds it. Its dimension is
+    one less than ``c``'s, so it takes no rank."""
+    face = _face(c, facet)
+    face._dim = c.dim() - 1
+    return face
 
 
 def faces(c: Cone):
@@ -353,8 +379,8 @@ def faces(c: Cone):
     itself, sorted by (dimension, rays)."""
     if not c.is_pointed():
         raise NotPointed("face enumeration requires a pointed cone")
-    out = [_face_cone(c, s) for s in _face_ray_sets(c)]
-    return sorted(out, key=lambda f: (len(f.rays()), f.rays()))
+    out = [_face(c, s) for s in _face_ray_sets(c)]
+    return sorted(out, key=lambda f: (f.dim(), f.rays()))
 
 
 def intersect_cones(c1: Cone, c2: Cone) -> Cone:

@@ -20,15 +20,23 @@ becomes a :class:`~flowfan.weightings.Weighting`. A flow whose graph,
 with its zero-flow edges contracted, has more than
 ``weightings.BOND_VERTEX_LIMIT`` vertices is solved by double
 description from the orthant instead.
+
+Faces are closed and checked through facets, never through a cone's
+whole face lattice: every face of a pointed cone other than the cone is
+a face of one of its facets (Ziegler, *Lectures on Polytopes*, section
+2.2), so a face-closed collection is one that holds each cone's facets.
+:func:`build_fan` descends from each catalog cone through the facets not
+yet expanded, and :func:`verify_fan` checks that each cone's facets are
+in the fan. In both, a cone is maximal when it is no cone's facet.
 """
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
 from .errors import UnknownEdge, UnsupportedDimension
-from .cones import (Cone, _face_cone, _face_ray_sets, _normalize_rows,
-                    _unit_rows, canonical_key, cone_of_weighting,
-                    intersect_cones, is_face_of)
+from .cones import (Cone, _face_cone, _face_ray_sets, _facet_ray_sets,
+                    _normalize_rows, _unit_rows, canonical_key,
+                    cone_of_weighting, intersect_cones, is_face_of)
 from .graph import contract, enumerate_cycles
 from .weightings import (FlowCore, lift_weighting, restrict_weighting,
                          shift_along_cycle)
@@ -185,25 +193,46 @@ class Fan:
 def build_fan(g) -> Fan:
     """Close the cone catalog under faces and flag the maximal cones.
 
-    Faces are closed on ray sets: each catalog cone, in key order, lends
-    its witness to its faces not yet in the fan, and only those are built
-    as cones. A cone is maximal when it is no catalog cone's proper face;
-    a face of a face is a face, so this is :func:`verify_fan`'s rule."""
+    Each catalog cone, in key order, is expanded unless it already was:
+    the descent from it visits its facets, then their facets, and so on,
+    but never expands a cone twice. A facet not yet in the fan is built
+    by ``_face_cone``, which hands it its tight-set table and dimension,
+    and takes the witness of the catalog cone being expanded.
+
+    That witness is the one of the first catalog cone, in key order, that
+    has the face. Let C be that cone and F the face. No cone between C
+    and F in a chain of facets was expanded before C's turn: it would
+    have been a face of an earlier catalog cone, and F with it. So C, even
+    if it is a later catalog cone's face, is expanded in its own turn and
+    reaches F; and F was not in the fan before. This is why a cone that is
+    in the fan is still expanded until it has been expanded once.
+
+    Every cone of the fan is expanded, and every proper face of a cone is
+    a face of one of its facets, so a cone is maximal when it is no
+    cone's facet; a face of a face is a face, so this is
+    :func:`verify_fan`'s rule."""
     cones, witnesses = {}, {}
     for c, w in cone_catalog(g):
         k = canonical_key(c)
         cones[k], witnesses[k] = c, w
-    proper = set()
-    for k, c in list(cones.items()):
-        for s in _face_ray_sets(c):
-            fk = ((), tuple(sorted(s)))  # a pointed cone's key
-            if fk == k:
-                continue
-            proper.add(fk)
-            if fk not in cones:
-                cones[fk] = _face_cone(c, s)
-                witnesses[fk] = witnesses[k]
-    maximal = frozenset(cones) - proper
+    expanded, facets = set(), set()
+    for k in list(cones):
+        if k in expanded:
+            continue
+        expanded.add(k)
+        stack = [cones[k]]
+        while stack:
+            c = stack.pop()
+            for s in _facet_ray_sets(c):
+                fk = ((), tuple(sorted(s)))  # a pointed cone's key
+                facets.add(fk)
+                if fk not in cones:
+                    cones[fk] = _face_cone(c, s)
+                    witnesses[fk] = witnesses[k]
+                if fk not in expanded:
+                    expanded.add(fk)
+                    stack.append(cones[fk])
+    maximal = frozenset(cones) - facets
     ordered = sorted(cones.values(), key=lambda c: (c.dim(), c.rays()))
     return Fan(g, tuple(g.edges()), ordered, witnesses, maximal)
 
@@ -235,6 +264,13 @@ def verify_fan(fan: Fan) -> FanReport:
     of the first stage that has any; later stages need the earlier ones
     (faces are taken of pointed cones only).
 
+    The second stage checks only that each cone's facets are in the fan.
+    Every proper face of a pointed cone is a face of one of its facets,
+    which has a lower dimension, so by induction over dimension every
+    face of every cone then is. A cone with a missing facet falls back to
+    its whole face lattice, so the report names every missing face of it,
+    in (ray count, rays) order.
+
     The third stage checks pairs of maximal cones only, which suffices in
     a face-closed collection of pointed cones (Ziegler, *Lectures on
     Polytopes*, section 7.1; Cox, Little and Schenck, *Toric Varieties*,
@@ -244,7 +280,8 @@ def verify_fan(fan: Fan) -> FanReport:
     and G. So F1 and F2 meet in a face of G, which is a face of C1 and of
     C2 and hence of F1 and of F2. The collection is finite, so every cone
     is a face of a maximal one. A cone is maximal when its ray set is no
-    other cone's proper face; ``fan.maximal_keys`` is not trusted.
+    cone's facet, and so no other cone's proper face; ``fan.maximal_keys``
+    is not trusted.
 
     Two cones with at most one ray each always meet in a common face. A
     ray r meets a cone C in r or in the origin, so the pair fails exactly
@@ -264,17 +301,19 @@ def verify_fan(fan: Fan) -> FanReport:
     # canonical_key is ((), sorted rays)
     ray_sets = [frozenset(c.rays()) for c in cones]
     known = set(ray_sets)
-    proper_faces = set()
-    for c, rs in zip(cones, ray_sets):
-        face_sets = _face_ray_sets(c)
-        missing = sorted((tuple(sorted(s)) for s in face_sets
+    facets = set()
+    for c in cones:
+        facet_sets = _facet_ray_sets(c)
+        if all(s in known for s in facet_sets):
+            facets.update(facet_sets)
+            continue
+        missing = sorted((tuple(sorted(s)) for s in _face_ray_sets(c)
                           if s not in known), key=lambda r: (len(r), r))
         violations += [f"face {((), r)} of {canonical_key(c)} missing"
                        for r in missing]
-        proper_faces |= face_sets - {rs}
     if violations:
         return FanReport(False, tuple(violations))
-    maximal = [i for i, rs in enumerate(ray_sets) if rs not in proper_faces]
+    maximal = [i for i, rs in enumerate(ray_sets) if rs not in facets]
     wide = [i for i in maximal if len(ray_sets[i]) > 1]
     # a cone with at most one ray is paired with the wide cones only
     for i in maximal:

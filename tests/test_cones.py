@@ -74,6 +74,22 @@ def test_faces_counts():
     assert len(faces(plane)) == 4
 
 
+def test_faces_sort_by_dimension_before_ray_count():
+    # the cone over the pyramid over a pyramid over a lattice hexagon: its
+    # hexagonal 3-D face has 6 rays, its tetrahedral 4-D faces 4 each
+    hexagon = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
+    rays = [(1, x, y, 0, 0) for x, y in hexagon] + [(1, 0, 0, 1, 0), (1, 0, 0, 0, 1)]
+    c = Cone.from_generators(5, rays)
+    fs = faces(c)
+    assert [(f.dim(), f.rays()) for f in fs] == sorted(
+        (linalg.int_rank(list(f.rays())), f.rays()) for f in fs)
+    shape = [(f.dim(), len(f.rays())) for f in fs]
+    hexagonal = shape.index((3, 6))
+    tetrahedral = [i for i, s in enumerate(shape) if s == (4, 4)]
+    assert len(tetrahedral) == 6 and hexagonal < min(tetrahedral)
+    assert shape[-1] == (5, 8)
+
+
 def test_intersect_examples():
     g = banana(3, 10)
     p1 = cone_of_weighting(

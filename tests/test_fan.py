@@ -14,12 +14,13 @@ from flowfan import fan as fan_module
 from flowfan.cones import Cone, cycle_constraint_rows
 from flowfan.fan import _embed_cone, _Embedding, _meet_in_common_face
 from flowfan.graph import contract, cycle_basis, enumerate_cycles
+from flowfan.linalg import int_rank
 from flowfan import weightings
 from flowfan.weightings import lift_weighting, shift_along_cycle, shift_by_cycles
 
 from helpers import (banana, box_radius, box_vectors, chain, complete_graph,
                      corpus, loop_graph, necklace, path_graph, random_graph,
-                     ref_positive_cycle_halves, ring, two_gon)
+                     ref_positive_cycle_halves, ring, two_gon, wheel)
 from test_weightings import flows_weighting
 
 
@@ -174,6 +175,91 @@ def test_build_fan_builds_each_added_face_once(monkeypatch, g, built):
     assert counts.get("_face_cone", 0) == built
 
 
+def _closure_fan(catalog):
+    """Witnesses and maximal keys of a catalog closed under faces through
+    each catalog cone's whole face lattice, in key order."""
+    witnesses = {canonical_key(c): w for c, w in catalog}
+    proper = set()
+    for k, c in [(canonical_key(c), c) for c, _ in catalog]:
+        for s in cones_module._face_ray_sets(c):
+            fk = ((), tuple(sorted(s)))
+            if fk != k:
+                proper.add(fk)
+                witnesses.setdefault(fk, witnesses[k])
+    return witnesses, frozenset(witnesses) - proper
+
+
+@pytest.mark.parametrize("graphs", [
+    corpus(), [necklace(3, 3, 3)], [complete_graph((2, -2, 0, 0, 0))],
+    [wheel(4, 2)], [wheel(5, 3)], [loop_graph()]],
+    ids=["corpus", "neck3x3", "K5", "wheel(4,2)", "wheel(5,3)", "loop_graph"])
+def test_facet_descent_matches_full_face_closure(graphs):
+    for g in graphs:
+        fan = build_fan(g)
+        catalog = cone_catalog(g)
+        witnesses, maximal = _closure_fan(catalog)
+        assert {canonical_key(c) for c in fan.cones} == set(witnesses)
+        assert {k: w.values for k, w in fan.witnesses.items()} == {
+            k: w.values for k, w in witnesses.items()}
+        assert fan.maximal_keys == maximal
+        catalog_keys = {canonical_key(c) for c, _ in catalog}
+        for c in fan.cones:
+            if canonical_key(c) in catalog_keys:
+                continue
+            # a face cone's table and dimension come from its parent
+            assert c._tight is not None and c._dim is not None
+            fresh = Cone._pointed(c.ambient_dim, c.labels, c.equalities,
+                                  c.inequalities, c.rays())
+            assert c._tight == fresh._tight_sets()
+            assert c._dim == int_rank(list(c.rays()))
+
+
+def test_build_fan_expands_a_catalog_face_from_the_first_cone_holding_it(monkeypatch):
+    # the solid orthant's 2-D faces are catalog cones too, two of them
+    # after it in key order; the ray (1, 0, 0) lies in those two only, so
+    # it takes the orthant's witness only if the orthant expands them
+    solid = Cone.orthant_section(3)
+    planes = [Cone.orthant_section(3, [u]) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    catalog = sorted([(c, f"w{i}") for i, c in enumerate([solid] + planes)],
+                     key=lambda pair: canonical_key(pair[0]))
+    assert [w for _, w in catalog] == ["w1", "w0", "w2", "w3"]
+    monkeypatch.setattr(fan_module, "cone_catalog", lambda _: catalog)
+    fan = build_fan(banana(3, 1))
+    witnesses, maximal = _closure_fan(catalog)
+    assert fan.witnesses == witnesses
+    assert fan.witnesses[((), ((1, 0, 0),))] == "w0"
+    assert fan.maximal_keys == maximal == {canonical_key(solid)}
+
+
+@pytest.mark.parametrize("g", [banana(3, 20), necklace(3, 3, 3)],
+                         ids=["banana(3,20)", "neck3x3"])
+def test_build_and_verify_never_walk_a_face_lattice(monkeypatch, g):
+    counts = {}
+    _count_calls(monkeypatch, cones_module, "_face_ray_sets", counts)
+    _count_calls(monkeypatch, fan_module, "_face_ray_sets", counts)
+    assert verify_fan(build_fan(g)).ok
+    assert counts.get("_face_ray_sets", 0) == 0
+
+
+@pytest.mark.parametrize("g", [banana(3, 20), necklace(3, 3, 3)],
+                         ids=["banana(3,20)", "neck3x3"])
+def test_dim_ranks_catalog_cones_only(monkeypatch, g):
+    catalog = cone_catalog(g)
+    monkeypatch.setattr(fan_module, "cone_catalog", lambda _: catalog)
+    ranked = []
+    rank = cones_module.int_rank
+
+    def recorded(rows):
+        ranked.append(tuple(rows))
+        return rank(rows)
+
+    monkeypatch.setattr(cones_module, "int_rank", recorded)
+    for c in build_fan(g).cones:
+        c.dim()
+    # one rank per catalog cone, of its rays; every face gets its dimension
+    assert sorted(ranked) == sorted(c.rays() for c, _ in catalog)
+
+
 LIMIT = weightings.BOND_VERTEX_LIMIT
 
 
@@ -279,6 +365,23 @@ def test_verify_fan_reports_every_missing_face():
     missing = [f.rays() for f in faces(solid)][1:-1]
     assert report.violations == tuple(
         f"face {((), rays)} of {canonical_key(solid)} missing" for rays in missing)
+
+
+def test_verify_fan_names_every_missing_face_below_a_complete_cone():
+    # the solid orthant has all its facets, so the facet check passes on
+    # it; each 2-D face misses both its rays and falls back to its lattice
+    solid = Cone.orthant_section(3)
+    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    origin = Cone(3, equalities=units, inequalities=units)
+    planes = [f for f in faces(solid) if f.dim() == 2]
+    assert len(planes) == 3
+    report = verify_fan(Fan(None, ((0,), (1,), (2,)), [origin] + planes + [solid],
+                            {}, frozenset()))
+    assert report.violations == tuple(
+        f"face {((), (r,))} of {canonical_key(f)} missing"
+        for f in planes for r in f.rays())
+    named = {v.split(" of ")[0] for v in report.violations}
+    assert named == {f"face {((), (r,))}" for r in units}
 
 
 def test_verify_fan_stops_after_pointedness_stage():
