@@ -26,14 +26,25 @@ cone off the flow's directed bonds instead
 too large for that search.
 
 A cone caches what it computes: its rays and lineality, its dimension,
-and a tight-set table of its ray frozenset plus, per inequality row, the
-frozenset of rays on that row's hyperplane. Face enumeration and the
-face test read the table instead of taking dot products. The caches rely
-on the rows never changing after construction, which nothing in this
-package does. Intersections and faces are built from rows that are
-normalized already, without passing them through ``__init__`` again. A
-face inherits its table, cut down to its rays, and a facet also its
-dimension, one less than its parent's.
+a tight-set table of its ray frozenset plus, per inequality row, the
+frozenset of rays on that row's hyperplane, and its facets as ray
+frozensets (the ``_facets`` slot, filled by :func:`_facet_ray_sets`).
+Face enumeration and the face test read the table instead of taking dot
+products, and a fan built by :func:`~flowfan.fan.build_fan` hands its
+verifier facets it has already listed. The caches rely on the rows never
+changing after construction, which nothing in this package does. Every
+constructor path, ``__init__`` and ``Cone._pointed``, starts them empty.
+Intersections and faces are built from rows that are normalized already,
+without passing them through ``__init__`` again. A face inherits its
+table, cut down to its rays, and a facet also its dimension, one less
+than its parent's.
+
+A pointed cone on at most two rays takes its dimension from its ray
+count, with no rank: distinct primitive extreme rays of a pointed cone
+are never parallel (a ray and its negative would make a line), so up to
+two of them are linearly independent. Such a cone is simplicial, so its
+facets drop one ray each and need no tight-set table either. Other
+cones rank their rays and lineality basis.
 
 The cone attached to a weighting w lives in the non-negative orthant of
 Q^E and is cut out by one equality per basis cycle, with entries the
@@ -145,7 +156,7 @@ class Cone:
     """
 
     __slots__ = ("ambient_dim", "labels", "equalities", "inequalities",
-                 "_lineality", "_rays", "_tight", "_dim")
+                 "_lineality", "_rays", "_tight", "_dim", "_facets")
 
     def __init__(self, ambient_dim, equalities=(), inequalities=(), labels=None):
         self.ambient_dim = ambient_dim
@@ -156,6 +167,7 @@ class Cone:
         self._lineality = None
         self._tight = None
         self._dim = None
+        self._facets = None
 
     @classmethod
     def _pointed(cls, ambient_dim, labels, equalities, inequalities, rays):
@@ -170,6 +182,7 @@ class Cone:
         cone._lineality = ()
         cone._tight = None
         cone._dim = None
+        cone._facets = None
         return cone
 
     @classmethod
@@ -227,7 +240,12 @@ class Cone:
     def dim(self):
         if self._dim is None:
             self._compute()
-            self._dim = int_rank(list(self._lineality) + list(self._rays))
+            if not self._lineality and len(self._rays) <= 2:
+                # distinct primitive extreme rays of a pointed cone are
+                # never parallel, so up to two are linearly independent
+                self._dim = len(self._rays)
+            else:
+                self._dim = int_rank(list(self._lineality) + list(self._rays))
         return self._dim
 
     def contains(self, v):
@@ -342,11 +360,23 @@ def _face_ray_sets(c: Cone):
 def _facet_ray_sets(c: Cone):
     """The facets of pointed ``c``, each given by the frozenset of its rays:
     the inclusion-maximal proper tight sets of its inequality rows, in row
-    order. Every face of ``c`` but ``c`` itself lies in a facet, and is a
-    face of it (Ziegler, *Lectures on Polytopes*, section 2.2)."""
-    full, tight_sets = c._tight_sets()
-    proper = [t for t in dict.fromkeys(tight_sets) if t != full]
-    return [t for t in proper if not any(t < u for u in proper)]
+    order, or on at most two rays its rays less one, in ray order. Every
+    face of ``c`` but ``c`` itself lies in a facet, and is a face of it
+    (Ziegler, *Lectures on Polytopes*, section 2.2). Computed once per
+    cone and cached on it."""
+    if c._facets is None:
+        rays = c.rays()
+        if len(rays) <= 2:
+            # at most two rays are linearly independent (see Cone.dim),
+            # so the cone is simplicial and each facet drops one ray
+            c._facets = tuple(frozenset(rays[:i] + rays[i + 1:])
+                              for i in range(len(rays)))
+        else:
+            full, tight_sets = c._tight_sets()
+            proper = [t for t in dict.fromkeys(tight_sets) if t != full]
+            c._facets = tuple(t for t in proper
+                              if not any(t < u for u in proper))
+    return c._facets
 
 
 def _face(c: Cone, ray_subset):

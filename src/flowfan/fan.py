@@ -27,7 +27,9 @@ a face of one of its facets (Ziegler, *Lectures on Polytopes*, section
 2.2), so a face-closed collection is one that holds each cone's facets.
 :func:`build_fan` descends from each catalog cone through the facets not
 yet expanded, and :func:`verify_fan` checks that each cone's facets are
-in the fan. In both, a cone is maximal when it is no cone's facet.
+in the fan. In both, a cone is maximal when it is no cone's facet. A
+cone caches its facets when they are first listed, so ``verify_fan`` on
+a fan from ``build_fan`` reads the facets the descent found.
 """
 from dataclasses import dataclass
 from fractions import Fraction
@@ -264,10 +266,11 @@ def verify_fan(fan: Fan) -> FanReport:
     of the first stage that has any; later stages need the earlier ones
     (faces are taken of pointed cones only).
 
-    The second stage checks only that each cone's facets are in the fan.
-    Every proper face of a pointed cone is a face of one of its facets,
-    which has a lower dimension, so by induction over dimension every
-    face of every cone then is. A cone with a missing facet falls back to
+    The second stage checks only that each cone's facets, cached on the
+    cone when first listed, are in the fan. Every proper face of a
+    pointed cone is a face of one of its facets, which has a lower
+    dimension, so by induction over dimension every face of every cone
+    then is. A cone with a missing facet falls back to
     its whole face lattice, so the report names every missing face of it,
     in (ray count, rays) order.
 

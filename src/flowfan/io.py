@@ -12,6 +12,13 @@ FanDocument:
 Integers beyond the 53-bit double-safe range are emitted as decimal
 strings and accepted back in either form, so weightings and ray entries
 of any size round-trip exactly. Output bytes are deterministic.
+
+:func:`emit_fan_json` writes a FanDocument straight from a
+:class:`~flowfan.fan.Fan`, with no intermediate dict: one string per cone
+entry and one encoded flows block per witness object.
+:func:`fan_to_document` builds the same document as plain data; it is
+the reference the writer is tested against, byte for byte, through
+``json.dumps(indent=2, sort_keys=True)``.
 """
 
 import json
@@ -178,8 +185,8 @@ _str = json.encoder.encode_basestring_ascii
 
 
 def _int(x):
-    x = _json_int(x)
-    return _str(x) if isinstance(x, str) else str(x)
+    """``x`` encoded as ``json.dumps`` encodes ``_json_int(x)``."""
+    return str(x) if -_SAFE < x < _SAFE else f'"{x}"'
 
 
 def _block(open_, close, items, indent):
@@ -199,25 +206,57 @@ def _ints(xs, indent):
     return _block("[", "]", [_int(x) for x in xs], indent)
 
 
+# a cone entry and a witness as _object lays them out inside "cones"
+_CONE = ('{\n      "dim": %d,\n      "maximal": %s,\n      "rays": %s,'
+         '\n      "witness": %s\n    }')
+_WITNESS = '{\n        "flows": %s\n      }'
+
+
 def emit_fan_json(fan) -> str:
     """The FanDocument of ``fan``, byte for byte what ``_dumps`` makes of
-    it, written straight from its fixed layout: ``json.dumps`` with an
-    indent runs the pure-Python encoder."""
-    doc = fan_to_document(fan)
-    cones = [_object([
-        ("dim", str(entry["dim"])),
-        ("maximal", "true" if entry["maximal"] else "false"),
-        ("rays", _ints(entry["rays"], "      ")),
-        ("witness", _object([("flows", _object(
-            [(k, _int(v)) for k, v in sorted(entry["witness"]["flows"].items())],
-            "        "))], "      ")),
-    ], "    ") for entry in doc["cones"]]
-    counts = doc["counts"]
+    :func:`fan_to_document`, written straight from the fan's fixed layout
+    (``json.dumps`` with an indent runs the pure-Python encoder).
+
+    Each cone entry is one string. The entries are sorted by (dim, rays),
+    the (dim, ray indices) order, since ray indices follow the sorted rays.
+    Face cones share their catalog cone's witness object, so each
+    witness's block is encoded once. A witness is a weighting on the
+    fan's graph, so its flows are read along ``fan.edge_order``, keyed and
+    sorted by the raw ``str`` of each edge's document id, as ``sort_keys``
+    sorts them; a name shared by two edges keeps the later edge, as a
+    dict would."""
+    rays = fan.ray_list()
+    ray_index = {r: str(i) for i, r in enumerate(rays)}
+    names = {str(edge_doc_id(e)): e for e in fan.edge_order}
+    flow_keys = [(_str(k) + ": ", names[k]) for k in sorted(names)]
+    witness_blocks = {}  # id of a witness object -> its encoded block
+    entries = []
+    maximal = 0
+    for c in fan.cones:
+        key = canonical_key(c)
+        witness = fan.witnesses[key]
+        block = witness_blocks.get(id(witness))
+        if block is None:
+            block = _WITNESS % _block("{", "}", [
+                k + _int(witness.flow(e)) for k, e in flow_keys], "        ")
+            witness_blocks[id(witness)] = block
+        is_maximal = key in fan.maximal_keys
+        maximal += is_maximal
+        dim = c.dim()
+        cone_rays = c.rays()
+        entries.append(((dim, cone_rays), _CONE % (
+            dim, "true" if is_maximal else "false",
+            _block("[", "]", [ray_index[r] for r in cone_rays], "      "),
+            block)))
+    entries.sort(key=lambda entry: entry[0])
+    counts = (("maximal", str(maximal)), ("rays", str(len(rays))),
+              ("total", str(len(entries))))
     return _object([
-        ("cones", _block("[", "]", cones, "  ")),
-        ("counts", _object([(k, str(counts[k])) for k in sorted(counts)], "  ")),
-        ("edge_order", _block("[", "]", [json.dumps(e) for e in doc["edge_order"]], "  ")),
-        ("rays", _block("[", "]", [_ints(r, "    ") for r in doc["rays"]], "  ")),
+        ("cones", _block("[", "]", [text for _, text in entries], "  ")),
+        ("counts", _object(counts, "  ")),
+        ("edge_order", _block("[", "]", [json.dumps(edge_doc_id(e))
+                                         for e in fan.edge_order], "  ")),
+        ("rays", _block("[", "]", [_ints(r, "    ") for r in rays], "  ")),
     ], "") + "\n"
 
 

@@ -248,8 +248,13 @@ def _bond_sides(succ, pred):
     vertex 0; the arcs leaving and entering every vertex set are built up
     one vertex at a time, so each set costs a few bit operations plus the
     connectivity walks of the sets that pass the direction test.
+
+    On two vertices the one cut is a bond unless arcs cross it both ways,
+    so that case is read off ``succ[0]`` and ``pred[0]`` directly.
     """
     k = len(succ)
+    if k == 2:
+        return [] if succ[0] and pred[0] else [1]
     full = (1 << k) - 1
     out_of = [0] * (full + 1)
     into = [0] * (full + 1)

@@ -175,6 +175,36 @@ def test_orthant_section_matches_cold_double_description(case):
     assert c.dim() == cold.dim()
 
 
+@st.composite
+def pointed_cones(draw):
+    """A pointed cone in dimension 1-5 from ``orthant_section``,
+    ``from_generators`` (of vectors in the orthant) or ``intersect``;
+    often on at most two rays."""
+    d = draw(st.integers(1, 5))
+    row = st.tuples(*[st.integers(-3, 3)] * d)
+    how = draw(st.sampled_from(("orthant", "generators", "intersect")))
+    if how == "orthant":
+        return Cone.orthant_section(d, draw(st.lists(row, max_size=d)))
+    if how == "generators":
+        vector = st.tuples(*[st.integers(0, 3)] * d)
+        return Cone.from_generators(d, draw(st.lists(vector, max_size=4)))
+    return intersect_cones(draw(drawn_cones(d)),
+                           Cone.orthant_section(d, draw(st.lists(row, max_size=d))))
+
+
+@SETTINGS
+@given(pointed_cones())
+def test_dim_and_facets_of_pointed_cones(c):
+    assert c.is_pointed()
+    assert c.dim() == linalg.int_rank(list(c.rays()))
+    # the facets are the maximal proper faces of the face lattice
+    full = frozenset(c.rays())
+    proper = [s for s in cones._face_ray_sets(c) if s != full]
+    maximal = {s for s in proper if not any(s < t for t in proper)}
+    assert len(cones._facet_ray_sets(c)) == len(maximal)
+    assert set(cones._facet_ray_sets(c)) == maximal
+
+
 def _dot_product_face_test(f, c):
     """The face test taking every dot product afresh on each call."""
     fr = set(f.rays())

@@ -256,8 +256,92 @@ def test_dim_ranks_catalog_cones_only(monkeypatch, g):
     monkeypatch.setattr(cones_module, "int_rank", recorded)
     for c in build_fan(g).cones:
         c.dim()
-    # one rank per catalog cone, of its rays; every face gets its dimension
-    assert sorted(ranked) == sorted(c.rays() for c, _ in catalog)
+    # one rank per catalog cone on more than two rays, of its rays; a cone
+    # on at most two rays counts them, and every face gets its dimension
+    assert sorted(ranked) == sorted(c.rays() for c, _ in catalog
+                                    if len(c.rays()) > 2)
+
+
+@pytest.mark.parametrize("graphs", [
+    corpus(), [necklace(3, 3, 3)], [complete_graph((2, -2, 0, 0, 0))]],
+    ids=["corpus", "neck3x3", "K5"])
+def test_dim_of_every_fan_cone_is_the_rank_of_its_rays(graphs):
+    small = 0
+    for g in graphs:
+        for c in build_fan(g).cones:
+            assert c.dim() == int_rank(list(c.rays()))
+            # a fresh cone, whose dimension no parent hands down
+            fresh = Cone._pointed(c.ambient_dim, c.labels, c.equalities,
+                                  c.inequalities, c.rays())
+            assert fresh.dim() == c.dim()
+            small += len(c.rays()) <= 2
+    assert small
+
+
+def _facet_computations(monkeypatch):
+    """The cones whose facets ``_facet_ray_sets`` computes, and those
+    whose tight-set table ``Cone._tight_sets`` builds, one entry per
+    computation."""
+    computed = {"facets": [], "tight": []}
+    facet_ray_sets = cones_module._facet_ray_sets
+    tight_sets = Cone._tight_sets
+
+    def facets(c):
+        if c._facets is None:
+            computed["facets"].append(c)
+        return facet_ray_sets(c)
+
+    def tight(c):
+        if c._tight is None:
+            computed["tight"].append(c)
+        return tight_sets(c)
+
+    monkeypatch.setattr(cones_module, "_facet_ray_sets", facets)
+    monkeypatch.setattr(fan_module, "_facet_ray_sets", facets)
+    monkeypatch.setattr(Cone, "_tight_sets", tight)
+    return computed
+
+
+@pytest.mark.parametrize("g", [banana(3, 20), necklace(3, 3, 3)],
+                         ids=["banana(3,20)", "neck3x3"])
+def test_build_and_verify_compute_each_cones_facets_once(monkeypatch, g):
+    computed = _facet_computations(monkeypatch)
+    fan = build_fan(g)
+    # every cone of the fan is expanded, so its facets are cached
+    assert all(c._facets is not None for c in fan.cones)
+    before = {id(c): c._facets for c in fan.cones}
+    built = len(computed["facets"])
+    assert verify_fan(fan).ok
+    # verify_fan reads the cached facets and computes none anew; the
+    # tight-set tables it adds are those of its face tests
+    assert len(computed["facets"]) == built
+    assert all(c._facets is before[id(c)] for c in fan.cones)
+    fan_cones = {id(c) for c in fan.cones}
+    for cones in computed.values():
+        ids = [id(c) for c in cones]
+        assert len(set(ids)) == len(ids) and set(ids) <= fan_cones
+
+
+def test_verify_fan_names_every_missing_face_of_cones_with_cached_facets():
+    # neck3x3's fan from build_fan, its facets cached, with every ray cone
+    # dropped: each cone on two rays misses both, and its report names
+    # every missing face, in (dimension, rays) order, as the face lattice
+    # gives them
+    fan = build_fan(necklace(3, 3, 3))
+    assert all(c._facets is not None for c in fan.cones)
+    kept = [c for c in fan.cones if len(c.rays()) != 1]
+    known = {canonical_key(c) for c in kept}
+    expected = []
+    for c in kept:
+        lattice = faces(c)
+        if any(canonical_key(f) not in known
+               for f in lattice if f.dim() == c.dim() - 1):
+            expected += [f"face {canonical_key(f)} of {canonical_key(c)} missing"
+                         for f in lattice if canonical_key(f) not in known]
+    report = verify_fan(Fan(fan.graph, fan.edge_order, kept, fan.witnesses,
+                            fan.maximal_keys))
+    assert report.violations == tuple(expected)
+    assert len(expected) == 2 * sum(len(c.rays()) == 2 for c in kept)
 
 
 LIMIT = weightings.BOND_VERTEX_LIMIT

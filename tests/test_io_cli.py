@@ -10,7 +10,7 @@ from flowfan.cli import main
 from flowfan.io import _json_int, fan_to_document
 from flowfan.weightings import FLOW_LIMIT, FlowCore
 
-from helpers import banana, path_graph, star_tree, two_gon
+from helpers import banana, necklace, path_graph, star_tree, two_gon
 
 TWO_GON_DOC = {
     "vertices": [{"id": "u", "genus": 0}, {"id": "v", "genus": 0}],
@@ -149,7 +149,20 @@ def test_emit_fan_json_matches_json_dumps():
                             {"id": "é", "from": "v", "to": 0}],
                   "legs": [{"id": "p", "vertex": 0, "weight": 2},
                            {"id": "q", "vertex": "v", "weight": -2}],
-                  "twist": 0}))]
+                  "twist": 0})),
+              # escaped, these ids sort otherwise: "\u00e9" before "z"
+              # and "\"" after "A\\"
+              parse_graph_json(json.dumps({
+                  "vertices": [{"id": "a", "genus": 0}, {"id": "b", "genus": 0}],
+                  "edges": [{"id": eid, "from": "a", "to": "b"}
+                            for eid in ("z", "é", '"', "A\\")],
+                  "legs": [{"id": "p", "vertex": "a", "weight": 3},
+                           {"id": "q", "vertex": "b", "weight": -3}],
+                  "twist": 0})),
+              # face cones share their catalog cone's witness object
+              necklace(3, 3, 3)]
+    fan = build_fan(graphs[-1])
+    assert len({id(w) for w in fan.witnesses.values()}) < len(fan.cones)
     for g in graphs:
         fan = build_fan(g)
         doc = fan_to_document(fan)

@@ -561,6 +561,58 @@ def test_bond_rays_match_orthant_section_on_corpus_recursion():
     assert flows > len(CORPUS_FAMILY)
 
 
+def _ref_bond_sides(succ, pred):
+    """The directed bonds of ``weightings._bond_sides`` by their
+    definition: each proper vertex set U holding vertex 0 such that U and
+    its complement are connected and no two arcs cross the cut in
+    opposite directions, tested set by set."""
+    k = len(succ)
+    arcs = [(a, b) for a in range(k) for b in range(k) if succ[a] >> b & 1]
+
+    def connected(vs):
+        reach, stack = {vs[0]}, [vs[0]]
+        while stack:
+            v = stack.pop()
+            for a, b in arcs:
+                for x, y in ((a, b), (b, a)):
+                    if x == v and y in vs and y not in reach:
+                        reach.add(y)
+                        stack.append(y)
+        return len(reach) == len(vs)
+
+    sides = []
+    for U in range(1, (1 << k) - 1, 2):
+        inside = [v for v in range(k) if U >> v & 1]
+        outside = [v for v in range(k) if not U >> v & 1]
+        out_arc = any(U >> a & 1 and not U >> b & 1 for a, b in arcs)
+        in_arc = any(U >> b & 1 and not U >> a & 1 for a, b in arcs)
+        if not (out_arc and in_arc) and connected(inside) and connected(outside):
+            sides.append(U)
+    return sides
+
+
+def _digraph_masks(k):
+    """(succ, pred) bit masks of every digraph without loops on k
+    vertices."""
+    pairs = [(a, b) for a in range(k) for b in range(k) if a != b]
+    for chosen in product((0, 1), repeat=len(pairs)):
+        succ, pred = [0] * k, [0] * k
+        for (a, b), on in zip(pairs, chosen):
+            if on:
+                succ[a] |= 1 << b
+                pred[b] |= 1 << a
+        yield succ, pred
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_bond_sides_match_their_definition(k):
+    # two vertices take the direct rule, more the search over vertex sets
+    masks = list(_digraph_masks(k))
+    assert len(masks) == 2 ** (k * (k - 1))
+    for succ, pred in masks:
+        assert weightings._bond_sides(succ, pred) == _ref_bond_sides(succ, pred)
+
+
 TRIANGLE = Graph.build({"a": 0, "b": 0, "c": 0},
                        [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a")])
 LOOP_AND_EDGE = Graph.build({"u": 0, "v": 0}, [("e1", "u", "u"), ("e2", "u", "v")],
