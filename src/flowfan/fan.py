@@ -10,6 +10,13 @@ K a union of cycles, once. It reads the key of each cone of G/K off the
 cone's rays padded with zeros on K, and embeds into G's edges only a
 cone whose key is new. Closing the catalog under faces gives the fan.
 
+Most contracted graphs have no vertex demand left: at every vertex the
+legs cancel the twist times the canonical degree, so ``flow_bound`` is
+0. Such a graph has one acyclic flow, the zero flow, whose cone is the
+orthant on its edges, so the walk writes down its key, cone and witness
+(``base_weighting``) in closed form instead of searching its flows; see
+:func:`_visit`.
+
 The acyclic flows are lists on the integer arrays of
 :class:`~flowfan.weightings.FlowCore`, built once per graph.
 :meth:`~flowfan.weightings.FlowCore.rays` reads each flow's cone off the
@@ -40,8 +47,8 @@ from .cones import (Cone, _face_cone, _face_ray_sets, _facet_ray_sets,
                     _normalize_rows, _unit_rows, canonical_key,
                     cone_of_weighting, intersect_cones, is_face_of)
 from .graph import contract, enumerate_cycles
-from .weightings import (FlowCore, lift_weighting, restrict_weighting,
-                         shift_along_cycle)
+from .weightings import (FlowCore, base_weighting, flow_bound, lift_weighting,
+                         restrict_weighting, shift_along_cycle)
 
 
 @dataclass(frozen=True)
@@ -108,6 +115,11 @@ def cone_catalog(g):
     that preorder but visits each K once: a repeat of K is no descendant
     of its first visit (K grows down a branch), which has thus already
     added every key the repeat would reach, so no first occurrence moves.
+
+    A contracted graph whose vertex demands are all zero gets its one cone,
+    the orthant on its edges, and its base weighting as witness with no
+    flow search (see :func:`_visit`); every other graph goes through
+    :func:`_acyclic_catalog`.
     """
     out = {}
     _visit(tuple(g.edges()), g, frozenset(), [], out, set())
@@ -118,20 +130,48 @@ def _visit(edges, h, contracted, path, out, seen):
     """Add the cones of ``h`` = G/K, K = ``contracted``, new to ``out`` as
     key -> (cone, witness) in G's ``edges``, then visit G/(K | C) for each
     cycle C of ``h`` whose edge set K | C is not in ``seen``. ``path``
-    lists the (graph, cycle edges, cycle) steps from G down to ``h``."""
-    emb = _Embedding.build(h.edges(), edges, contracted) if contracted else None
-    for k, (c, w) in _acyclic_catalog(h).items():
-        if emb is not None:
-            k = ((), emb.rays(c))  # the key of the pointed embedded cone
-        if k in out:
-            continue
-        if emb is not None:
-            c = _embed_cone(c, emb, k[1])
-        for gp, cyc_edges, cyc in reversed(path):
-            # a negative circulation makes the cycle positive
-            w0 = lift_weighting(gp, cyc_edges, w)
-            w = shift_along_cycle(gp, w0, cyc, -(w0.max_abs() + 1))
-        out[k] = (c, w)
+    lists the (graph, cycle edges, cycle) steps from G down to ``h``.
+
+    When every vertex demand of ``h`` is zero, ``flow_bound(h) == 0``, the
+    one cone and witness of ``h`` are written down with no flow search,
+    and are those :func:`_acyclic_catalog` would give:
+
+    * Every acyclic flow has ``|x_e| <= S`` (:func:`flow_bound`), so S = 0
+      leaves only the zero flow.
+    * ``base_weighting(h)`` is that flow: forest flows solved from zero
+      demands are zero, and legs keep their weights. Its ``values`` have
+      the key order that :meth:`FlowCore.weighting` gives the zero flow.
+    * With every edge of zero flow, G/Z is a single vertex, so
+      :meth:`FlowCore.rays` returns exactly the unit vectors; the cycle
+      rows are zero, so the cone has no equalities.
+    * Padding puts the zero rows of K into the equalities, and the key is
+      the set of padded units: the sorted unit rows of G's edges off K.
+
+    So the key is read off K before anything is built, and a key already
+    in ``out`` costs nothing more."""
+    if flow_bound(h) == 0:
+        units = _unit_rows(len(edges))
+        k = ((), tuple(sorted(units[i] for i, e in enumerate(edges)
+                              if e not in contracted)))
+        if k not in out:
+            small = tuple(h.edges())
+            small_units = tuple(sorted(_unit_rows(len(small))))
+            c = Cone._pointed(len(small), small, (), small_units, small_units)
+            if contracted:
+                c = _embed_cone(c, _Embedding.build(small, edges, contracted),
+                                k[1])
+            out[k] = (c, _lift(path, base_weighting(h)))
+    else:
+        emb = (_Embedding.build(h.edges(), edges, contracted) if contracted
+               else None)
+        for k, (c, w) in _acyclic_catalog(h).items():
+            if emb is not None:
+                k = ((), emb.rays(c))  # the key of the pointed embedded cone
+            if k in out:
+                continue
+            if emb is not None:
+                c = _embed_cone(c, emb, k[1])
+            out[k] = (c, _lift(path, w))
     for cyc in enumerate_cycles(h):
         cyc_edges = frozenset(cyc.edges(h))
         key = contracted | cyc_edges
@@ -139,6 +179,16 @@ def _visit(edges, h, contracted, path, out, seen):
             seen.add(key)
             _visit(edges, contract(h, cyc_edges).contracted, key,
                    path + [(h, cyc_edges, cyc)], out, seen)
+
+
+def _lift(path, w):
+    """Carry a witness of the last graph of ``path`` up to G, making each
+    contracted cycle positive on the way."""
+    for gp, cyc_edges, cyc in reversed(path):
+        # a negative circulation makes the cycle positive
+        w0 = lift_weighting(gp, cyc_edges, w)
+        w = shift_along_cycle(gp, w0, cyc, -(w0.max_abs() + 1))
+    return w
 
 
 def _acyclic_catalog(g):

@@ -90,6 +90,17 @@ def wheel(k, n):
     return Graph.build(verts, edges, [("p", "hub", n), ("q", "r0", -n)])
 
 
+def ladder(k, n=2):
+    """``k`` rungs a_i-b_i joined by rails a_i-a_{i+1} and b_i-b_{i+1},
+    legs +n at a_0 and -n at b_{k-1}: 2k vertices, 3k - 2 edges, first
+    Betti number k - 1."""
+    verts = {f"{s}{i}": 0 for s in "ab" for i in range(k)}
+    edges = [(f"r{i}", f"a{i}", f"b{i}") for i in range(k)]
+    edges += [(f"{s}{i}_{i + 1}", f"{s}{i}", f"{s}{i + 1}")
+              for s in "ab" for i in range(k - 1)]
+    return Graph.build(verts, edges, [("p", "a0", n), ("q", f"b{k - 1}", -n)])
+
+
 def star_tree(leg_weights, twist=0):
     """Single vertex carrying only legs."""
     return Graph.build({"u": 0}, [],

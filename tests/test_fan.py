@@ -16,11 +16,13 @@ from flowfan.fan import _embed_cone, _Embedding, _meet_in_common_face
 from flowfan.graph import contract, cycle_basis, enumerate_cycles
 from flowfan.linalg import int_rank
 from flowfan import weightings
-from flowfan.weightings import lift_weighting, shift_along_cycle, shift_by_cycles
+from flowfan.weightings import (FlowCore, flow_bound, lift_weighting,
+                                shift_along_cycle, shift_by_cycles)
 
 from helpers import (banana, box_radius, box_vectors, chain, complete_graph,
-                     corpus, loop_graph, necklace, path_graph, random_graph,
-                     ref_positive_cycle_halves, ring, two_gon, wheel)
+                     corpus, ladder, loop_graph, necklace, path_graph,
+                     random_graph, ref_positive_cycle_halves, ring, two_gon,
+                     wheel)
 from test_weightings import flows_weighting
 
 
@@ -164,6 +166,74 @@ def test_catalog_embeds_only_new_keys(monkeypatch):
     assert {canonical_key(c) for c, _ in catalog} >= set(root_keys)
     # one embed per key first reached in a contracted graph: 455 - 191
     assert counts["_embed_cone"] == len(catalog) - len(root_keys) == 264
+
+
+def _zero_demand_graphs(monkeypatch, g):
+    """The graphs ``cone_catalog(g)`` visits whose vertex demands are all
+    zero, G itself included."""
+    found = [g] if flow_bound(g) == 0 else []
+    original = fan_module.contract
+
+    def recorded(*args):
+        res = original(*args)
+        if flow_bound(res.contracted) == 0:
+            found.append(res.contracted)
+        return res
+
+    monkeypatch.setattr(fan_module, "contract", recorded)
+    cone_catalog(g)
+    monkeypatch.undo()
+    return found
+
+
+def test_zero_demand_graphs_have_the_closed_form_cone(monkeypatch):
+    graphs = corpus() + [banana(4, 3), banana(3, 20), necklace(3, 3, 3),
+                         complete_graph((2, -2, 0, 0, 0)), wheel(5, 2)]
+    checked = 0
+    for g in graphs:
+        for h in _zero_demand_graphs(monkeypatch, g):
+            units = tuple(sorted(cones_module._unit_rows(len(h.edges()))))
+            ((k, (c, w)),) = fan_module._acyclic_catalog(h).items()
+            assert k == ((), units)
+            assert c.equalities == () and c.rays() == units
+            base = base_weighting(h)
+            assert list(w.values.items()) == list(base.values.items())
+            checked += 1
+    # 287 on the corpus, 11, 4, 395 and 286 on banana(4,3), banana(3,20),
+    # the necklace and K5, 104 on the wheel
+    assert checked == 1087
+
+
+@pytest.mark.parametrize("g, builds", [(banana(4, 3), 1), (banana(3, 20), 1),
+                                       (necklace(3, 3, 3), 9),
+                                       (complete_graph((2, -2, 0, 0, 0)), 28)])
+def test_catalog_searches_flows_of_graphs_with_demand_only(monkeypatch, g, builds):
+    counts = []
+    original = FlowCore.build
+
+    def counted(cls, h):
+        counts.append(h)
+        return original(h)
+
+    monkeypatch.setattr(FlowCore, "build", classmethod(counted))
+    cone_catalog(g)
+    assert len(counts) == builds
+    assert all(flow_bound(h) > 0 for h in counts)
+
+
+@pytest.mark.parametrize("g", [necklace(3, 3, 3), complete_graph((2, -2, 0, 0, 0)),
+                               wheel(5, 2), ladder(5)])
+def test_catalog_holds_the_cones_of_sampled_flows(g):
+    # far outside the search box, through double description on the cycle
+    # rows: neither the bond rays nor the contraction walk is used
+    keys = {canonical_key(c) for c, _ in cone_catalog(g)}
+    base, basis = base_weighting(g), cycle_basis(g)
+    top = 3 * flow_bound(g) + 2
+    rng = random.Random(len(keys))
+    for _ in range(400):
+        coeffs = [rng.randint(-top, top) for _ in basis]
+        w = shift_by_cycles(g, base, coeffs, basis)
+        assert canonical_key(cone_of_weighting(g, w)) in keys, coeffs
 
 
 @pytest.mark.parametrize("g, built", [(banana(3, 20), 0), (necklace(3, 3, 3), 42)])

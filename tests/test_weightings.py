@@ -15,8 +15,9 @@ from flowfan import weightings
 from flowfan.cones import Cone, canonical_key, cone_of_weighting, cycle_constraint_rows
 from flowfan.weightings import FlowCore, _positive_cycle, has_positive_cycle
 
-from helpers import (banana, box_radius, box_vectors, corpus, loop_graph,
-                     one_edge_genus1, path_graph, ref_positive_cycle_halves, two_gon)
+from helpers import (banana, box_radius, box_vectors, complete_graph, corpus,
+                     loop_graph, necklace, one_edge_genus1, path_graph,
+                     ref_positive_cycle_halves, two_gon)
 
 
 def flows_weighting(g, flows):
@@ -367,6 +368,31 @@ def test_lift_weighting_inverts_restrict():
         ok, _ = is_weighting(g, w)
         assert ok
         assert restrict_weighting(g, w, res).values == w_small.values
+
+
+def _cycle_contractions():
+    """(graph, contraction, base weighting, cycle basis) for every cycle
+    of the corpus graphs, neck3x3 and K5, its edges contracted."""
+    out = []
+    for g in corpus() + [necklace(3, 3, 3), complete_graph((2, -2, 0, 0, 0))]:
+        for cyc in enumerate_cycles(g):
+            res = contract(g, frozenset(cyc.edges(g)))
+            gc = res.contracted
+            out.append((g, res, base_weighting(gc), cycle_basis(gc)))
+    return out
+
+
+CYCLE_CONTRACTIONS = _cycle_contractions()
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=10)
+@given(st.data())
+def test_restrict_undoes_lift_on_every_cycle(data):
+    for g, res, base, basis in CYCLE_CONTRACTIONS:
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(basis),
+                                    max_size=len(basis)))
+        w = shift_by_cycles(res.contracted, base, coeffs, basis)
+        assert restrict_weighting(g, lift_weighting(g, res, w), res) == w
 
 
 # -- the integer-array flow core against the half-edge dict path -------------
