@@ -39,12 +39,24 @@ without passing them through ``__init__`` again. A face inherits its
 table, cut down to its rays, and a facet also its dimension, one less
 than its parent's.
 
-A pointed cone on at most two rays takes its dimension from its ray
+Two kinds of cone are built from known rays and defer their equality
+rows to the first read of ``equalities``, which computes them once and
+caches them: the catalog's cones from directed bonds, whose rows are the
+normalized cycle rows of their flow, and faces built by :func:`_face`,
+whose rows are the parent's plus the parent's inequality rows tight on
+the face. A face of a pointed cone is fixed by its rays, so building,
+closing, checking and writing a fan reads the rows of few of its cones.
+``__init__``, ``orthant_section``, ``intersect``, ``from_generators``
+and ``polar`` compute their rows at once.
+
+A pointed cone on at most three rays takes its dimension from its ray
 count, with no rank: distinct primitive extreme rays of a pointed cone
-are never parallel (a ray and its negative would make a line), so up to
-two of them are linearly independent. Such a cone is simplicial, so its
-facets drop one ray each and need no tight-set table either. Other
-cones rank their rays and lineality basis.
+are never parallel (a ray and its negative would make a line), so a
+pointed cone of dimension one has one extreme ray and one of dimension
+two exactly two, while three vectors span at most three dimensions.
+Such a cone is simplicial, so its facets drop one ray each and need no
+tight-set table either. Other cones rank their rays and lineality
+basis.
 
 The cone attached to a weighting w lives in the non-negative orthant of
 Q^E and is cut out by one equality per basis cycle, with entries the
@@ -53,7 +65,7 @@ the cycle class makes basis cycles sufficient.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from math import lcm, prod
 
@@ -155,13 +167,15 @@ class Cone:
     cached; instances are immutable afterwards.
     """
 
-    __slots__ = ("ambient_dim", "labels", "equalities", "inequalities",
-                 "_lineality", "_rays", "_tight", "_dim", "_facets")
+    __slots__ = ("ambient_dim", "labels", "_equalities", "_row_source",
+                 "inequalities", "_lineality", "_rays", "_tight", "_dim",
+                 "_facets")
 
     def __init__(self, ambient_dim, equalities=(), inequalities=(), labels=None):
         self.ambient_dim = ambient_dim
         self.labels = tuple(labels) if labels is not None else None
-        self.equalities = _normalize_rows(equalities, equalities=True)
+        self._equalities = _normalize_rows(equalities, equalities=True)
+        self._row_source = None
         self.inequalities = _normalize_rows(inequalities, equalities=False)
         self._rays = None
         self._lineality = None
@@ -170,13 +184,16 @@ class Cone:
         self._facets = None
 
     @classmethod
-    def _pointed(cls, ambient_dim, labels, equalities, inequalities, rays):
+    def _pointed(cls, ambient_dim, labels, equalities, inequalities, rays,
+                 row_source=None):
         """A pointed cone with known rays from rows that are normalized and
-        sorted already, as ``__init__`` leaves them; skips ``__init__``."""
+        sorted already, as ``__init__`` leaves them; skips ``__init__``.
+        With ``equalities`` None, ``row_source()`` gives them on first read."""
         cone = cls.__new__(cls)
         cone.ambient_dim = ambient_dim
         cone.labels = labels
-        cone.equalities = equalities
+        cone._equalities = equalities
+        cone._row_source = row_source
         cone.inequalities = inequalities
         cone._rays = rays
         cone._lineality = ()
@@ -184,6 +201,15 @@ class Cone:
         cone._dim = None
         cone._facets = None
         return cone
+
+    @property
+    def equalities(self):
+        """The equality rows, normalized and sorted; a cone built from known
+        rays may compute them on first read, once."""
+        if self._equalities is None:
+            self._equalities = self._row_source()
+            self._row_source = None
+        return self._equalities
 
     @classmethod
     def orthant_section(cls, ambient_dim, equalities=(), labels=None):
@@ -240,9 +266,8 @@ class Cone:
     def dim(self):
         if self._dim is None:
             self._compute()
-            if not self._lineality and len(self._rays) <= 2:
-                # distinct primitive extreme rays of a pointed cone are
-                # never parallel, so up to two are linearly independent
+            if not self._lineality and len(self._rays) <= 3:
+                # a pointed cone on at most three rays is simplicial
                 self._dim = len(self._rays)
             else:
                 self._dim = int_rank(list(self._lineality) + list(self._rays))
@@ -360,15 +385,14 @@ def _face_ray_sets(c: Cone):
 def _facet_ray_sets(c: Cone):
     """The facets of pointed ``c``, each given by the frozenset of its rays:
     the inclusion-maximal proper tight sets of its inequality rows, in row
-    order, or on at most two rays its rays less one, in ray order. Every
-    face of ``c`` but ``c`` itself lies in a facet, and is a face of it
-    (Ziegler, *Lectures on Polytopes*, section 2.2). Computed once per
+    order, or on at most three rays its rays less one, in ray order.
+    Every face of ``c`` but ``c`` itself lies in a facet, and is a face of
+    it (Ziegler, *Lectures on Polytopes*, section 2.2). Computed once per
     cone and cached on it."""
     if c._facets is None:
         rays = c.rays()
-        if len(rays) <= 2:
-            # at most two rays are linearly independent (see Cone.dim),
-            # so the cone is simplicial and each facet drops one ray
+        if len(rays) <= 3:
+            # simplicial (see the module docstring): each facet drops a ray
             c._facets = tuple(frozenset(rays[:i] + rays[i + 1:])
                               for i in range(len(rays)))
         else:
@@ -382,17 +406,26 @@ def _facet_ray_sets(c: Cone):
 def _face(c: Cone, ray_subset):
     """The face of pointed ``c`` with the rays in the frozenset
     ``ray_subset``: ``c`` with its rows tight on them turned into
-    equalities. The face keeps ``c``'s inequality rows, so its tight-set
-    table is ``c``'s cut down to ``ray_subset``, without a dot product."""
+    equalities, built on first read by :func:`_face_rows`. The face keeps
+    ``c``'s inequality rows, so its tight-set table is ``c``'s cut down to
+    ``ray_subset``, without a dot product."""
     _, tight_sets = c._tight_sets()
     face_tight = tuple(t & ray_subset for t in tight_sets)
-    tight = {sign_normalized(q)
-             for q, t in zip(c.inequalities, face_tight) if t == ray_subset}
-    face = Cone._pointed(c.ambient_dim, c.labels,
-                         tuple(sorted(tight.union(c.equalities))),
-                         c.inequalities, tuple(sorted(ray_subset)))
+    face = Cone._pointed(c.ambient_dim, c.labels, None, c.inequalities,
+                         tuple(sorted(ray_subset)),
+                         partial(_face_rows, c, face_tight, ray_subset))
     face._tight = (ray_subset, face_tight)
     return face
+
+
+def _face_rows(c: Cone, face_tight, ray_subset):
+    """The equality rows of the face of ``c`` with the rays in
+    ``ray_subset``, whose cut-down tight-set table is ``face_tight``:
+    ``c``'s equalities plus its inequality rows tight on the face,
+    sign-normalized."""
+    tight = {sign_normalized(q)
+             for q, t in zip(c.inequalities, face_tight) if t == ray_subset}
+    return tuple(sorted(tight.union(c.equalities)))
 
 
 def _face_cone(c: Cone, facet):

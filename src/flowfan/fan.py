@@ -40,7 +40,7 @@ a fan from ``build_fan`` reads the facets the descent found.
 """
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, partial
 
 from .errors import UnknownEdge, UnsupportedDimension
 from .cones import (Cone, _face_cone, _face_ray_sets, _facet_ray_sets,
@@ -193,7 +193,8 @@ def _lift(path, w):
 
 def _acyclic_catalog(g):
     """The cones of the weightings of ``g`` without a positive cycle, as
-    key -> (cone, first witness) in enumeration order."""
+    key -> (cone, first witness) in enumeration order. A cone from the
+    flow's bonds normalizes its cycle rows only when they are read."""
     edges = g.edges()
     labels = tuple(edges)
     units = tuple(sorted(_unit_rows(len(edges))))
@@ -203,19 +204,25 @@ def _acyclic_catalog(g):
     for coeffs in core.acyclic_coefficients():
         x = core.shifted(coeffs)
         rays = core.rays(x)
-        # a pointed cone's key is ((), its rays)
-        if rays is not None and ((), rays) in out:
-            continue
-        system = _normalize_rows(core.rows(x), equalities=True)
         if rays is not None:
-            c = Cone._pointed(len(edges), labels, system, units, rays)
-        elif system in solved:
+            k = ((), rays)  # a pointed cone's key
+            if k not in out:
+                c = Cone._pointed(len(edges), labels, None, units, rays,
+                                  partial(_system, core, x))
+                out[k] = (c, core.weighting(x))
             continue
-        else:
-            solved.add(system)
-            c = Cone.orthant_section(len(edges), system, labels=labels)
+        system = _system(core, x)
+        if system in solved:
+            continue
+        solved.add(system)
+        c = Cone.orthant_section(len(edges), system, labels=labels)
         out.setdefault(canonical_key(c), (c, core.weighting(x)))
     return out
+
+
+def _system(core, x):
+    """The normalized cycle rows of the flow ``x`` of ``core``."""
+    return _normalize_rows(core.rows(x), equalities=True)
 
 
 @dataclass
@@ -309,6 +316,33 @@ def _meet_in_common_face(c1, rays1, c2, rays2):
     return is_face_of(inter, c1) and is_face_of(inter, c2)
 
 
+def _ray_supports(rays):
+    """(each ray of ``rays`` with the bitmask of its nonzero coordinates,
+    the union of those masks)."""
+    masks = tuple((r, sum(1 << k for k, x in enumerate(r) if x)) for r in rays)
+    union = 0
+    for _, m in masks:
+        union |= m
+    return masks, union
+
+
+def _meet_on_common_support(c1, supports1, c2, supports2):
+    """:func:`_meet_in_common_face` for two pointed cones in the orthant,
+    each given with its :func:`_ray_supports`. It is decided on G1 and G2,
+    the faces spanned by the rays whose supports lie in S, the cones'
+    common support, since the cones meet where G1 and G2 do (see
+    :func:`verify_fan`)."""
+    s = supports1[1] & supports2[1]
+    g1 = [r for r, m in supports1[0] if m | s == s]
+    if not g1:
+        return True
+    g2 = [r for r, m in supports2[0] if m | s == s]
+    if not g2 or len(g1) == len(g2) == 1:
+        # G1 or G2 is the origin, or two rays meet in a ray or the origin
+        return True
+    return _meet_in_common_face(c1, g1, c2, g2)
+
+
 def verify_fan(fan: Fan) -> FanReport:
     """Check the fan axioms in three stages: cones are pointed and sit in
     the non-negative orthant, every face of every cone belongs to the fan,
@@ -338,9 +372,29 @@ def verify_fan(fan: Fan) -> FanReport:
 
     Two cones with at most one ray each always meet in a common face. A
     ray r meets a cone C in r or in the origin, so the pair fails exactly
-    when C contains r and r is not a ray of C; only pairs of cones with
-    two or more rays each need an intersection. Violations are reported
-    in the order of the pairs' positions in ``fan.cones``."""
+    when C contains r and r is not a ray of C.
+
+    Before a pair is tested it is cut down to the coordinates both cones
+    use. Take two pointed cones C1 and C2 in the orthant; the first stage
+    has checked that they are. Let supp(C) be the union of the supports
+    of C's rays, and let S be the intersection of supp(C1) and supp(C2).
+
+    * Every point of C_i has its support inside supp(C_i), so the
+      intersection of C1 and C2 lies in F, the orthant's face on S.
+    * The hyperplane where the coordinates outside S sum to 0 supports
+      the orthant, which it cuts in F. So C_i cut by it is a face G_i of
+      C_i, spanned by the rays of C_i whose support lies in S.
+    * Therefore C1 and C2 meet where G1 and G2 meet, and that cone is a
+      face of C_i exactly when it is a face of G_i, for a face of a face
+      is a face, and a face of C_i inside G_i is a face of G_i.
+
+    So the pair passes when G1 or G2 has no ray, or each has one. When
+    one of them is a single ray r, the ray rule above decides: r lies in
+    C_i exactly when it lies in G_i, and is a ray of C_i exactly when it
+    is one of G_i. Only when G1 and G2 have two or more rays each do C1
+    and C2 need an intersection. The supports of each cone's rays are
+    computed once per call, not once per pair. Violations are reported in
+    the order of the pairs' positions in ``fan.cones``."""
     cones = fan.cones
     violations = []
     for c in cones:
@@ -368,11 +422,12 @@ def verify_fan(fan: Fan) -> FanReport:
         return FanReport(False, tuple(violations))
     maximal = [i for i, rs in enumerate(ray_sets) if rs not in facets]
     wide = [i for i in maximal if len(ray_sets[i]) > 1]
+    supports = {i: _ray_supports(cones[i].rays()) for i in maximal}
     # a cone with at most one ray is paired with the wide cones only
     for i in maximal:
         for j in (maximal if len(ray_sets[i]) > 1 else wide):
-            if j > i and not _meet_in_common_face(cones[i], ray_sets[i],
-                                                  cones[j], ray_sets[j]):
+            if j > i and not _meet_on_common_support(cones[i], supports[i],
+                                                     cones[j], supports[j]):
                 violations.append(
                     f"intersection of {canonical_key(cones[i])} and "
                     f"{canonical_key(cones[j])} is not a common face")

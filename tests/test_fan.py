@@ -12,9 +12,11 @@ from flowfan import (Fan, UnknownEdge, UnsupportedDimension, base_weighting,
 from flowfan import cones as cones_module
 from flowfan import fan as fan_module
 from flowfan.cones import Cone, cycle_constraint_rows
-from flowfan.fan import _embed_cone, _Embedding, _meet_in_common_face
+from flowfan.fan import (_embed_cone, _Embedding, _meet_in_common_face,
+                         _meet_on_common_support, _ray_supports)
 from flowfan.graph import contract, cycle_basis, enumerate_cycles
-from flowfan.linalg import int_rank
+from flowfan.io import emit_fan_json
+from flowfan.linalg import dot, int_rank, sign_normalized
 from flowfan import weightings
 from flowfan.weightings import (FlowCore, flow_bound, lift_weighting,
                                 shift_along_cycle, shift_by_cycles)
@@ -326,10 +328,11 @@ def test_dim_ranks_catalog_cones_only(monkeypatch, g):
     monkeypatch.setattr(cones_module, "int_rank", recorded)
     for c in build_fan(g).cones:
         c.dim()
-    # one rank per catalog cone on more than two rays, of its rays; a cone
-    # on at most two rays counts them, and every face gets its dimension
+    # one rank per catalog cone on more than three rays, of its rays; a
+    # cone on at most three rays counts them, and every face gets its
+    # dimension
     assert sorted(ranked) == sorted(c.rays() for c, _ in catalog
-                                    if len(c.rays()) > 2)
+                                    if len(c.rays()) > 3)
 
 
 @pytest.mark.parametrize("graphs", [
@@ -412,6 +415,99 @@ def test_verify_fan_names_every_missing_face_of_cones_with_cached_facets():
                             fan.maximal_keys))
     assert report.violations == tuple(expected)
     assert len(expected) == 2 * sum(len(c.rays()) == 2 for c in kept)
+
+
+def _normalized(rows):
+    """Equality rows as ``Cone.__init__`` leaves them."""
+    return tuple(sorted({sign_normalized(r) for r in rows if any(r)}))
+
+
+def _eager_rows(monkeypatch):
+    """For each cone that ``_acyclic_catalog``, ``_embed_cone`` and
+    ``cones._face`` build, its cone and its equality rows by the rules
+    that computed them at construction: the normalized cycle rows of the
+    witness, the padded rows of the small cone plus the unit rows of the
+    contracted edges, and the parent's rows plus its inequality rows zero
+    on every ray of the face."""
+    expected = {}
+    acyclic = fan_module._acyclic_catalog
+    embed = fan_module._embed_cone
+    face = cones_module._face
+
+    def acyclic_rows(h):
+        out = acyclic(h)
+        for c, w in out.values():
+            expected[id(c)] = (c, _normalized(cycle_constraint_rows(h, w)[1]))
+        return out
+
+    def embed_rows(c_small, emb, rays):
+        c = embed(c_small, emb, rays)
+        padded = [emb.pad(a) for a in c_small.equalities] + list(emb.zero_rows)
+        expected[id(c)] = (c, tuple(sorted(padded)))
+        return c
+
+    def face_rows(c, ray_subset):
+        f = face(c, ray_subset)
+        tight = [q for q in c.inequalities
+                 if all(dot(q, r) == 0 for r in ray_subset)]
+        expected[id(f)] = (f, _normalized(list(c.equalities) + tight))
+        return f
+
+    monkeypatch.setattr(fan_module, "_acyclic_catalog", acyclic_rows)
+    monkeypatch.setattr(fan_module, "_embed_cone", embed_rows)
+    monkeypatch.setattr(cones_module, "_face", face_rows)
+    return expected
+
+
+@pytest.mark.parametrize("graphs", [
+    corpus(), [necklace(3, 3, 3)], [complete_graph((2, -2, 0, 0, 0))],
+    [banana(3, 20)], [banana(4, 3)]],
+    ids=["corpus", "neck3x3", "K5", "banana(3,20)", "banana(4,3)"])
+def test_rows_read_late_equal_the_eager_rules(monkeypatch, graphs):
+    expected = _eager_rows(monkeypatch)
+    for g in graphs:
+        expected.clear()
+        fan = build_fan(g)
+        assert verify_fan(fan).ok
+        emit_fan_json(fan)
+        units = tuple(sorted(cones_module._unit_rows(len(fan.edge_order))))
+        for c in fan.cones:
+            if id(c) not in expected:
+                # the closed-form orthant of a graph with no demand
+                assert flow_bound(g) == 0 and c.rays() == units
+                expected[id(c)] = (c, ())
+        for c, rows in expected.values():
+            assert c.equalities == rows
+
+
+def _row_computations(monkeypatch):
+    """The cones whose equality rows are computed on a read, one entry
+    per computation."""
+    computed = []
+    equalities = Cone.equalities
+
+    def read(c):
+        if c._equalities is None:
+            computed.append(c)
+        return equalities.fget(c)
+
+    monkeypatch.setattr(Cone, "equalities", property(read))
+    return computed
+
+
+@pytest.mark.parametrize("g, cones, computed", [
+    # no pair of banana(3,20)'s fan needs a ray test or an intersection
+    (banana(3, 20), 178, 0),
+    (banana(4, 3), 15, 4),
+    (necklace(3, 3, 3), 497, 63)], ids=["banana(3,20)", "banana(4,3)", "neck3x3"])
+def test_build_verify_and_emit_compute_few_rows(monkeypatch, g, cones, computed):
+    rows = _row_computations(monkeypatch)
+    fan = build_fan(g)
+    assert verify_fan(fan).ok
+    emit_fan_json(fan)
+    assert len(fan.cones) == cones
+    assert len(rows) == computed
+    assert len({id(c) for c in rows}) == computed
 
 
 LIMIT = weightings.BOND_VERTEX_LIMIT
@@ -548,22 +644,30 @@ def test_verify_fan_stops_after_pointedness_stage():
 
 
 def test_verify_fan_resumes_every_intersection(monkeypatch):
-    import flowfan.cones as cones_mod
-    fan = build_fan(banana(3, 8))
     starts = []
-    original = cones_mod._double_description
+    original = cones_module._double_description
 
     def recording(*args, **kwargs):
         starts.append(kwargs.get("start"))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cones_mod, "_double_description", recording)
-    assert verify_fan(fan).ok
-    # of the 28 cones only the three 2-D cones need an intersection: the
-    # other maximal cones are rays, and proper faces are not paired at all
-    assert len(fan.cones) == 28
-    assert len(starts) == 3
-    assert all(s is not None for s in starts)
+    for g, cones, runs in [
+            # the 21 maximal rays have full support, so none lies in the
+            # support of a 2-D cone, and the three 2-D cones pairwise share
+            # one unit ray on their common support: no pair needs an
+            # intersection
+            (banana(3, 8), 28, 0),
+            (banana(4, 3), 15, 6),
+            (necklace(3, 3, 3), 497, 66)]:
+        fan = build_fan(g)
+        starts.clear()
+        monkeypatch.setattr(cones_module, "_double_description", recording)
+        assert verify_fan(fan).ok
+        monkeypatch.undo()
+        # proper faces are not paired at all, and every intersection resumes
+        assert len(fan.cones) == cones
+        assert len(starts) == runs
+        assert all(s is not None for s in starts)
 
 
 def _all_pairs_stage(cones):
@@ -634,6 +738,76 @@ def test_meet_in_common_face_ray_rule():
     plane = Cone.orthant_section(3, [(0, 0, 1)])
     outside = Cone.from_generators(3, [(0, 0, 1)])
     assert _meet_in_common_face(outside, {(0, 0, 1)}, plane, set(plane.rays()))
+
+
+@st.composite
+def orthant_cone_pairs(draw):
+    """Two pointed cones in the orthant of one dimension 2-5, each from
+    ``orthant_section``, ``from_generators`` of vectors in the orthant or
+    ``intersect`` of two such cones. Half the time the second is spanned
+    by some rays of the first and maybe the sum of others, a ray inside
+    the first that is not one of its rays; such pairs often fail."""
+    d = draw(st.integers(2, 5))
+    row = st.tuples(*[st.integers(-3, 3)] * d)
+    vector = st.tuples(*[st.integers(0, 3)] * d)
+
+    def cone():
+        how = draw(st.sampled_from(("orthant", "generators", "intersect")))
+        if how == "orthant":
+            return Cone.orthant_section(d, draw(st.lists(row, max_size=d - 1)))
+        if how == "generators":
+            return Cone.from_generators(d, draw(st.lists(vector, max_size=5)))
+        return intersect_cones(cone(), cone())
+
+    c1 = cone()
+    rays = c1.rays()
+    if not rays or draw(st.booleans()):
+        return c1, cone()
+    gens = set(draw(st.lists(st.sampled_from(rays), max_size=3)))
+    if len(rays) > 1 and draw(st.booleans()):
+        summed = draw(st.sets(st.sampled_from(rays), min_size=2))
+        gens.add(tuple(map(sum, zip(*summed))))
+    c2 = Cone.from_generators(d, gens)
+    return (c1, c2) if draw(st.booleans()) else (c2, c1)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=400)
+@given(orthant_cone_pairs())
+def test_meet_on_common_support_matches_full_cones(pair):
+    c1, c2 = pair
+    assert c1.is_pointed() and c2.is_pointed()
+    full = _meet_in_common_face(c1, set(c1.rays()), c2, set(c2.rays()))
+    assert _meet_on_common_support(c1, _ray_supports(c1.rays()),
+                                   c2, _ray_supports(c2.rays())) is full
+
+
+def test_meet_on_common_support_examples():
+    orthant = Cone.orthant_section(3)
+    assert _ray_supports(orthant.rays()) == (
+        (((0, 0, 1), 4), ((0, 1, 0), 2), ((1, 0, 0), 1)), 7)
+    plane = Cone.orthant_section(3, [(1, 0, 0)])     # spanned by e2 and e3
+    floor = Cone.orthant_section(3, [(0, 0, 1)])     # spanned by e1 and e2
+    tilted = Cone.from_generators(3, [(1, 1, 0), (0, 0, 1)])
+    ray = {v: Cone.from_generators(3, [v])
+           for v in [(1, 0, 0), (0, 1, 0), (0, 1, 1), (1, 1, 1)]}
+    for c1, c2, ok in [
+            (orthant, ray[(1, 0, 0)], True),     # a ray of the orthant
+            (orthant, ray[(0, 1, 1)], False),    # inside a 2-D face
+            (orthant, ray[(1, 1, 1)], False),    # in the interior
+            (plane, ray[(1, 0, 0)], True),       # no common support
+            (plane, ray[(0, 1, 0)], True),       # a ray of the plane
+            (plane, ray[(0, 1, 1)], False),      # inside the plane
+            (plane, ray[(1, 1, 1)], True),       # support not inside S
+            (plane, floor, True),                # one common unit ray
+            # on S = {0, 1} the tilted cone's face is the ray (1, 1, 0),
+            # which lies inside the floor but is not one of its rays
+            (floor, tilted, False),
+            # on S = {1, 2} the tilted cone's face is e3, a ray of the plane
+            (plane, tilted, True)]:
+        for a, b in [(c1, c2), (c2, c1)]:
+            assert _meet_on_common_support(
+                a, _ray_supports(a.rays()), b, _ray_supports(b.rays())) is ok
+            assert _meet_in_common_face(a, set(a.rays()), b, set(b.rays())) is ok
 
 
 def test_verify_fan_reports_ray_inside_a_cone():
