@@ -9,6 +9,17 @@ only when an exact rank test certifies extremality, and rays are
 canonicalised by reduction modulo the lineality span. All arithmetic is
 arbitrary-precision integer.
 
+The pass keeps the lineality in reduced form, as in Fukuda and Prodon,
+"Double description method revisited" (1996): it holds the lineality
+basis beside its canonical RREF, and re-eliminates only when an
+insertion cuts the basis down, the one step that changes it.
+``Cone.from_generators`` inserts a generator whose negative is also a
+generator as one equality row of the dual rather than as two opposite
+inequalities, since {u : u.v >= 0, -u.v >= 0} = {u : u.v = 0}. The
+result does not depend on how a cone is split into rows: the lineality
+is a canonical RREF, and the rays are primitive, reduced modulo it and
+sorted.
+
 After every insertion the pass holds the rows inserted so far, a
 lineality basis and the extreme rays of the cone those rows cut out. A
 solved pointed cone is such a state with an empty lineality, so a pass
@@ -39,13 +50,15 @@ without passing them through ``__init__`` again. A face inherits its
 table, cut down to its rays, and a facet also its dimension, one less
 than its parent's.
 
-Two kinds of cone are built from known rays and defer their equality
+Three kinds of cone are built from known rays and defer their equality
 rows to the first read of ``equalities``, which computes them once and
 caches them: the catalog's cones from directed bonds, whose rows are the
-normalized cycle rows of their flow, and faces built by :func:`_face`,
-whose rows are the parent's plus the parent's inequality rows tight on
-the face. A face of a pointed cone is fixed by its rays, so building,
-closing, checking and writing a fan reads the rows of few of its cones.
+normalized cycle rows of their flow, the cones of contracted graphs
+embedded by :func:`~flowfan.fan._embed_cone`, whose rows are the small
+cone's padded with zeros, and faces built by :func:`_face`, whose rows
+are the parent's plus the parent's inequality rows tight on the face.
+A face of a pointed cone is fixed by its rays, so building, closing,
+checking and writing a fan reads the rows of few of its cones.
 ``__init__``, ``orthant_section``, ``intersect``, ``from_generators``
 and ``polar`` compute their rows at once.
 
@@ -106,8 +119,10 @@ def _double_description(dim, equalities, inequalities, start=None):
         lin = []
         eq_rows, ineq_rows, rays = (list(x) for x in start)
 
+    # the canonical form of ``lin``, refreshed only where ``lin`` changes
+    lin_rref = rref_int(lin)
+
     def cleanup(candidates, check_new):
-        lin_rref = rref_int(lin)
         out = []
         seen = set()
         for r, is_new in candidates:
@@ -123,7 +138,7 @@ def _double_description(dim, equalities, inequalities, start=None):
         return sorted(out)
 
     def insert(a, is_eq):
-        nonlocal lin, rays
+        nonlocal lin, lin_rref, rays
         ds = [dot(a, b) for b in lin]
         hit = next((i for i, d in enumerate(ds) if d != 0), None)
         if hit is not None:
@@ -133,6 +148,7 @@ def _double_description(dim, equalities, inequalities, start=None):
             lin = [primitive(tuple(d0 * x - ds[i] * y for x, y in zip(b, b0)))
                    for i, b in enumerate(lin) if i != hit]
             lin = [list(b) for b in lin]
+            lin_rref = rref_int(lin)
             moved = [(tuple(d0 * x - dot(a, r) * y for x, y in zip(r, b0)), False)
                      for r in rays]
             if not is_eq:
@@ -156,7 +172,7 @@ def _double_description(dim, equalities, inequalities, start=None):
         insert(a, True)
     for a in inequalities:
         insert(a, False)
-    return rref_int(lin), tuple(rays)
+    return lin_rref, tuple(rays)
 
 
 class Cone:
@@ -228,9 +244,17 @@ class Cone:
 
     @classmethod
     def from_generators(cls, ambient_dim, vectors, labels=None):
-        """Cone spanned by integer vectors, via the dual H-representation."""
+        """Cone spanned by integer vectors, via the dual H-representation.
+
+        A generator whose negative is also a generator enters the dual as
+        one equality row rather than two opposite inequalities (see the
+        module docstring)."""
+        gens = _normalize_rows(vectors, equalities=False)
+        present = set(gens)
+        paired = {v for v in gens if tuple(-x for x in v) in present}
         lin, rays = _double_description(
-            ambient_dim, (), _normalize_rows(vectors, equalities=False))
+            ambient_dim, sorted({sign_normalized(v) for v in paired}),
+            [v for v in gens if v not in paired])
         return cls(ambient_dim, equalities=lin, inequalities=rays, labels=labels)
 
     def _compute(self):
@@ -545,16 +569,22 @@ def _lattice_coords(basis_rows, lattice_rows):
     """(C, H): the basis in coordinates of the saturated lattice rows,
     ``basis_rows = C . lattice_rows``, as integer rows, and the Hermite
     form of ``C``, whose diagonal product ``|det C|`` counts the cosets of
-    the basis sublattice."""
-    k = len(lattice_rows)
+    the basis sublattice.
+
+    ``C`` comes from one elimination of ``[lattice^T | basis^T]``
+    (:func:`~flowfan.linalg.solve_left_many`), not one per basis row. For
+    a full-dimensional cone the lattice rows are the unit vectors, so
+    that matrix is ``[I | basis^T]`` and needs almost no work. A basis
+    row off the lattice, or a basis that does not span it, raises
+    ``FlowFanError`` naming the failure."""
     coords = []
-    for b in basis_rows:
-        sol = linalg.solve_left(lattice_rows, b)
+    for b, sol in zip(basis_rows,
+                      linalg.solve_left_many(lattice_rows, basis_rows)):
         if sol is None or any(x.denominator != 1 for x in sol):
             raise FlowFanError(f"basis vector {b} does not lie in the lattice")
         coords.append(tuple(int(x) for x in sol))
     H = linalg.row_hnf(coords)
-    if len(H) != k:
+    if len(H) != len(lattice_rows):
         raise FlowFanError("basis does not span the lattice rationally")
     return coords, H
 

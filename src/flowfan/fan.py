@@ -95,11 +95,17 @@ def _embed_cone(c_small, emb, rays):
     Padding with zeros keeps rows sign-normalized and rays primitive and
     extreme, so the cone is built from the padded rows and rays of
     ``c_small`` without a double description run; it equals
-    ``Cone.orthant_section`` over the same rows."""
-    equalities = [emb.pad(a) for a in c_small.equalities]
-    equalities += emb.zero_rows
-    return Cone._pointed(len(emb.edges), emb.edges, tuple(sorted(equalities)),
-                         emb.units, rays)
+    ``Cone.orthant_section`` over the same rows. Its equality rows are
+    built on first read, by :func:`_embedded_rows`, so neither cone's
+    rows are computed unless they are read."""
+    return Cone._pointed(len(emb.edges), emb.edges, None, emb.units, rays,
+                         partial(_embedded_rows, c_small, emb))
+
+
+def _embedded_rows(c_small, emb):
+    """The equality rows of ``c_small`` embedded by ``emb``: its rows
+    padded with zeros on K plus the unit rows of K, sorted."""
+    return tuple(sorted([*map(emb.pad, c_small.equalities), *emb.zero_rows]))
 
 
 def cone_catalog(g):

@@ -9,10 +9,16 @@ Two eliminations carry the module, both on integers only:
 
 * :func:`rref_int`, a fraction-free Gauss-Jordan elimination, gives the
   canonical basis of a row span over Q. :func:`int_rank` and
-  :func:`solve_left` read their answers off it.
+  :func:`solve_left_many` read their answers off it; the latter solves
+  for any number of targets in one elimination, and :func:`solve_left`
+  is its single-target form.
 * :func:`row_hnf`, a unimodular row reduction, gives the canonical
   (Hermite) basis of a row lattice over Z. :func:`integer_kernel` reads
   a saturated kernel basis off the Hermite form of ``[rows^T | I]``.
+
+:func:`dot` and :func:`is_zero` run in the hot loops of double
+description and the monoid fold, so they hand their loops to builtins
+(``sum(map(mul, ...))``, ``any``) rather than to generator expressions.
 
 The brute-force oracle keeps its own integer elimination on purpose,
 so that cross-checks against it share no code with this module.
@@ -20,6 +26,7 @@ so that cross-checks against it share no code with this module.
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 
 def primitive(v):
@@ -42,11 +49,11 @@ def sign_normalized(v):
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def is_zero(v):
-    return all(x == 0 for x in v)
+    return not any(v)
 
 
 def rref_int(rows):
@@ -158,18 +165,40 @@ def integer_kernel(rows, dim):
     return tuple(h[n:] for h in row_hnf(aug) if is_zero(h[:n]))
 
 
+def solve_left_many(basis_rows, targets):
+    """Solve ``coeffs . basis_rows = target`` exactly for every target, in
+    one elimination of ``[basis^T | targets^T]``.
+
+    Returns one entry per target: a tuple of Fractions, or None if that
+    system is inconsistent. Requires the rows to be linearly independent;
+    when they are not, every entry is None.
+
+    With k independent rows the first k pivots of the eliminated matrix
+    lie in columns 0..k-1, so row j < k reads ``coeffs_j`` off its
+    target columns. A target is consistent iff its column is zero in
+    every row past k. That its column holds no pivot is not enough: a
+    target outside the span that depends on an earlier such target has
+    no pivot of its own, yet a nonzero entry in the earlier one's pivot
+    row.
+    """
+    k = len(basis_rows)
+    if k == 0:
+        return tuple(() if is_zero(t) else None for t in targets)
+    r = rref_int(zip(*basis_rows, *targets))
+    if len(r) < k or r[k - 1][k - 1] == 0:
+        return (None,) * len(targets)
+    rest = r[k:]
+    return tuple(
+        None if any(row[c] for row in rest)
+        else tuple(Fraction(r[j][c], r[j][j]) for j in range(k))
+        for c in range(k, k + len(targets)))
+
+
 def solve_left(basis_rows, target):
-    """Solve ``coeffs . basis_rows = target`` exactly.
+    """Solve ``coeffs . basis_rows = target`` exactly: the single-target
+    form of :func:`solve_left_many`.
 
     Returns a tuple of Fractions, or None if the system is inconsistent.
     Requires the rows to be linearly independent.
     """
-    k = len(basis_rows)
-    if k == 0:
-        return () if is_zero(target) else None
-    # [basis^T | target] has its pivots in exactly the columns 0..k-1 when
-    # the rows are independent and the target lies in their span
-    r = rref_int(zip(*basis_rows, target))
-    if len(r) != k or r[-1][k - 1] == 0:
-        return None
-    return tuple(Fraction(r[j][k], r[j][j]) for j in range(k))
+    return solve_left_many(basis_rows, (target,))[0]

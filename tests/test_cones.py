@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import product
@@ -387,15 +388,32 @@ def test_monoid_generators_examples():
 
 
 @pytest.mark.parametrize("bad_solve, message", [
-    (lambda basis, target: None, "does not lie in the lattice"),
-    (lambda basis, target: (Fraction(1, 2),) * len(basis), "does not lie in the lattice"),
-    (lambda basis, target: (0,) * len(basis), "does not span the lattice"),
+    (lambda basis, targets: [None] * len(targets), "does not lie in the lattice"),
+    (lambda basis, targets: [(Fraction(1, 2),) * len(basis)] * len(targets),
+     "does not lie in the lattice"),
+    (lambda basis, targets: [(0,) * len(basis)] * len(targets),
+     "does not span the lattice"),
 ])
 def test_monoid_generators_reject_bad_lattice_coordinates(monkeypatch, bad_solve, message):
-    # the checks on solve_left's output are exceptions, so they survive python -O
-    monkeypatch.setattr(linalg, "solve_left", bad_solve)
+    # the checks on the one elimination's output are exceptions, so they
+    # survive python -O
+    monkeypatch.setattr(linalg, "solve_left_many", bad_solve)
     with pytest.raises(FlowFanError, match=message):
         monoid_generators(Cone.orthant_section(2))
+
+
+@pytest.mark.parametrize("lattice, basis, outside", [
+    ([(1, 0, 0), (0, 1, 0)], [(1, 1, 0), (0, 1, 1)], (0, 1, 1)),
+    ([(1, 0, 0), (0, 1, 0)], [(0, 1, 0), (1, 0, 2), (1, 1, 0)], (1, 0, 2)),
+    # in the span, but half a lattice row away from the lattice
+    ([(2, 0, 0), (0, 1, 0)], [(2, 0, 0), (1, 1, 0)], (1, 1, 0)),
+])
+def test_lattice_coords_name_the_basis_row_outside_the_lattice(lattice, basis, outside):
+    # one elimination solves for every basis row; the row reported is the
+    # one that fails, not the first
+    with pytest.raises(FlowFanError,
+                       match=re.escape(f"basis vector {outside} does not lie")):
+        cones._lattice_coords(basis, lattice)
 
 
 def test_monoid_generators_cover_small_points():
@@ -553,3 +571,38 @@ def test_canonical_key_invariances():
     r2 = cone_of_weighting(g, flows_weighting(g, {("e1", 0): 2, ("e2", 0): 1}))
     assert canonical_key(r1) != canonical_key(r2)
     assert c1 == c2 and hash(c1) == hash(c2)
+
+
+@st.composite
+def generator_sets(draw):
+    """(d, generators) in dimension 1-5: vectors with entries in -1..1
+    (so that the polar duals' monoid generators stay few) plus negatives
+    of some (opposite pairs), positive and negative multiples, repeats and
+    zero vectors."""
+    d = draw(st.integers(1, 5))
+    vec = st.tuples(*[st.integers(-1, 1)] * d)
+    gens = draw(st.lists(vec, max_size=d + 1))
+    if gens:
+        for _ in range(draw(st.integers(0, 3))):
+            v = draw(st.sampled_from(gens))
+            m = draw(st.sampled_from((-2, -1, 1, 2, 3)))
+            gens.append(tuple(m * x for x in v))
+    gens += [(0,) * d] * draw(st.integers(0, 1))
+    return d, draw(st.permutations(gens))
+
+
+@settings(SETTINGS, max_examples=300)
+@given(generator_sets())
+def test_from_generators_matches_every_generator_as_an_inequality(case):
+    # opposite generators enter double description as one equality row;
+    # the reference inserts each generator as an inequality of the dual
+    d, gens = case
+    c = Cone.from_generators(d, gens)
+    lin, rays = cones._double_description(
+        d, (), cones._normalize_rows(gens, equalities=False))
+    ref = Cone(d, equalities=lin, inequalities=rays)
+    assert (c.equalities, c.inequalities) == (ref.equalities, ref.inequalities)
+    assert canonical_key(c) == canonical_key(ref)
+    assert canonical_key(c.polar()) == canonical_key(ref.polar())
+    assert monoid_generators(c) == monoid_generators(ref)
+    assert monoid_generators(c.polar()) == monoid_generators(ref.polar())

@@ -1,6 +1,8 @@
-"""Golden bytes: the sha256 of ``emit_fan_json`` on fixed graphs.
+"""Golden bytes: the sha256 of ``emit_fan_json`` on fixed graphs, and of
+the charts of every fan cone.
 
-A change that alters any fan's output bytes fails here. Run this file
+A change that alters any fan's output bytes, or any cone's polar dual,
+spanned dual or monoid generators, fails here. Run this file
 under several ``PYTHONHASHSEED`` values (and under ``python -O``) to
 catch bytes that depend on the hash seed or on asserts.
 """
@@ -9,6 +11,7 @@ import hashlib
 import pytest
 
 from flowfan import build_fan, emit_fan_json
+from flowfan.cones import canonical_key, dual_cone_generators, monoid_generators
 
 from helpers import banana, complete_graph, corpus, loop_graph, necklace, wheel
 
@@ -45,3 +48,21 @@ def test_corpus_fan_bytes():
         "wheel(5,3)", "loop_graph"])
 def test_fixed_graph_fan_bytes(make, digest):
     assert _digest([make()]) == digest
+
+
+def test_chart_bytes():
+    # one digest over the charts of every fan cone of banana(3,20) and of
+    # the 200 corpus graphs, in fan order: the polar dual's key, the key of
+    # the cone its witness's dual generators span, and the polar dual's
+    # monoid generators (2,049 charts)
+    h = hashlib.sha256()
+    for g in [banana(3, 20)] + corpus():
+        fan = build_fan(g)
+        for c in fan.cones:
+            polar = c.polar()
+            w = fan.witnesses[canonical_key(c)]
+            spanned = dual_cone_generators(g, w).spanned_cone()
+            h.update(repr((canonical_key(polar), canonical_key(spanned),
+                           monoid_generators(polar))).encode())
+    assert h.hexdigest() == (
+        "e955114c8fbeab74db3f715a13cb117cdf806080a034f754f0f932dd5c78ea12")

@@ -8,7 +8,7 @@ from math import gcd, lcm
 from hypothesis import assume, given, settings, strategies as st
 
 from flowfan.linalg import (dot, int_rank, integer_kernel, is_zero, primitive,
-                            rref_int, solve_left)
+                            rref_int, solve_left, solve_left_many)
 from flowfan.oracle import _kernel, _rank
 
 # a fixed example sequence, so a run is reproducible and writes no database
@@ -113,6 +113,43 @@ def test_solve_left_rejects_inconsistent_targets(m):
     if len(rows) > int_rank(rows):
         # dependent rows have no unique solution
         assert solve_left(rows, tuple(rows[0])) is None
+
+
+@SETTINGS
+@given(matrices(), st.lists(st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+                            max_size=6))
+def test_solve_left_many_solves_each_target_alone(m, combos):
+    # targets mix span vectors with vectors off the span, some of them
+    # multiples or shifts of an earlier one, whose columns then hold no
+    # pivot of their own; each entry must match the target's own system
+    ncols, rows = m
+    rows = _independent(rows, ncols)
+    off = [_ints(v) for v in _kernel(rows, ncols)]
+    pool = rows + off
+    targets = [tuple(sum(c * r[j] for c, r in zip(combo, pool))
+                     for j in range(ncols)) for combo in combos]
+    got = solve_left_many(rows, targets)
+    assert len(got) == len(targets)
+    for target, sol in zip(targets, got):
+        if _rank(rows + [target], ncols) > len(rows):
+            assert sol is None
+        else:
+            assert sol is not None
+            assert tuple(sum(c * r[j] for c, r in zip(sol, rows))
+                         for j in range(ncols)) == target
+
+
+def test_solve_left_many_examples():
+    rows = [(1, 0, 0), (0, 1, 0)]
+    # (0, 0, 2) has no pivot of its own, after (0, 0, 1)'s
+    assert solve_left_many(rows, [(0, 0, 1), (0, 0, 2), (3, 1, 0), (1, 0, 1)]) == (
+        None, None, (3, 1), None)
+    assert solve_left_many([(2, 0), (0, 3)], [(1, 1)]) == (
+        (Fraction(1, 2), Fraction(1, 3)),)
+    # dependent rows leave every target unsolved
+    assert solve_left_many([(1, 1), (2, 2)], [(1, 1), (0, 0)]) == (None, None)
+    assert solve_left_many([], [(0, 0), (1, 0)]) == ((), None)
+    assert solve_left_many(rows, []) == ()
 
 
 @SETTINGS
