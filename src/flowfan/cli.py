@@ -17,7 +17,7 @@ import sys
 
 from .errors import (BoxTooSmall, FlowFanError, ParseError, UnknownEdge,
                      UnsupportedDimension, ValidationError)
-from .fan import build_fan, cone_catalog, slice_fan, verify_fan
+from .fan import build_fan, check_sliceable, cone_catalog, slice_fan, verify_fan
 from .graph import contract, graph_genus, stability_report
 from .io import (edge_doc_id, emit_fan_json, emit_graph_json,
                  parse_graph_json, _dumps, _json_int)
@@ -169,9 +169,10 @@ def _cmd_contract(args):
 
 def _cmd_slice(args):
     g = _load_graph(args.graph)
-    fan = build_fan(g)
     try:
-        svg = render_slice_svg(slice_fan(fan))
+        # refuse before the fan is built, which may take long
+        check_sliceable(len(g.edges()))
+        svg = render_slice_svg(slice_fan(build_fan(g)))
     except UnsupportedDimension as exc:
         print(f"cannot slice: {exc}", file=sys.stderr)
         return 1

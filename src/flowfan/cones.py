@@ -68,8 +68,9 @@ are never parallel (a ray and its negative would make a line), so a
 pointed cone of dimension one has one extreme ray and one of dimension
 two exactly two, while three vectors span at most three dimensions.
 Such a cone is simplicial, so its facets drop one ray each and need no
-tight-set table either. Other cones rank their rays and lineality
-basis.
+tight-set table either. A polar dual takes its dimension from duality,
+the ambient dimension less that of the lineality it is dual to (see
+``Cone.polar``). Other cones rank their rays and lineality basis.
 
 The cone attached to a weighting w lives in the non-negative orthant of
 Q^E and is cut out by one equality per basis cycle, with entries the
@@ -338,11 +339,18 @@ class Cone:
                              rays)
 
     def polar(self):
-        """Polar dual {u : u.x >= 0 on the cone}, in the dual coordinates."""
-        return Cone(self.ambient_dim,
-                    equalities=self.lineality(),
-                    inequalities=self.rays(),
-                    labels=self.labels)
+        """Polar dual {u : u.x >= 0 on the cone}, in the dual coordinates.
+
+        Its dimension is set by duality, with no rank: the polar is
+        full-dimensional in the orthogonal complement of the lineality
+        space, so it has dimension ``ambient_dim - dim lin`` (Schrijver,
+        *Theory of Linear and Integer Programming*, 1986, section 7.2),
+        and ``dim lin`` is the length of the lineality's RREF."""
+        lin = self.lineality()
+        polar = Cone(self.ambient_dim, equalities=lin,
+                     inequalities=self.rays(), labels=self.labels)
+        polar._dim = self.ambient_dim - len(lin)
+        return polar
 
     def __eq__(self, other):
         if not isinstance(other, Cone):
@@ -571,18 +579,21 @@ def _lattice_coords(basis_rows, lattice_rows):
     form of ``C``, whose diagonal product ``|det C|`` counts the cosets of
     the basis sublattice.
 
-    ``C`` comes from one elimination of ``[lattice^T | basis^T]``
-    (:func:`~flowfan.linalg.solve_left_many`), not one per basis row. For
-    a full-dimensional cone the lattice rows are the unit vectors, so
-    that matrix is ``[I | basis^T]`` and needs almost no work. A basis
-    row off the lattice, or a basis that does not span it, raises
-    ``FlowFanError`` naming the failure."""
-    coords = []
-    for b, sol in zip(basis_rows,
-                      linalg.solve_left_many(lattice_rows, basis_rows)):
-        if sol is None or any(x.denominator != 1 for x in sol):
-            raise FlowFanError(f"basis vector {b} does not lie in the lattice")
-        coords.append(tuple(int(x) for x in sol))
+    When the lattice rows are the unit vectors, as for a full-dimensional
+    cone, the lattice is Z^d and ``C`` is the basis itself, with no
+    elimination. Otherwise ``C`` comes from one elimination of
+    ``[lattice^T | basis^T]`` (:func:`~flowfan.linalg.solve_left_many`),
+    not one per basis row. A basis row off the lattice, or a basis that
+    does not span it, raises ``FlowFanError`` naming the failure."""
+    if lattice_rows == _unit_rows(len(lattice_rows)):
+        coords = [tuple(b) for b in basis_rows]
+    else:
+        coords = []
+        for b, sol in zip(basis_rows,
+                          linalg.solve_left_many(lattice_rows, basis_rows)):
+            if sol is None or any(x.denominator != 1 for x in sol):
+                raise FlowFanError(f"basis vector {b} does not lie in the lattice")
+            coords.append(tuple(int(x) for x in sol))
     H = linalg.row_hnf(coords)
     if len(H) != len(lattice_rows):
         raise FlowFanError("basis does not span the lattice rationally")
@@ -635,6 +646,14 @@ def monoid_generators(c: Cone):
     (padded with the lineality basis). Generates all lattice points by the
     standard rounding argument; not guaranteed minimal.
 
+    The points are counted in the lattice of the cone's linear span. For
+    a full-dimensional cone that lattice is Z^d, given by the unit rows
+    with no Hermite form, as in Normaliz (Bruns and Koch, "Computing the
+    integral closure of an affine semigroup", 2001); otherwise it is the
+    integer kernel of the integer normals of the span. The test is on
+    the dimension, not on the absence of equality rows, since opposite
+    inequality rows also cut the span down.
+
     A lattice point of a simplicial piece is an integer combination of its
     basis plus a point of the half-open parallelepiped, namely its
     fractional part; ``_parallelepiped_points`` finds one per coset of the
@@ -655,9 +674,11 @@ def monoid_generators(c: Cone):
         gens.add(tuple(-x for x in b))
     gens.update(rays)
     if rays:
-        span_rows = list(lin_lattice) + list(rays)
-        normals = linalg.integer_kernel(span_rows, d)
-        lattice = linalg.integer_kernel(normals, d)
+        if c.dim() == d:
+            lattice = _unit_rows(d)
+        else:
+            normals = linalg.integer_kernel(list(lin_lattice) + list(rays), d)
+            lattice = linalg.integer_kernel(normals, d)
         pieces = []
         for simplex in _triangulate_rays(c):
             basis = list(lin_lattice) + list(simplex)

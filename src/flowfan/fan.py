@@ -530,14 +530,22 @@ def _sort_polygon(vertices):
     return tuple(ordered[start:] + ordered[:start])
 
 
+def check_sliceable(num_edges):
+    """Raise ``UnsupportedDimension`` unless the fan of a graph with
+    ``num_edges`` edges can be sliced: only 2 and 3 edges can. Cheap, so
+    a caller can refuse a graph before building its fan."""
+    if num_edges not in (2, 3):
+        raise UnsupportedDimension(f"slice requires 2 or 3 edges, got {num_edges}")
+
+
 def slice_fan(fan: Fan) -> SliceDescription:
     """Cut the maximal cones with the hyperplane where the coordinates sum
     to one. Each maximal cone of dimension d >= 1 becomes a cell of
     dimension d - 1 with exact rational vertices, tagged with its witness
-    flows. Only ambient dimensions 2 and 3 are supported."""
+    flows. Only ambient dimensions 2 and 3 are supported
+    (:func:`check_sliceable`)."""
     d = len(fan.edge_order)
-    if d not in (2, 3):
-        raise UnsupportedDimension(f"slice requires 2 or 3 edges, got {d}")
+    check_sliceable(d)
     cells = []
     for c in fan.maximal_cones():
         cdim = c.dim()

@@ -36,7 +36,8 @@ the ranks of its root.
 One deterministic DFS spanning forest, :func:`_spanning_forest`, serves
 the cycle basis, the components a contraction merges, the tree a
 weighting is solved on and the connectivity check of
-:func:`validate_graph`.
+:func:`validate_graph`. The cycle basis is built once per graph and
+cached on it beside the index.
 """
 
 from dataclasses import dataclass
@@ -153,7 +154,8 @@ class Graph:
 
     Instances are treated as immutable once built; none of the operations
     in this package mutate a graph. :attr:`index` caches the order
-    invariants on first use and assumes the dicts do not change afterwards.
+    invariants, and ``_cycle_basis`` the cycles of :func:`cycle_basis`, on
+    first use; both assume the dicts do not change afterwards.
     """
 
     genus_of: dict
@@ -189,6 +191,11 @@ class Graph:
     def index(self):
         """The :class:`GraphIndex` of this graph, built on first use."""
         return GraphIndex.build(self)
+
+    @cached_property
+    def _cycle_basis(self):
+        """The tuple of :func:`cycle_basis` cycles, built on first use."""
+        return _fundamental_cycles(self)
 
     # -- basic accessors -------------------------------------------------
 
@@ -454,7 +461,16 @@ def cycle_basis(g: Graph):
     its non-tree edge from the edge's canonical source half and returns
     through the tree; the representative is rotated to its lexicographic
     minimum without reversal.
+
+    The basis is computed once per graph and cached on it, as
+    :attr:`Graph.index` is; each call returns a fresh list, so a caller
+    may change the list without changing the next call's result.
     """
+    return list(g._cycle_basis)
+
+
+def _fundamental_cycles(g: Graph):
+    """The tuple of cycles :func:`cycle_basis` lists, computed afresh."""
     _, _, parent = _spanning_forest(g)
     tree_edges = {g.edge_of(h) for h in parent.values()}
     out = []
@@ -464,7 +480,7 @@ def cycle_basis(g: Graph):
         u, w = g.source(e), g.target(e)
         halves = (e,) + tuple(_tree_path_halves(g, parent, w, u))
         out.append(Cycle(halves).canonical(g, allow_reversal=False))
-    return out
+    return tuple(out)
 
 
 def enumerate_cycles(g: Graph):

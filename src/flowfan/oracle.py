@@ -120,7 +120,7 @@ def oracle_cone_catalog(g, box_radius):
     basis = cycle_basis(g)
     keys = set()
     for coeffs in product(range(-box_radius, box_radius + 1), repeat=len(basis)):
-        w = shift_by_cycles(g, base, coeffs, basis)
+        w = shift_by_cycles(g, base, coeffs)
         rows = []
         for cyc in basis:
             row = [0] * len(edges)

@@ -115,13 +115,12 @@ def base_weighting(g: Graph) -> Weighting:
     return w
 
 
-def shift_by_cycles(g: Graph, w: Weighting, coeffs, basis=None) -> Weighting:
+def shift_by_cycles(g: Graph, w: Weighting, coeffs) -> Weighting:
     """Act by the cycle space: add ``coeffs[i]`` units of circulation along
-    the i-th basis cycle. The flow difference equals the integer combination
-    of the basis incidence vectors. ``basis`` defaults to ``cycle_basis(g)``;
-    a caller shifting many times passes it in to build it once."""
-    if basis is None:
-        basis = cycle_basis(g)
+    the i-th cycle of ``cycle_basis(g)``, which the graph caches. The flow
+    difference equals the integer combination of the basis incidence
+    vectors."""
+    basis = cycle_basis(g)
     if len(coeffs) != len(basis):
         raise ValueError(f"expected {len(basis)} coefficients, got {len(coeffs)}")
     values = dict(w.values)

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowfan import (AmbientMismatch, Cone, NotPointed, base_weighting,
-                     build_fan, canonical_key, cone_of_weighting,
+                     build_fan, canonical_key, cone_of_weighting, cycle_basis,
                      dual_cone_generators, enumerate_cycles, extreme_rays,
                      faces, intersect_cones, is_face_of, monoid_generators,
                      oracle_extreme_rays, oracle_monoid_check, polar_dual)
-from flowfan import BudgetExceeded, FlowFanError, cones, linalg
+from flowfan import BudgetExceeded, FlowFanError, cones, graph, linalg
 from flowfan.cones import _parallelepiped_points, cycle_constraint_rows
-from flowfan.linalg import dot
+from flowfan.linalg import dot, int_rank
 
 from helpers import banana, corpus, loop_graph, path_graph, two_gon
 from test_weightings import flows_weighting
@@ -396,10 +396,37 @@ def test_monoid_generators_examples():
 ])
 def test_monoid_generators_reject_bad_lattice_coordinates(monkeypatch, bad_solve, message):
     # the checks on the one elimination's output are exceptions, so they
-    # survive python -O
+    # survive python -O; the cone spans a plane in Q^3, so its lattice is
+    # not Z^3 and the elimination runs
+    cone = Cone.orthant_section(3, [(1, -1, 0)])
+    assert cone.dim() == 2
     monkeypatch.setattr(linalg, "solve_left_many", bad_solve)
     with pytest.raises(FlowFanError, match=message):
-        monoid_generators(Cone.orthant_section(2))
+        monoid_generators(cone)
+
+
+def test_lattice_coords_on_unit_rows_still_check_the_span():
+    # on Z^d the basis is its own coordinates, yet a basis of a proper
+    # subspace is refused
+    with pytest.raises(FlowFanError, match="does not span the lattice rationally"):
+        cones._lattice_coords([(1, 0, 0), (0, 1, 0)], cones._unit_rows(3))
+    basis = [(1, 1, 0), (0, 2, 0), (0, 0, 3)]
+    assert cones._lattice_coords(basis, cones._unit_rows(3)) == (
+        basis, linalg.row_hnf(basis))
+
+
+@pytest.mark.parametrize("inequalities, gens", [
+    # a coordinate plane cut by two opposite rows, and a plane with no
+    # equality row at all: neither cone is full-dimensional, so its lattice
+    # is not Z^3
+    ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 0, 1), (0, 1, 0)]),
+    ([(1, -1, 0), (-1, 1, 0), (0, 0, 1), (1, 1, 0)], [(0, 0, 1), (1, 1, 0)]),
+])
+def test_monoid_generators_of_cones_spanning_a_plane(inequalities, gens):
+    c = Cone(3, inequalities=inequalities)
+    assert not c.equalities
+    assert c.dim() == 2
+    assert monoid_generators(c) == gens
 
 
 @pytest.mark.parametrize("lattice, basis, outside", [
@@ -510,6 +537,60 @@ def test_monoid_generators_match_per_point_rule(c):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cones, "_parallelepiped_points", _per_point_parallelepiped_points)
         assert monoid_generators(c) == gens
+
+
+@settings(SETTINGS, max_examples=150)
+@given(cones_with_lineality())
+def test_polar_dimension_by_duality(c):
+    polar = c.polar()
+    assert polar.dim() == int_rank(list(polar.lineality()) + list(polar.rays()))
+
+
+def _counting(calls, name, fn):
+    def counted(*args):
+        calls.append(name)
+        return fn(*args)
+    return counted
+
+
+def test_chart_monoid_generators_skip_the_lattice_work(monkeypatch):
+    # the polar of a pointed fan cone is full-dimensional: its dimension
+    # comes from duality with no rank, its lattice is Z^3 with the one
+    # integer kernel of its lineality, and no elimination solves for the
+    # coordinates of a basis in the unit rows
+    fan = build_fan(banana(3, 6))
+    calls = []
+    monkeypatch.setattr(linalg, "integer_kernel",
+                        _counting(calls, "integer_kernel", linalg.integer_kernel))
+    monkeypatch.setattr(linalg, "solve_left_many",
+                        _counting(calls, "solve_left_many", linalg.solve_left_many))
+    monkeypatch.setattr(cones, "int_rank", _counting(calls, "int_rank", int_rank))
+    for c in fan.cones:
+        calls.clear()
+        polar = c.polar()
+        assert polar.dim() == 3
+        assert calls == []
+        assert monoid_generators(polar)
+        assert calls.count("integer_kernel") == 1
+        assert "solve_left_many" not in calls
+
+
+def test_dual_cone_generators_build_one_cycle_basis_per_graph(monkeypatch):
+    g = banana(3, 6)
+    w = base_weighting(g)
+    calls = []
+    monkeypatch.setattr(graph, "_spanning_forest",
+                        _counting(calls, "_spanning_forest", graph._spanning_forest))
+    first = dual_cone_generators(g, w)
+    assert [dual_cone_generators(g, w) for _ in range(3)] == [first] * 3
+    assert calls == ["_spanning_forest"]
+    basis = cycle_basis(g)
+    expected = list(basis)
+    basis.reverse()
+    basis.pop()
+    assert cycle_basis(g) == expected
+    assert dual_cone_generators(g, w) == first
+    assert calls == ["_spanning_forest"]
 
 
 # the five-dimensional cone whose simplices hold 6,297,343,240 cosets

@@ -86,7 +86,7 @@ def _dict_walk_catalog(g, contracted_sofar=frozenset(), memo=None):
     out = {}
     seen = set()
     for coeffs in box_vectors(len(basis), box_radius(g, base)):
-        w = shift_by_cycles(g, base, coeffs, basis)
+        w = shift_by_cycles(g, base, coeffs)
         if ref_positive_cycle_halves(g, w.values) is not None:
             continue
         c = Cone(len(edges), cycle_constraint_rows(g, w, basis)[1],
@@ -234,7 +234,7 @@ def test_catalog_holds_the_cones_of_sampled_flows(g):
     rng = random.Random(len(keys))
     for _ in range(400):
         coeffs = [rng.randint(-top, top) for _ in basis]
-        w = shift_by_cycles(g, base, coeffs, basis)
+        w = shift_by_cycles(g, base, coeffs)
         assert canonical_key(cone_of_weighting(g, w)) in keys, coeffs
 
 

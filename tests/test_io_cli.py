@@ -6,6 +6,7 @@ import pytest
 from flowfan import (ParseError, ValidationError, build_fan, emit_fan_json,
                      emit_graph_json, parse_fan_json, parse_graph_json,
                      render_slice_svg, slice_fan, validate_graph)
+from flowfan import cli
 from flowfan.cli import main
 from flowfan.io import _json_int, fan_to_document
 from flowfan.weightings import FLOW_LIMIT, FlowCore
@@ -370,6 +371,22 @@ def test_cli_slice(tmp_path, capsys):
     # four edges cannot be sliced
     path4 = write_doc(tmp_path, banana_doc(n=2, edges=4), "four.json")
     assert main(["slice", path4, "--svg", str(tmp_path / "x.svg")]) == 1
+
+
+def test_cli_slice_refuses_before_building_the_fan(tmp_path, capsys, monkeypatch):
+    # banana(4,3) has four edges: refused on its edge count alone
+    def no_fan(g):
+        raise AssertionError("build_fan was called")
+
+    monkeypatch.setattr(cli, "build_fan", no_fan)
+    path = write_doc(tmp_path, banana_doc(n=3, edges=4))
+    out = tmp_path / "x.svg"
+    assert main(["slice", path, "--svg", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "cannot slice: slice requires 2 or 3 edges, got 4"]
+    assert not out.exists()
 
 
 def test_cli_slice_unwritable_svg(tmp_path, capsys):
