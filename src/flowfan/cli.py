@@ -94,9 +94,11 @@ def _cmd_fan(args):
 
 def _cmd_rays(args):
     g = _load_graph(args.graph)
-    fan = build_fan(g)
-    doc = {"edge_order": [edge_doc_id(e) for e in fan.edge_order],
-           "rays": [[_json_int(x) for x in r] for r in fan.ray_list()]}
+    # every cone of the fan is a face of a catalog cone, so the fan's rays
+    # are those of the catalog, read without closing it under faces
+    rays = sorted({r for c, _ in cone_catalog(g) for r in c.rays()})
+    doc = {"edge_order": [edge_doc_id(e) for e in g.edges()],
+           "rays": [[_json_int(x) for x in r] for r in rays]}
     sys.stdout.write(_dumps(doc))
     return 0
 

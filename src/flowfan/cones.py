@@ -30,11 +30,11 @@ rays, which makes the pairwise check of a fan cheap, and
 ``Cone.orthant_section`` resumes from the orthant, a solved pointed cone
 whose rays are the unit vectors, and inserts its equalities only.
 ``orthant_section`` is the path for general rows, that of
-:func:`cone_of_weighting`. The catalog reads the rays of a weighting's
-cone off the flow's directed bonds instead
-(:meth:`~flowfan.weightings.FlowCore.rays`) and builds the cone with
-``Cone._pointed``; it falls back to ``orthant_section`` only on graphs
-too large for that search.
+:func:`cone_of_weighting`. The catalog takes the rays of a weighting's
+cone from :meth:`~flowfan.weightings.FlowCore.rays`, which reads them
+off the flow's directed bonds and calls ``orthant_section`` itself only
+on graphs too large for that search, and builds the cone with
+``Cone._pointed``.
 
 A cone caches what it computes: its rays and lineality, its dimension,
 a tight-set table of its ray frozenset plus, per inequality row, the
@@ -308,9 +308,6 @@ class Cone:
             gens += [b, tuple(-x for x in b)]
         return all(self.contains(g) for g in gens)
 
-    def key(self):
-        return canonical_key(self)
-
     def intersect(self, other):
         """The intersection cone. When an operand's rays are known and it is
         pointed, the rays are computed at once by resuming double
@@ -357,10 +354,10 @@ class Cone:
             return NotImplemented
         return (self.ambient_dim == other.ambient_dim
                 and self.labels == other.labels
-                and self.key() == other.key())
+                and canonical_key(self) == canonical_key(other))
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.labels, self.key()))
+        return hash((self.ambient_dim, self.labels, canonical_key(self)))
 
     def __repr__(self):
         return (f"Cone(dim={self.ambient_dim}, eq={len(self.equalities)}, "
@@ -414,24 +411,33 @@ def _face_ray_sets(c: Cone):
     return seen
 
 
+def _facets_of(s, tight_sets):
+    """The facets of the face of a cone with the ray frozenset ``s``, as ray
+    frozensets; ``tight_sets`` are the cone's, one per inequality row.
+
+    On more than three rays they are the inclusion-maximal proper cuts
+    ``s & t``, in row order: a face is cut out by rows turned into
+    equalities, every proper face lies in a facet, and a facet is cut out
+    by a single row (Ziegler, *Lectures on Polytopes*, section 2.2). On
+    at most three rays the face is simplicial (see the module docstring)
+    and each facet drops one ray, in ray order; ``tight_sets`` is then
+    not read."""
+    if len(s) <= 3:
+        rays = sorted(s)
+        return tuple(frozenset(rays[:i] + rays[i + 1:]) for i in range(len(rays)))
+    proper = [u for u in dict.fromkeys(s & t for t in tight_sets) if u != s]
+    return tuple(u for u in proper if not any(u < v for v in proper))
+
+
 def _facet_ray_sets(c: Cone):
-    """The facets of pointed ``c``, each given by the frozenset of its rays:
-    the inclusion-maximal proper tight sets of its inequality rows, in row
-    order, or on at most three rays its rays less one, in ray order.
-    Every face of ``c`` but ``c`` itself lies in a facet, and is a face of
-    it (Ziegler, *Lectures on Polytopes*, section 2.2). Computed once per
-    cone and cached on it."""
+    """The facets of pointed ``c`` by :func:`_facets_of`, computed once per
+    cone and cached on it; a cone on at most three rays builds no
+    tight-set table. Every face of ``c`` but ``c`` itself lies in a
+    facet, and is a face of it."""
     if c._facets is None:
         rays = c.rays()
-        if len(rays) <= 3:
-            # simplicial (see the module docstring): each facet drops a ray
-            c._facets = tuple(frozenset(rays[:i] + rays[i + 1:])
-                              for i in range(len(rays)))
-        else:
-            full, tight_sets = c._tight_sets()
-            proper = [t for t in dict.fromkeys(tight_sets) if t != full]
-            c._facets = tuple(t for t in proper
-                              if not any(t < u for u in proper))
+        c._facets = _facets_of(frozenset(rays),
+                               c._tight_sets()[1] if len(rays) > 3 else ())
     return c._facets
 
 
@@ -518,11 +524,7 @@ def dual_cone_generators(g, w) -> DualGenerators:
         if not is_zero(row):
             gens.append(tuple(row))
             gens.append(tuple(-x for x in row))
-    seen = []
-    for v in gens:
-        if v not in seen:
-            seen.append(v)
-    return DualGenerators(tuple(edges), tuple(seen))
+    return DualGenerators(tuple(edges), tuple(dict.fromkeys(gens)))
 
 
 def polar_dual(c: Cone) -> Cone:
@@ -541,32 +543,27 @@ def canonical_key(c: Cone):
 # -- lattice monoid generators ----------------------------------------------
 
 
-def _facets_within(face_sets, dims, s):
-    subs = [t for t in face_sets if t < s]
-    return [t for t in subs if dims[t] == dims[s] - 1]
-
-
 def _triangulate_rays(c: Cone):
-    """Pulling triangulation of the pointed part into simplicial ray lists."""
+    """Pulling triangulation of the pointed part into simplicial ray lists.
+
+    A face of dimension k is a simplex when it has k rays. Otherwise it is
+    pulled from its least ray r0: its simplices are r0 joined with those
+    of each facet without r0 (:func:`_facets_of`), whose dimension is
+    k - 1. The pointed part has dimension ``c.dim()`` less that of the
+    lineality, so no face is ranked."""
     rays = c.rays()
     if not rays:
         return []
-    face_sets = _face_ray_sets(c)
-    dims = {s: int_rank(sorted(s)) for s in face_sets}
 
-    def pull(s):
+    def pull(s, k):
         rlist = sorted(s)
-        if len(rlist) == dims[s]:
+        if len(rlist) == k:
             return [rlist]
         r0 = rlist[0]
-        out = []
-        for t in _facets_within(face_sets, dims, s):
-            if r0 not in t and t:
-                for tri in pull(t):
-                    out.append([r0] + tri)
-        return out
+        return [[r0] + tri for t in _facets_of(s, c._tight_sets()[1])
+                if r0 not in t for tri in pull(t, k - 1)]
 
-    return pull(frozenset(rays))
+    return pull(frozenset(rays), c.dim() - len(c.lineality()))
 
 
 # the most parallelepiped points monoid_generators folds for one cone

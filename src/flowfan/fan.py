@@ -23,10 +23,10 @@ The acyclic flows are lists on the integer arrays of
 directed bonds of the digraph the flow orients, so a flow whose cone is
 already in the catalog is skipped before any row is normalized or any
 :class:`~flowfan.cones.Cone` is built, and only the witness of a new cone
-becomes a :class:`~flowfan.weightings.Weighting`. A flow whose graph,
-with its zero-flow edges contracted, has more than
-``weightings.BOND_VERTEX_LIMIT`` vertices is solved by double
-description from the orthant instead.
+becomes a :class:`~flowfan.weightings.Weighting`. ``FlowCore.rays``
+answers every flow: on a graph too large for the bond search it solves
+the same cone by double description from the orthant, so the catalog
+has one path.
 
 Faces are closed and checked through facets, never through a cone's
 whole face lattice: every face of a pointed cone other than the cone is
@@ -136,7 +136,8 @@ def _visit(edges, h, contracted, path, out, seen):
     """Add the cones of ``h`` = G/K, K = ``contracted``, new to ``out`` as
     key -> (cone, witness) in G's ``edges``, then visit G/(K | C) for each
     cycle C of ``h`` whose edge set K | C is not in ``seen``. ``path``
-    lists the (graph, cycle edges, cycle) steps from G down to ``h``.
+    lists the (graph, contraction of the cycle's edges, cycle) steps from
+    G down to ``h``.
 
     When every vertex demand of ``h`` is zero, ``flow_bound(h) == 0``, the
     one cone and witness of ``h`` are written down with no flow search,
@@ -183,46 +184,39 @@ def _visit(edges, h, contracted, path, out, seen):
         key = contracted | cyc_edges
         if key not in seen:
             seen.add(key)
-            _visit(edges, contract(h, cyc_edges).contracted, key,
-                   path + [(h, cyc_edges, cyc)], out, seen)
+            res = contract(h, cyc_edges)
+            _visit(edges, res.contracted, key, path + [(h, res, cyc)], out,
+                   seen)
 
 
 def _lift(path, w):
     """Carry a witness of the last graph of ``path`` up to G, making each
     contracted cycle positive on the way."""
-    for gp, cyc_edges, cyc in reversed(path):
+    for gp, res, cyc in reversed(path):
         # a negative circulation makes the cycle positive
-        w0 = lift_weighting(gp, cyc_edges, w)
+        w0 = lift_weighting(gp, res, w)
         w = shift_along_cycle(gp, w0, cyc, -(w0.max_abs() + 1))
     return w
 
 
 def _acyclic_catalog(g):
     """The cones of the weightings of ``g`` without a positive cycle, as
-    key -> (cone, first witness) in enumeration order. A cone from the
-    flow's bonds normalizes its cycle rows only when they are read."""
+    key -> (cone, first witness) in enumeration order. Each flow's rays
+    come from :meth:`~flowfan.weightings.FlowCore.rays`, and a cone is
+    built only for a new key; it normalizes its flow's cycle rows only
+    when they are read."""
     edges = g.edges()
     labels = tuple(edges)
     units = tuple(sorted(_unit_rows(len(edges))))
     core = FlowCore.build(g)
     out = {}
-    solved = set()  # the systems left to double description
     for coeffs in core.acyclic_coefficients():
         x = core.shifted(coeffs)
-        rays = core.rays(x)
-        if rays is not None:
-            k = ((), rays)  # a pointed cone's key
-            if k not in out:
-                c = Cone._pointed(len(edges), labels, None, units, rays,
-                                  partial(_system, core, x))
-                out[k] = (c, core.weighting(x))
-            continue
-        system = _system(core, x)
-        if system in solved:
-            continue
-        solved.add(system)
-        c = Cone.orthant_section(len(edges), system, labels=labels)
-        out.setdefault(canonical_key(c), (c, core.weighting(x)))
+        k = ((), core.rays(x))  # a pointed cone's key
+        if k not in out:
+            c = Cone._pointed(len(edges), labels, None, units, k[1],
+                              partial(_system, core, x))
+            out[k] = (c, core.weighting(x))
     return out
 
 
@@ -486,7 +480,7 @@ def check_contraction_compat(g, edge_set) -> CompatReport:
 class SliceCell:
     dim: int
     vertices: tuple  # barycentric coordinate tuples (Fractions, sum 1)
-    flows: tuple     # sorted (edge key, flow) pairs of the witness
+    flows: tuple     # (edge key, flow) pairs of the witness, in edge order
 
 
 @dataclass(frozen=True)
@@ -555,7 +549,6 @@ def slice_fan(fan: Fan) -> SliceDescription:
         if cdim == 3:
             verts = list(_sort_polygon(verts))
         w = fan.witnesses[canonical_key(c)]
-        flows = tuple(sorted(w.flows().items()))
-        cells.append(SliceCell(cdim - 1, tuple(verts), flows))
+        cells.append(SliceCell(cdim - 1, tuple(verts), tuple(w.flows().items())))
     cells.sort(key=lambda cell: (cell.dim, cell.vertices))
     return SliceDescription(d, fan.edge_order, tuple(cells))

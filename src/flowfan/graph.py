@@ -282,13 +282,10 @@ class Cycle:
         n = len(self.halves)
         return [self.halves[i:] + self.halves[:i] for i in range(n)]
 
-    def canonical(self, g, allow_reversal=True):
-        """Lexicographically smallest directed representative."""
-        cands = self.rotations()
-        if allow_reversal:
-            cands += self.reversed(g).rotations()
+    def canonical(self, g):
+        """The lexicographically smallest rotation, keeping the direction."""
         rank = g.index.rank
-        best = min(cands, key=lambda t: tuple(map(rank.__getitem__, t)))
+        best = min(self.rotations(), key=lambda t: tuple(map(rank.__getitem__, t)))
         return Cycle(best)
 
 
@@ -479,7 +476,7 @@ def _fundamental_cycles(g: Graph):
             continue
         u, w = g.source(e), g.target(e)
         halves = (e,) + tuple(_tree_path_halves(g, parent, w, u))
-        out.append(Cycle(halves).canonical(g, allow_reversal=False))
+        out.append(Cycle(halves).canonical(g))
     return tuple(out)
 
 

@@ -23,7 +23,7 @@ on such lists; the public functions keep half-edge dicts.
 from dataclasses import dataclass
 from math import lcm
 
-from .cones import _unit_rows
+from .cones import Cone, _unit_rows
 from .errors import BudgetExceeded, FlowFanError, MissingHalfEdge
 from .graph import Graph, Cycle, _spanning_forest, canonical_degree, cycle_basis
 
@@ -154,12 +154,8 @@ def restrict_weighting(g: Graph, w: Weighting, contraction) -> Weighting:
 def lift_weighting(g: Graph, contraction, w_small: Weighting) -> Weighting:
     """Right inverse of :func:`restrict_weighting`: extend a weighting of the
     contracted graph over the contracted edges (zero flow off a spanning
-    tree of each contracted component).
-
-    Only the contracted edges are read, so ``contraction`` is either the
-    :class:`~flowfan.graph.ContractionResult` or the set of those edges."""
-    edge_set = getattr(contraction, "contracted_set", contraction)
-    values = _complete_values(g, edge_set, w_small.values)
+    tree of each contracted component)."""
+    values = _complete_values(g, contraction.contracted_set, w_small.values)
     return Weighting(g, values)
 
 
@@ -217,7 +213,7 @@ def find_positive_cycle(g: Graph, w: Weighting):
         return None
     edges = g.index.edges
     halves = tuple(edges[i] if s > 0 else g.involution[edges[i]] for i, s in arcs)
-    return Cycle(halves).canonical(g, allow_reversal=False)
+    return Cycle(halves).canonical(g)
 
 
 def has_positive_cycle(g: Graph, values) -> bool:
@@ -227,8 +223,8 @@ def has_positive_cycle(g: Graph, values) -> bool:
     return _positive_cycle(g.index, _edge_values(g, values)) is not None
 
 
-# the most vertices of G/Z whose vertex sets FlowCore.rays searches; a
-# flow with more leaves its cone to double description
+# the most vertices of G/Z whose vertex sets FlowCore.rays searches; past
+# it, FlowCore.rays solves the flow's cone by double description instead
 BOND_VERTEX_LIMIT = 12
 
 # the most coefficient values FlowCore.acyclic_coefficients lists
@@ -331,9 +327,7 @@ class FlowCore:
 
     def rays(self, x):
         """The sorted primitive extreme rays of the cone of flow ``x``, the
-        cone of :func:`~flowfan.cones.cone_of_weighting`, or None when G/Z,
-        the graph with the zero-flow edges contracted, has more than
-        ``BOND_VERTEX_LIMIT`` vertices.
+        cone of :func:`~flowfan.cones.cone_of_weighting`.
 
         A vector ``t >= 0`` lies in the cone when ``(x_e t_e)`` sums to
         zero around every cycle, that is when it is a tension: the
@@ -357,7 +351,11 @@ class FlowCore:
 
         The vertices of G/Z are the components of Z, numbered in the order
         of their first vertex, and :func:`_bond_sides` searches their
-        vertex sets, 2^(k-1) of them for k components.
+        vertex sets, 2^(k-1) of them for k components. Past
+        ``BOND_VERTEX_LIMIT`` components that search is too large, and the
+        rays come from :meth:`~flowfan.cones.Cone.orthant_section` over
+        :meth:`rows`, double description from the orthant, the rays of
+        the same cone.
         """
         index = self.graph.index
         arcs = index.arcs
@@ -374,7 +372,7 @@ class FlowCore:
                             stack.append(t)
                 k += 1
         if k > BOND_VERTEX_LIMIT:
-            return None
+            return Cone.orthant_section(len(x), self.rows(x)).rays()
         n = len(x)
         units = _unit_rows(n)
         out = [units[i] for i, v in enumerate(x) if not v]

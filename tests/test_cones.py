@@ -546,6 +546,69 @@ def test_polar_dimension_by_duality(c):
     assert polar.dim() == int_rank(list(polar.lineality()) + list(polar.rays()))
 
 
+def _closure_and_rank_triangulation(c):
+    """The pulling triangulation with each face's facets taken from the
+    whole face lattice, as the faces one rank below it."""
+    rays = c.rays()
+    if not rays:
+        return []
+    face_sets = cones._face_ray_sets(c)
+    dims = {s: int_rank(sorted(s)) for s in face_sets}
+
+    def pull(s):
+        rlist = sorted(s)
+        if len(rlist) == dims[s]:
+            return [rlist]
+        r0 = rlist[0]
+        return [[r0] + tri for t in face_sets
+                if t < s and dims[t] == dims[s] - 1 and r0 not in t and t
+                for tri in pull(t)]
+
+    return pull(frozenset(rays))
+
+
+def _simplices(triangulation):
+    return sorted(map(tuple, triangulation))
+
+
+@st.composite
+def wide_cones(draw):
+    """A cone in dimension 3-5 that is seldom simplicial: an orthant
+    section cut by one or two rows, most of whose unit rows cut out no
+    facet of a face, or the cone spanned by five to eight small vectors
+    in the orthant plus up to one line."""
+    d = draw(st.integers(3, 5))
+    if draw(st.booleans()):
+        row = st.tuples(*[st.integers(-3, 3)] * d)
+        return Cone.orthant_section(d, draw(st.lists(row, min_size=1, max_size=2)))
+    vec = st.tuples(*[st.integers(0, 3)] * d)
+    gens = draw(st.lists(vec, min_size=5, max_size=8))
+    lines = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), max_size=1))
+    return Cone.from_generators(d, gens + lines + [tuple(-x for x in v) for v in lines])
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.one_of(cones_with_lineality(), wide_cones()))
+def test_triangulation_matches_the_closure_and_rank_rule(c):
+    # the facets of each face come from its tight sets and its dimension
+    # from its parent's; the simplices are those of the whole face lattice
+    # ranked face by face
+    assert _simplices(cones._triangulate_rays(c)) == \
+        _simplices(_closure_and_rank_triangulation(c))
+
+
+def test_triangulation_pulls_non_simplicial_faces():
+    # the cone over a square has four rays in dimension 3 and splits into
+    # two simplices; with a line added, the same in its pointed part
+    square = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+    for c in (Cone.from_generators(3, square),
+              Cone.from_generators(4, [v + (0,) for v in square]
+                                   + [(0, 0, 0, 1), (0, 0, 0, -1)])):
+        tri = cones._triangulate_rays(c)
+        assert len(tri) == 2 and all(len(t) == 3 for t in tri)
+        assert _simplices(tri) == _simplices(_closure_and_rank_triangulation(c))
+
+
 def _counting(calls, name, fn):
     def counted(*args):
         calls.append(name)
@@ -565,6 +628,8 @@ def test_chart_monoid_generators_skip_the_lattice_work(monkeypatch):
     monkeypatch.setattr(linalg, "solve_left_many",
                         _counting(calls, "solve_left_many", linalg.solve_left_many))
     monkeypatch.setattr(cones, "int_rank", _counting(calls, "int_rank", int_rank))
+    monkeypatch.setattr(cones, "_face_ray_sets",
+                        _counting(calls, "_face_ray_sets", cones._face_ray_sets))
     for c in fan.cones:
         calls.clear()
         polar = c.polar()
@@ -572,7 +637,10 @@ def test_chart_monoid_generators_skip_the_lattice_work(monkeypatch):
         assert calls == []
         assert monoid_generators(polar)
         assert calls.count("integer_kernel") == 1
+        # the triangulation ranks no face and lists no face lattice
         assert "solve_left_many" not in calls
+        assert "int_rank" not in calls
+        assert "_face_ray_sets" not in calls
 
 
 def test_dual_cone_generators_build_one_cycle_basis_per_graph(monkeypatch):

@@ -523,6 +523,10 @@ LIMIT = weightings.BOND_VERTEX_LIMIT
     (ring(20, 3), [10, 10]),
     (chain(LIMIT - 1, 3), [LIMIT]),
     (chain(LIMIT, 3), []),
+    # two flows of each are searched; those that leave more than LIMIT
+    # vertices are solved by double description
+    (ring(16, 8), [8, 8]),
+    (ring(24, 5), [12, 12]),
 ])
 def test_catalog_falls_back_to_dd_above_the_bond_vertex_limit(monkeypatch, g, searched):
     expected = sorted(_dict_walk_catalog(g).values(),
@@ -539,6 +543,23 @@ def test_catalog_falls_back_to_dd_above_the_bond_vertex_limit(monkeypatch, g, se
     assert sorted(sizes) == searched
     # each search visits the 2^(k-1) - 1 proper vertex sets holding vertex 0
     assert sum(2 ** (k - 1) - 1 for k in sizes) < 2 ** LIMIT
+
+
+@pytest.mark.parametrize("g", [chain(LIMIT, 3), ring(16, 8)], ids=["chain", "ring16-8"])
+def test_flow_core_rays_solve_flows_past_the_limit_by_dd(g):
+    # past the limit FlowCore.rays answers with the rays of the flow's
+    # cone by double description from the orthant, never with None
+    core = FlowCore.build(g)
+    past = 0
+    for coeffs in core.acyclic_coefficients():
+        x = core.shifted(coeffs)
+        dd = Cone.orthant_section(len(x), core.rows(x)).rays()
+        assert core.rays(x) == dd
+        w = core.weighting(x)
+        assert dd == cone_of_weighting(g, w).rays()
+        zero = [e for e, f in w.flows().items() if f == 0]
+        past += len(contract(g, zero).contracted.vertices()) > LIMIT
+    assert past > 0
 
 
 def test_witness_soundness():

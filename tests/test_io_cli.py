@@ -8,10 +8,10 @@ from flowfan import (ParseError, ValidationError, build_fan, emit_fan_json,
                      render_slice_svg, slice_fan, validate_graph)
 from flowfan import cli
 from flowfan.cli import main
-from flowfan.io import _json_int, fan_to_document
+from flowfan.io import _json_int, edge_doc_id, fan_to_document
 from flowfan.weightings import FLOW_LIMIT, FlowCore
 
-from helpers import banana, necklace, path_graph, star_tree, two_gon
+from helpers import banana, corpus, necklace, path_graph, star_tree, two_gon
 
 TWO_GON_DOC = {
     "vertices": [{"id": "u", "genus": 0}, {"id": "v", "genus": 0}],
@@ -371,6 +371,48 @@ def test_cli_slice(tmp_path, capsys):
     # four edges cannot be sliced
     path4 = write_doc(tmp_path, banana_doc(n=2, edges=4), "four.json")
     assert main(["slice", path4, "--svg", str(tmp_path / "x.svg")]) == 1
+
+
+MIXED_ID_DOC = {
+    "vertices": [{"id": "u", "genus": 0}, {"id": "v", "genus": 0}],
+    "edges": [{"id": 1, "from": "u", "to": "v"},
+              {"id": "a", "from": "u", "to": "v"}],
+    "legs": [{"id": "p", "vertex": "u", "weight": 3},
+             {"id": "q", "vertex": "v", "weight": -3}],
+    "twist": 0,
+}
+
+
+def test_cli_slice_accepts_edge_ids_of_mixed_types(tmp_path, capsys):
+    # the witness flows of each cell are listed in edge order, which ranks
+    # the int id 1 before the string "a"; no two ids are compared with <
+    path = write_doc(tmp_path, MIXED_ID_DOC)
+    out = tmp_path / "slice.svg"
+    assert main(["slice", path, "--svg", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    svg = out.read_text()
+    assert svg.count('<circle class="cell-point"') == 4
+    assert "<title>flows: 1=2, a=1</title>" in svg
+
+
+def test_cli_rays_reads_the_catalog(tmp_path, capsys, monkeypatch):
+    # the same bytes as the rays of the whole fan, with no fan built
+    docs = [TWO_GON_DOC, banana_doc(), banana_doc(n=3, edges=4), MIXED_ID_DOC]
+    docs += [json.loads(emit_graph_json(g)) for g in corpus(40)]
+    expected = []
+    for doc in docs:
+        fan = build_fan(parse_graph_json(json.dumps(doc)))
+        expected.append(cli._dumps({
+            "edge_order": [edge_doc_id(e) for e in fan.edge_order],
+            "rays": [[_json_int(x) for x in r] for r in fan.ray_list()]}))
+
+    def no_fan(g):
+        raise AssertionError("build_fan was called")
+
+    monkeypatch.setattr(cli, "build_fan", no_fan)
+    for i, (doc, text) in enumerate(zip(docs, expected)):
+        assert main(["rays", write_doc(tmp_path, doc, f"g{i}.json")]) == 0
+        assert capsys.readouterr().out == text
 
 
 def test_cli_slice_refuses_before_building_the_fan(tmp_path, capsys, monkeypatch):

@@ -431,7 +431,7 @@ def test_array_positive_cycle_matches_dict_search(case):
     if ref is None:
         assert cyc is None
     else:
-        assert cyc == Cycle(ref).canonical(g, allow_reversal=False)
+        assert cyc == Cycle(ref).canonical(g)
         assert all(w.values[h] > 0 for h in cyc.halves)
 
 
