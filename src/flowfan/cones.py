@@ -50,13 +50,26 @@ without passing them through ``__init__`` again. A face inherits its
 table, cut down to its rays, and a facet also its dimension, one less
 than its parent's.
 
-Three kinds of cone are built from known rays and defer their equality
-rows to the first read of ``equalities``, which computes them once and
-caches them: the catalog's cones from directed bonds, whose rows are the
-normalized cycle rows of their flow, the cones of contracted graphs
-embedded by :func:`~flowfan.fan._embed_cone`, whose rows are the small
-cone's padded with zeros, and faces built by :func:`_face`, whose rows
-are the parent's plus the parent's inequality rows tight on the face.
+A cone built from known rays, by ``Cone._pointed`` with ``equalities``
+None, gets its equality rows by one rule: on their first read, once, they
+are the normals of the linear span of its rays, the rational kernel of
+the ray matrix read off one :func:`~flowfan.linalg.rref_int` and
+normalized as ``__init__`` leaves rows (:func:`_span_normals`). Such a
+cone C is pointed, so it lies in the span of its rays, and it is cut out
+by these normals and its inequality rows b exactly when every t in
+span C with b.t >= 0 lies in C. That holds for the two kinds built:
+
+* A catalog cone is C = O ∩ ker(rows), O the orthant, whose rows b are
+  the unit rows. Since span C ⊆ ker(rows), a t >= 0 in span C is in C.
+  The cone of a contracted graph G/K, padded with zeros on K into the
+  root graph's edges, is the section of the root's orthant by its padded
+  rows and the unit rows of K, so the same holds for it.
+* A face F of a pointed cone C = {a.t = 0, b.t >= 0} keeps C's rows b
+  (:func:`_face`). Since F ⊆ C, span F ⊆ ker a, so the t in span F with
+  b.t >= 0 form C ∩ span F, and that is F: F = C ∩ {c.t = 0} for some
+  c with c.t >= 0 on C, and c vanishes on F, so on span F (Ziegler,
+  *Lectures on Polytopes*, section 2.2).
+
 A face of a pointed cone is fixed by its rays, so building, closing,
 checking and writing a fan reads the rows of few of its cones.
 ``__init__``, ``orthant_section``, ``intersect``, ``from_generators``
@@ -79,7 +92,7 @@ the cycle class makes basis cycles sufficient.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 from math import lcm, prod
 
@@ -94,10 +107,35 @@ def _unit_rows(dim):
     return tuple(tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim))
 
 
+@lru_cache(maxsize=None)
+def _orthant_rows(dim):
+    """The unit rows sorted, the normalized inequality rows of the orthant."""
+    return tuple(sorted(_unit_rows(dim)))
+
+
 def _normalize_rows(rows, equalities):
     norm = sign_normalized if equalities else primitive
     distinct = {norm(r) for r in rows}
     return tuple(sorted(r for r in distinct if not is_zero(r)))
+
+
+def _span_normals(dim, rays):
+    """The normalized normals of the span of ``rays``: one kernel vector of
+    the ray matrix per column that holds no pivot of its RREF, with the
+    lcm L of the pivots at that column, zero at the other such columns and
+    ``-row[f] * L / pivot`` at each pivot."""
+    rref = rref_int(rays)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rref]
+    L = lcm(*(row[p] for row, p in zip(rref, pivots)))
+    normals = []
+    for f in range(dim):
+        if f not in pivots:
+            v = [0] * dim
+            v[f] = L
+            for row, p in zip(rref, pivots):
+                v[p] = -row[f] * (L // row[p])
+            normals.append(v)
+    return _normalize_rows(normals, equalities=True)
 
 
 def _extreme(dim, lin_count, tight_rows):
@@ -184,15 +222,13 @@ class Cone:
     cached; instances are immutable afterwards.
     """
 
-    __slots__ = ("ambient_dim", "labels", "_equalities", "_row_source",
-                 "inequalities", "_lineality", "_rays", "_tight", "_dim",
-                 "_facets")
+    __slots__ = ("ambient_dim", "labels", "_equalities", "inequalities",
+                 "_lineality", "_rays", "_tight", "_dim", "_facets")
 
     def __init__(self, ambient_dim, equalities=(), inequalities=(), labels=None):
         self.ambient_dim = ambient_dim
         self.labels = tuple(labels) if labels is not None else None
         self._equalities = _normalize_rows(equalities, equalities=True)
-        self._row_source = None
         self.inequalities = _normalize_rows(inequalities, equalities=False)
         self._rays = None
         self._lineality = None
@@ -201,16 +237,15 @@ class Cone:
         self._facets = None
 
     @classmethod
-    def _pointed(cls, ambient_dim, labels, equalities, inequalities, rays,
-                 row_source=None):
+    def _pointed(cls, ambient_dim, labels, equalities, inequalities, rays):
         """A pointed cone with known rays from rows that are normalized and
         sorted already, as ``__init__`` leaves them; skips ``__init__``.
-        With ``equalities`` None, ``row_source()`` gives them on first read."""
+        With ``equalities`` None they are the normals of the span of
+        ``rays``, computed on first read (see the module docstring)."""
         cone = cls.__new__(cls)
         cone.ambient_dim = ambient_dim
         cone.labels = labels
         cone._equalities = equalities
-        cone._row_source = row_source
         cone.inequalities = inequalities
         cone._rays = rays
         cone._lineality = ()
@@ -222,10 +257,10 @@ class Cone:
     @property
     def equalities(self):
         """The equality rows, normalized and sorted; a cone built from known
-        rays may compute them on first read, once."""
+        rays may compute them on first read, once, as the normals of the
+        span of its rays."""
         if self._equalities is None:
-            self._equalities = self._row_source()
-            self._row_source = None
+            self._equalities = _span_normals(self.ambient_dim, self._rays)
         return self._equalities
 
     @classmethod
@@ -235,7 +270,7 @@ class Cone:
         Solved at once: the orthant is a pointed cone whose rays are the
         sorted unit vectors, so double description resumes from it and
         inserts the normalized equalities only."""
-        units = tuple(sorted(_unit_rows(ambient_dim)))
+        units = _orthant_rows(ambient_dim)
         equalities = _normalize_rows(equalities, equalities=True)
         _, rays = _double_description(ambient_dim, equalities, (),
                                       start=((), units, units))
@@ -443,27 +478,15 @@ def _facet_ray_sets(c: Cone):
 
 def _face(c: Cone, ray_subset):
     """The face of pointed ``c`` with the rays in the frozenset
-    ``ray_subset``: ``c`` with its rows tight on them turned into
-    equalities, built on first read by :func:`_face_rows`. The face keeps
-    ``c``'s inequality rows, so its tight-set table is ``c``'s cut down to
-    ``ray_subset``, without a dot product."""
+    ``ray_subset``: ``c``'s inequality rows cut by the span of those rays,
+    whose normals are its equality rows, computed on first read (see the
+    module docstring). As it keeps ``c``'s inequality rows, its tight-set
+    table is ``c``'s cut down to ``ray_subset``, without a dot product."""
     _, tight_sets = c._tight_sets()
-    face_tight = tuple(t & ray_subset for t in tight_sets)
     face = Cone._pointed(c.ambient_dim, c.labels, None, c.inequalities,
-                         tuple(sorted(ray_subset)),
-                         partial(_face_rows, c, face_tight, ray_subset))
-    face._tight = (ray_subset, face_tight)
+                         tuple(sorted(ray_subset)))
+    face._tight = (ray_subset, tuple(t & ray_subset for t in tight_sets))
     return face
-
-
-def _face_rows(c: Cone, face_tight, ray_subset):
-    """The equality rows of the face of ``c`` with the rays in
-    ``ray_subset``, whose cut-down tight-set table is ``face_tight``:
-    ``c``'s equalities plus its inequality rows tight on the face,
-    sign-normalized."""
-    tight = {sign_normalized(q)
-             for q, t in zip(c.inequalities, face_tight) if t == ray_subset}
-    return tuple(sorted(tight.union(c.equalities)))
 
 
 def _face_cone(c: Cone, facet):

@@ -7,8 +7,9 @@ the cycle space around the base weighting, yield every cone of such a
 weighting, and each weighting with a positive cycle delegates to the
 contracted graph. One depth-first walk visits each contracted graph G/K,
 K a union of cycles, once. It reads the key of each cone of G/K off the
-cone's rays padded with zeros on K, and embeds into G's edges only a
-cone whose key is new. Closing the catalog under faces gives the fan.
+cone's rays padded with zeros on K, and builds a cone, once and directly
+in G's edges, only for a key that is new. Closing the catalog under
+faces gives the fan.
 
 Most contracted graphs have no vertex demand left: at every vertex the
 legs cancel the twist times the canonical degree, so ``flow_bound`` is
@@ -20,13 +21,12 @@ orthant on its edges, so the walk writes down its key, cone and witness
 The acyclic flows are lists on the integer arrays of
 :class:`~flowfan.weightings.FlowCore`, built once per graph.
 :meth:`~flowfan.weightings.FlowCore.rays` reads each flow's cone off the
-directed bonds of the digraph the flow orients, so a flow whose cone is
-already in the catalog is skipped before any row is normalized or any
-:class:`~flowfan.cones.Cone` is built, and only the witness of a new cone
-becomes a :class:`~flowfan.weightings.Weighting`. ``FlowCore.rays``
-answers every flow: on a graph too large for the bond search it solves
-the same cone by double description from the orthant, so the catalog
-has one path.
+directed bonds of the digraph the flow orients, so no row is normalized
+and no :class:`~flowfan.cones.Cone` is built for a flow, and only the
+witness of a new cone becomes a :class:`~flowfan.weightings.Weighting`.
+``FlowCore.rays`` answers every flow: on a graph too large for the bond
+search it solves the same cone by double description from the orthant,
+so the catalog has one path.
 
 Faces are closed and checked through facets, never through a cone's
 whole face lattice: every face of a pointed cone other than the cone is
@@ -40,72 +40,35 @@ a fan from ``build_fan`` reads the facets the descent found.
 """
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, partial
+from functools import cmp_to_key
 
 from .errors import UnknownEdge, UnsupportedDimension
 from .cones import (Cone, _face_cone, _face_ray_sets, _facet_ray_sets,
-                    _normalize_rows, _unit_rows, canonical_key,
+                    _orthant_rows, _unit_rows, canonical_key,
                     cone_of_weighting, intersect_cones, is_face_of)
 from .graph import contract, enumerate_cycles
 from .weightings import (FlowCore, base_weighting, flow_bound, lift_weighting,
                          restrict_weighting, shift_along_cycle)
 
 
-@dataclass(frozen=True)
-class _Embedding:
-    """Pads vectors on the edges of G/K with zero coordinates on the
-    contracted edges K, into G's edges; built once per contracted graph.
+def _padding(edges, small_edges):
+    """The map from rays on ``small_edges``, the edges of a contracted
+    graph G/K, to those rays padded with zero coordinates on K into G's
+    ``edges``, sorted. Padding keeps a ray primitive, and extreme in the
+    padded cone, the product of the small cone with the origin of K."""
+    pos = {e: i for i, e in enumerate(edges)}
+    slots = [pos[e] for e in small_edges]
 
-    Fields:
-        edges: G's edges
-        slots: the position in ``edges`` of each edge of G/K, in order
-        zero_rows: the unit rows of the edges of K
-        units: the sorted unit rows of ``edges``
-    """
+    def pad(rays):
+        out = []
+        for r in rays:
+            v = [0] * len(edges)
+            for x, i in zip(r, slots):
+                v[i] = x
+            out.append(tuple(v))
+        return tuple(sorted(out))
 
-    edges: tuple
-    slots: tuple
-    zero_rows: tuple
-    units: tuple
-
-    @classmethod
-    def build(cls, small_edges, big_edges, contracted_set):
-        pos = {e: i for i, e in enumerate(big_edges)}
-        units = _unit_rows(len(big_edges))
-        return cls(tuple(big_edges), tuple(pos[e] for e in small_edges),
-                   tuple(units[pos[e]] for e in contracted_set),
-                   tuple(sorted(units)))
-
-    def pad(self, v):
-        out = [0] * len(self.edges)
-        for x, i in zip(v, self.slots):
-            out[i] = x
-        return tuple(out)
-
-    def rays(self, c_small):
-        """The sorted padded rays of ``c_small``, the rays of its embedding."""
-        return tuple(sorted(map(self.pad, c_small.rays())))
-
-
-def _embed_cone(c_small, emb, rays):
-    """The cone ``c_small`` on the edges of G/K, padded by the
-    :class:`_Embedding` ``emb`` with zero coordinates on K (the product
-    with the origin); ``rays`` are ``emb.rays(c_small)``.
-
-    Padding with zeros keeps rows sign-normalized and rays primitive and
-    extreme, so the cone is built from the padded rows and rays of
-    ``c_small`` without a double description run; it equals
-    ``Cone.orthant_section`` over the same rows. Its equality rows are
-    built on first read, by :func:`_embedded_rows`, so neither cone's
-    rows are computed unless they are read."""
-    return Cone._pointed(len(emb.edges), emb.edges, None, emb.units, rays,
-                         partial(_embedded_rows, c_small, emb))
-
-
-def _embedded_rows(c_small, emb):
-    """The equality rows of ``c_small`` embedded by ``emb``: its rows
-    padded with zeros on K plus the unit rows of K, sorted."""
-    return tuple(sorted([*map(emb.pad, c_small.equalities), *emb.zero_rows]))
+    return pad
 
 
 def cone_catalog(g):
@@ -139,6 +102,12 @@ def _visit(edges, h, contracted, path, out, seen):
     lists the (graph, contraction of the cycle's edges, cycle) steps from
     G down to ``h``.
 
+    The rays of each cone of ``h``, padded with zeros on K, give its key
+    in G. A key new to ``out`` gets its one cone, built in G's edges from
+    the padded rays and the unit rows of G (see the
+    :mod:`~flowfan.cones` module docstring for its equality rows), and its
+    witness lifted to G; a key already in ``out`` costs nothing more.
+
     When every vertex demand of ``h`` is zero, ``flow_bound(h) == 0``, the
     one cone and witness of ``h`` are written down with no flow search,
     and are those :func:`_acyclic_catalog` would give:
@@ -149,36 +118,24 @@ def _visit(edges, h, contracted, path, out, seen):
       demands are zero, and legs keep their weights. Its ``values`` have
       the key order that :meth:`FlowCore.weighting` gives the zero flow.
     * With every edge of zero flow, G/Z is a single vertex, so
-      :meth:`FlowCore.rays` returns exactly the unit vectors; the cycle
-      rows are zero, so the cone has no equalities.
-    * Padding puts the zero rows of K into the equalities, and the key is
-      the set of padded units: the sorted unit rows of G's edges off K.
-
-    So the key is read off K before anything is built, and a key already
-    in ``out`` costs nothing more."""
+      :meth:`FlowCore.rays` returns exactly the unit vectors of ``h``.
+      Padded, they are the sorted unit rows of G's edges off K, read off
+      K before anything is built."""
     if flow_bound(h) == 0:
         units = _unit_rows(len(edges))
-        k = ((), tuple(sorted(units[i] for i, e in enumerate(edges)
-                              if e not in contracted)))
-        if k not in out:
-            small = tuple(h.edges())
-            small_units = tuple(sorted(_unit_rows(len(small))))
-            c = Cone._pointed(len(small), small, (), small_units, small_units)
-            if contracted:
-                c = _embed_cone(c, _Embedding.build(small, edges, contracted),
-                                k[1])
-            out[k] = (c, _lift(path, base_weighting(h)))
+        found = {tuple(sorted(units[i] for i, e in enumerate(edges)
+                              if e not in contracted)): None}
     else:
-        emb = (_Embedding.build(h.edges(), edges, contracted) if contracted
-               else None)
-        for k, (c, w) in _acyclic_catalog(h).items():
-            if emb is not None:
-                k = ((), emb.rays(c))  # the key of the pointed embedded cone
-            if k in out:
-                continue
-            if emb is not None:
-                c = _embed_cone(c, emb, k[1])
-            out[k] = (c, _lift(path, w))
+        found = _acyclic_catalog(h)
+        if contracted:
+            pad = _padding(edges, h.edges())
+            found = {pad(rays): w for rays, w in found.items()}
+    orthant = _orthant_rows(len(edges))
+    for rays, w in found.items():
+        k = ((), rays)  # a pointed cone's key
+        if k not in out:
+            c = Cone._pointed(len(edges), edges, None, orthant, rays)
+            out[k] = (c, _lift(path, base_weighting(h) if w is None else w))
     for cyc in enumerate_cycles(h):
         cyc_edges = frozenset(cyc.edges(h))
         key = contracted | cyc_edges
@@ -201,28 +158,17 @@ def _lift(path, w):
 
 def _acyclic_catalog(g):
     """The cones of the weightings of ``g`` without a positive cycle, as
-    key -> (cone, first witness) in enumeration order. Each flow's rays
-    come from :meth:`~flowfan.weightings.FlowCore.rays`, and a cone is
-    built only for a new key; it normalizes its flow's cycle rows only
-    when they are read."""
-    edges = g.edges()
-    labels = tuple(edges)
-    units = tuple(sorted(_unit_rows(len(edges))))
+    their sorted rays -> first witness, in enumeration order. Each flow's
+    rays come from :meth:`~flowfan.weightings.FlowCore.rays`, and only the
+    first flow of a cone becomes a weighting; no cone is built here."""
     core = FlowCore.build(g)
     out = {}
     for coeffs in core.acyclic_coefficients():
         x = core.shifted(coeffs)
-        k = ((), core.rays(x))  # a pointed cone's key
-        if k not in out:
-            c = Cone._pointed(len(edges), labels, None, units, k[1],
-                              partial(_system, core, x))
-            out[k] = (c, core.weighting(x))
+        rays = core.rays(x)
+        if rays not in out:
+            out[rays] = core.weighting(x)
     return out
-
-
-def _system(core, x):
-    """The normalized cycle rows of the flow ``x`` of ``core``."""
-    return _normalize_rows(core.rows(x), equalities=True)
 
 
 @dataclass
@@ -452,23 +398,23 @@ def check_contraction_compat(g, edge_set) -> CompatReport:
         if e not in edges:
             raise UnknownEdge(e)
     res = contract(g, S)
-    emb = _Embedding.build(res.contracted.edges(), edges, S)
+    pad = _padding(edges, res.contracted.edges())
     cycles_on_S = [cyc for cyc in enumerate_cycles(g) if cyc.edge_set(g) == S]
     violations = []
     checked = 0
     for c, w in cone_catalog(g):
         checked += 1
         w_res = restrict_weighting(g, w, res)
-        c_res = cone_of_weighting(res.contracted, w_res)
-        emb_c = _embed_cone(c_res, emb, emb.rays(c_res))
-        if not c.contains_cone(emb_c):
+        # the restricted cone is pointed, so it is spanned by its rays
+        rays = pad(cone_of_weighting(res.contracted, w_res).rays())
+        if not all(c.contains(r) for r in rays):
             violations.append(f"inclusion fails for witness {w.flows()}")
             continue
         positive = any(
             all(w.values[h] > 0 for h in orient.halves)
             for cyc in cycles_on_S
             for orient in (cyc, cyc.reversed(g)))
-        if positive and canonical_key(emb_c) != canonical_key(c):
+        if positive and ((), rays) != canonical_key(c):
             violations.append(f"equality fails for witness {w.flows()}")
     return CompatReport(not violations, checked, tuple(violations))
 

@@ -10,7 +10,7 @@ reused, as those define the objects under test.
 from itertools import product
 from math import gcd, lcm
 
-from .errors import BoxTooSmall, DimensionTooLarge, NotPointed
+from .errors import BoxTooSmall, BudgetExceeded, DimensionTooLarge, NotPointed
 from .graph import contract, cycle_basis, enumerate_cycles
 from .weightings import base_weighting, enumeration_bound, shift_by_cycles
 
@@ -107,17 +107,30 @@ def _orthant_section_rays(eq_rows, dim):
     return oracle_extreme_rays(_C())
 
 
+# the most coefficient vectors oracle_cone_catalog walks in one box, of
+# the scale of FLOW_LIMIT and MONOID_POINT_LIMIT
+ORACLE_BOX_LIMIT = 1_000_000
+
+
 def oracle_cone_catalog(g, box_radius):
     """Unpruned catalog: one cone per coefficient vector in the full box,
     plus the contraction recursion, canonicalised by the oracle's own ray
-    search. Returns a frozenset of canonical keys."""
+    search. Returns a frozenset of canonical keys.
+
+    A box of more than ``ORACLE_BOX_LIMIT`` points, ``(2 r + 1)^h`` for
+    radius r and first Betti number h, raises ``BudgetExceeded`` with that
+    count before any point is visited."""
     base = base_weighting(g)
     needed = enumeration_bound(g, base)
     if box_radius < needed:
         raise BoxTooSmall(f"box radius {box_radius} below the proved bound {needed}")
+    basis = cycle_basis(g)
+    points = (2 * box_radius + 1) ** len(basis)
+    if points > ORACLE_BOX_LIMIT:
+        raise BudgetExceeded("oracle_cone_catalog: box points", points,
+                             ORACLE_BOX_LIMIT)
     edges = g.edges()
     index = {e: i for i, e in enumerate(edges)}
-    basis = cycle_basis(g)
     keys = set()
     for coeffs in product(range(-box_radius, box_radius + 1), repeat=len(basis)):
         w = shift_by_cycles(g, base, coeffs)

@@ -5,7 +5,8 @@ on a triangle in barycentric coordinates. Cells from maximal cones become
 point markers (class ``cell-point``), segments (``cell-segment``) or
 filled polygons (``cell-polygon``), each carrying its witness flows in a
 hover title. Coordinates are exact rationals quantised to 3 decimals, so
-output bytes are deterministic.
+output bytes are deterministic. Edge ids are written as XML character
+data, with ``&``, ``<`` and ``>`` escaped.
 """
 
 from fractions import Fraction
@@ -33,9 +34,14 @@ def _point(bary, corners):
     return x, y
 
 
+def _escape(text):
+    """``text`` as XML character data: ``&``, ``<`` and ``>`` escaped."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _title(flows):
     parts = [f"{edge_doc_id(e)}={v}" for e, v in flows]
-    return "<title>flows: " + ", ".join(parts) + "</title>"
+    return "<title>flows: " + _escape(", ".join(parts)) + "</title>"
 
 
 def render_slice_svg(slice_description) -> str:
@@ -61,7 +67,7 @@ def render_slice_svg(slice_description) -> str:
         cx, cy = corners[i]
         anchor_y = cy + (18 if cy > 200 else -8)
         lines.append(f'<text x="{_fmt(cx)}" y="{_fmt(anchor_y)}" font-size="12" '
-                     f'text-anchor="middle">{edge_doc_id(e)}</text>')
+                     f'text-anchor="middle">{_escape(str(edge_doc_id(e)))}</text>')
     # polygons first so points and segments stay visible on top
     for cell in sorted(slice_description.cells, key=lambda c: -c.dim):
         pts = [_point(v, corners) for v in cell.vertices]

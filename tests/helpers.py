@@ -2,9 +2,11 @@
 
 import random
 from itertools import product
+from math import gcd
 
-from flowfan import (Graph, enumeration_bound, flow_bound, graph_genus,
-                     validate_graph)
+from flowfan import (Cone, Graph, canonical_key, enumeration_bound, flow_bound,
+                     graph_genus, validate_graph)
+from flowfan.oracle import _kernel
 
 
 def two_gon(n, twist=0):
@@ -163,6 +165,27 @@ def box_vectors(h, radius):
     lexicographic order (sum of absolute values, then the vector)."""
     vs = product(range(-radius, radius + 1), repeat=h)
     return sorted(vs, key=lambda v: (sum(map(abs, v)), v))
+
+
+def span_normals(rays, dim):
+    """The normals of the span of ``rays``: the oracle's kernel basis of the
+    ray matrix, one vector per column without a pivot, each divided by
+    its gcd and signed so that its first nonzero entry is positive,
+    sorted."""
+    out = set()
+    for v in _kernel(rays, dim):
+        d = gcd(*v) * (1 if next(x for x in v if x) > 0 else -1)
+        out.add(tuple(x // d for x in v))
+    return tuple(sorted(out))
+
+
+def span_rule_holds(c, reference):
+    """Whether the equality rows of ``c``, a cone known by its rays, are
+    the normals of the span of its rays, and with its inequality rows cut
+    out ``reference``, solved from scratch."""
+    cut = Cone(c.ambient_dim, c.equalities, c.inequalities, labels=c.labels)
+    return (c.equalities == span_normals(c.rays(), c.ambient_dim)
+            and canonical_key(cut) == canonical_key(reference))
 
 
 def corpus(count=200, seed=20260809):

@@ -15,7 +15,7 @@ from flowfan import (Weighting, base_weighting, build_fan, canonical_key,
                      oracle_monoid_check, polar_dual, render_slice_svg,
                      restrict_weighting, shift_by_cycles, slice_fan,
                      verify_fan)
-from flowfan.fan import _embed_cone, _Embedding
+from flowfan.cones import Cone
 
 from helpers import banana, corpus, two_gon
 
@@ -25,11 +25,15 @@ CORPUS_SIZE = 200
 _state = {}
 
 
-def _padded(c_small, small_edges, big_edges, contracted_set):
+def _padded(c_small, small_edges, big_edges):
     """``c_small`` on the edges of a contraction, padded with zeros on the
-    contracted edges into the big graph's edges."""
-    emb = _Embedding.build(small_edges, big_edges, contracted_set)
-    return _embed_cone(c_small, emb, emb.rays(c_small))
+    contracted edges into the big graph's edges: the orthant's section
+    with the padded rays of the pointed ``c_small``."""
+    rays = sorted(tuple(dict(zip(small_edges, r)).get(e, 0) for e in big_edges)
+                  for r in c_small.rays())
+    units = tuple(tuple(int(f == e) for f in big_edges) for e in big_edges)
+    return Cone._pointed(len(big_edges), tuple(big_edges), None,
+                         tuple(sorted(units)), tuple(rays))
 
 
 def _report(name, ok, detail):
@@ -179,7 +183,7 @@ def test_criterion_5_decomposition(corpus_graphs):
                     res = contract(g, S)
                     w_res = restrict_weighting(g, w, res)
                     emb = _padded(cone_of_weighting(res.contracted, w_res),
-                                  res.contracted.edges(), edges, S)
+                                  res.contracted.edges(), edges)
                     equality_checked += 1
                     if canonical_key(emb) != canonical_key(cone_of_weighting(g, w)):
                         failures += 1
@@ -189,7 +193,7 @@ def test_criterion_5_decomposition(corpus_graphs):
             res = contract(g, S)
             w_res = restrict_weighting(g, base, res)
             emb = _padded(cone_of_weighting(res.contracted, w_res),
-                          res.contracted.edges(), edges, S)
+                          res.contracted.edges(), edges)
             inclusion_checked += 1
             if not cone_of_weighting(g, base).contains_cone(emb):
                 failures += 1

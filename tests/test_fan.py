@@ -12,19 +12,19 @@ from flowfan import (Fan, UnknownEdge, UnsupportedDimension, base_weighting,
 from flowfan import cones as cones_module
 from flowfan import fan as fan_module
 from flowfan.cones import Cone, cycle_constraint_rows
-from flowfan.fan import (_embed_cone, _Embedding, _meet_in_common_face,
-                         _meet_on_common_support, _ray_supports)
+from flowfan.fan import (_meet_in_common_face, _meet_on_common_support,
+                         _ray_supports)
 from flowfan.graph import contract, cycle_basis, enumerate_cycles
 from flowfan.io import emit_fan_json
-from flowfan.linalg import dot, int_rank, sign_normalized
+from flowfan.linalg import dot, int_rank
 from flowfan import weightings
 from flowfan.weightings import (FlowCore, flow_bound, lift_weighting,
                                 shift_along_cycle, shift_by_cycles)
 
 from helpers import (banana, box_radius, box_vectors, chain, complete_graph,
                      corpus, ladder, loop_graph, necklace, path_graph,
-                     random_graph, ref_positive_cycle_halves, ring, two_gon,
-                     wheel)
+                     random_graph, ref_positive_cycle_halves, ring,
+                     span_normals, span_rule_holds, two_gon, wheel)
 from test_weightings import flows_weighting
 
 
@@ -76,7 +76,10 @@ def _dict_walk_catalog(g, contracted_sofar=frozenset(), memo=None):
     """The catalog walked on half-edge dicts: every box point through
     ``shift_by_cycles``, the reference positive-cycle DFS,
     ``cycle_constraint_rows`` and a cone solved from scratch; the
-    contraction recursion as in the engine. Returns key -> (cone, witness)."""
+    contraction recursion as in the engine, where a cone of a contracted
+    graph enters as the cone solved from scratch from its rows padded
+    with zeros on the contracted edges plus the unit rows of those edges.
+    Returns key -> (cone, witness)."""
     memo = {} if memo is None else memo
     if contracted_sofar in memo:
         return memo[contracted_sofar]
@@ -97,28 +100,41 @@ def _dict_walk_catalog(g, contracted_sofar=frozenset(), memo=None):
     for cyc in enumerate_cycles(g):
         cyc_edges = frozenset(cyc.edges(g))
         res = contract(g, cyc_edges)
+        small = res.contracted.edges()
         sub = _dict_walk_catalog(res.contracted, contracted_sofar | cyc_edges, memo)
         for c_small, w_small in sub.values():
             w0 = lift_weighting(g, res, w_small)
             w_lift = shift_along_cycle(g, w0, cyc, -(w0.max_abs() + 1))
-            emb = _Embedding.build(res.contracted.edges(), edges, cyc_edges)
-            c_big = _embed_cone(c_small, emb, emb.rays(c_small))
+            rows = [tuple(dict(zip(small, a)).get(e, 0) for e in edges)
+                    for a in c_small.equalities]
+            rows += [tuple(int(f == e) for f in edges) for e in cyc_edges]
+            c_big = Cone(len(edges), rows, cones_module._unit_rows(len(edges)),
+                         labels=edges)
             out.setdefault(canonical_key(c_big), (c_big, w_lift))
     memo[contracted_sofar] = out
     return out
 
 
 def _catalog_items(pairs):
-    return [(canonical_key(c), c.equalities, list(w.values.items()))
-            for c, w in pairs]
+    return [(canonical_key(c), list(w.values.items())) for c, w in pairs]
+
+
+def _assert_catalog_matches_dict_walk(g):
+    """The catalog of ``g`` has the keys and witnesses of the dict walk,
+    and each cone's rows, by the span rule, cut out the walk's cone."""
+    expected = sorted(_dict_walk_catalog(g).values(),
+                      key=lambda pair: canonical_key(pair[0]))
+    catalog = cone_catalog(g)
+    assert _catalog_items(catalog) == _catalog_items(expected)
+    for (c, _), (ref, _) in zip(catalog, expected):
+        assert (c.inequalities, c.labels) == (ref.inequalities, ref.labels)
+        assert span_rule_holds(c, ref)
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=60)
 @given(st.sampled_from(corpus()))
 def test_catalog_witnesses_match_dict_walk(g):
-    expected = sorted(_dict_walk_catalog(g).values(),
-                      key=lambda pair: canonical_key(pair[0]))
-    assert _catalog_items(cone_catalog(g)) == _catalog_items(expected)
+    _assert_catalog_matches_dict_walk(g)
 
 
 # the necklaces and K4 contract three or more levels deep and reach some
@@ -127,9 +143,7 @@ def test_catalog_witnesses_match_dict_walk(g):
                                necklace(3, 2, 1), necklace(3, 2, 2),
                                complete_graph((2, -2, 1, -1))])
 def test_catalog_witnesses_match_dict_walk_on_fixed_graphs(g):
-    expected = sorted(_dict_walk_catalog(g).values(),
-                      key=lambda pair: canonical_key(pair[0]))
-    assert _catalog_items(cone_catalog(g)) == _catalog_items(expected)
+    _assert_catalog_matches_dict_walk(g)
 
 
 def _count_calls(monkeypatch, module, name, counts):
@@ -142,11 +156,25 @@ def _count_calls(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, counted)
 
 
+def _cones_built(monkeypatch):
+    """The cones ``Cone._pointed`` builds, one entry per cone."""
+    built = []
+    pointed = Cone._pointed.__func__
+
+    def counted(cls, *args):
+        built.append(pointed(cls, *args))
+        return built[-1]
+
+    monkeypatch.setattr(Cone, "_pointed", classmethod(counted))
+    return built
+
+
 def test_catalog_visits_each_contracted_set_once(monkeypatch):
     g = necklace(3, 3, 3)
     counts = {}
-    for name in ("contract", "lift_weighting", "_embed_cone"):
+    for name in ("contract", "lift_weighting"):
         _count_calls(monkeypatch, fan_module, name, counts)
+    built = _cones_built(monkeypatch)
     catalog = cone_catalog(g)
     assert len(catalog) == 455
     h = len(cycle_basis(g))
@@ -154,20 +182,24 @@ def test_catalog_visits_each_contracted_set_once(monkeypatch):
     assert counts["contract"] == 403
     # a witness is lifted once per contraction level, only for a new key
     assert counts["lift_weighting"] <= len(catalog) * h
-    # a cone is embedded only for a key new to the catalog (264 today)
-    assert counts["_embed_cone"] <= 1000
+    # a cone is built only for a key new to the catalog, once
+    assert len(built) == len(catalog)
 
 
 def test_catalog_embeds_only_new_keys(monkeypatch):
     g = necklace(3, 3, 3)
-    root_keys = fan_module._acyclic_catalog(g)
-    counts = {}
-    _count_calls(monkeypatch, fan_module, "_embed_cone", counts)
+    root_rays = fan_module._acyclic_catalog(g)
+    built = _cones_built(monkeypatch)
     catalog = cone_catalog(g)
     # every key of the root's own cones is new when the root is visited
-    assert {canonical_key(c) for c, _ in catalog} >= set(root_keys)
-    # one embed per key first reached in a contracted graph: 455 - 191
-    assert counts["_embed_cone"] == len(catalog) - len(root_keys) == 264
+    assert {canonical_key(c) for c, _ in catalog} >= {((), r) for r in root_rays}
+    # one cone per key, 191 of the root's and 264 first reached in a
+    # contracted graph, each built once and directly in G's edges
+    assert len(root_rays) == 191
+    assert len(built) == len(catalog) == 455
+    assert {id(c) for c in built} == {id(c) for c, _ in catalog}
+    assert all((c.ambient_dim, c.labels) == (len(g.edges()), tuple(g.edges()))
+               for c in built)
 
 
 def _zero_demand_graphs(monkeypatch, g):
@@ -195,9 +227,9 @@ def test_zero_demand_graphs_have_the_closed_form_cone(monkeypatch):
     for g in graphs:
         for h in _zero_demand_graphs(monkeypatch, g):
             units = tuple(sorted(cones_module._unit_rows(len(h.edges()))))
-            ((k, (c, w)),) = fan_module._acyclic_catalog(h).items()
-            assert k == ((), units)
-            assert c.equalities == () and c.rays() == units
+            ((rays, w),) = fan_module._acyclic_catalog(h).items()
+            # the orthant, whose rays span the whole space: no equalities
+            assert rays == units and span_normals(rays, len(units)) == ()
             base = base_weighting(h)
             assert list(w.values.items()) == list(base.values.items())
             checked += 1
@@ -417,44 +449,22 @@ def test_verify_fan_names_every_missing_face_of_cones_with_cached_facets():
     assert len(expected) == 2 * sum(len(c.rays()) == 2 for c in kept)
 
 
-def _normalized(rows):
-    """Equality rows as ``Cone.__init__`` leaves them."""
-    return tuple(sorted({sign_normalized(r) for r in rows if any(r)}))
-
-
-def _eager_rows(monkeypatch):
-    """For each cone that ``_acyclic_catalog``, ``_embed_cone`` and
-    ``cones._face`` build, its cone and its equality rows by the rules
-    that computed them at construction: the normalized cycle rows of the
-    witness, the padded rows of the small cone plus the unit rows of the
-    contracted edges, and the parent's rows plus its inequality rows zero
-    on every ray of the face."""
+def _eager_faces(monkeypatch):
+    """For each face that ``cones._face`` builds, the cone
+    ``Cone.__init__`` makes of its parent's rows with the inequality rows
+    zero on every ray of the face turned into equalities, the rule that
+    gave a face its rows at construction."""
     expected = {}
-    acyclic = fan_module._acyclic_catalog
-    embed = fan_module._embed_cone
     face = cones_module._face
-
-    def acyclic_rows(h):
-        out = acyclic(h)
-        for c, w in out.values():
-            expected[id(c)] = (c, _normalized(cycle_constraint_rows(h, w)[1]))
-        return out
-
-    def embed_rows(c_small, emb, rays):
-        c = embed(c_small, emb, rays)
-        padded = [emb.pad(a) for a in c_small.equalities] + list(emb.zero_rows)
-        expected[id(c)] = (c, tuple(sorted(padded)))
-        return c
 
     def face_rows(c, ray_subset):
         f = face(c, ray_subset)
         tight = [q for q in c.inequalities
                  if all(dot(q, r) == 0 for r in ray_subset)]
-        expected[id(f)] = (f, _normalized(list(c.equalities) + tight))
+        expected[id(f)] = (f, Cone(c.ambient_dim, list(c.equalities) + tight,
+                                   c.inequalities, labels=c.labels))
         return f
 
-    monkeypatch.setattr(fan_module, "_acyclic_catalog", acyclic_rows)
-    monkeypatch.setattr(fan_module, "_embed_cone", embed_rows)
     monkeypatch.setattr(cones_module, "_face", face_rows)
     return expected
 
@@ -464,20 +474,23 @@ def _eager_rows(monkeypatch):
     [banana(3, 20)], [banana(4, 3)]],
     ids=["corpus", "neck3x3", "K5", "banana(3,20)", "banana(4,3)"])
 def test_rows_read_late_equal_the_eager_rules(monkeypatch, graphs):
-    expected = _eager_rows(monkeypatch)
+    faces_built = _eager_faces(monkeypatch)
     for g in graphs:
-        expected.clear()
+        faces_built.clear()
         fan = build_fan(g)
         assert verify_fan(fan).ok
         emit_fan_json(fan)
-        units = tuple(sorted(cones_module._unit_rows(len(fan.edge_order))))
+        units = cones_module._unit_rows(len(fan.edge_order))
         for c in fan.cones:
-            if id(c) not in expected:
-                # the closed-form orthant of a graph with no demand
-                assert flow_bound(g) == 0 and c.rays() == units
-                expected[id(c)] = (c, ())
-        for c, rows in expected.values():
-            assert c.equalities == rows
+            if id(c) in faces_built:
+                ref = faces_built[id(c)][1]
+            else:
+                # a catalog cone: the eager cone of its witness's cycle rows
+                w = fan.witnesses[canonical_key(c)]
+                ref = Cone(len(units), cycle_constraint_rows(g, w)[1], units,
+                           labels=fan.edge_order)
+            assert c.inequalities == ref.inequalities
+            assert span_rule_holds(c, ref)
 
 
 def _row_computations(monkeypatch):
@@ -499,8 +512,6 @@ def _row_computations(monkeypatch):
     # no pair of banana(3,20)'s fan needs a ray test or an intersection
     (banana(3, 20), 178, 0),
     (banana(4, 3), 15, 4),
-    # an embedded cone reads its small cone's rows, if at all, when its
-    # own are read
     (necklace(3, 3, 3), 497, 12)], ids=["banana(3,20)", "banana(4,3)", "neck3x3"])
 def test_build_verify_and_emit_compute_few_rows(monkeypatch, g, cones, computed):
     rows = _row_computations(monkeypatch)
@@ -529,8 +540,6 @@ LIMIT = weightings.BOND_VERTEX_LIMIT
     (ring(24, 5), [12, 12]),
 ])
 def test_catalog_falls_back_to_dd_above_the_bond_vertex_limit(monkeypatch, g, searched):
-    expected = sorted(_dict_walk_catalog(g).values(),
-                      key=lambda pair: canonical_key(pair[0]))
     sizes = []
     bond_sides = weightings._bond_sides
 
@@ -539,7 +548,7 @@ def test_catalog_falls_back_to_dd_above_the_bond_vertex_limit(monkeypatch, g, se
         return bond_sides(succ, pred)
 
     monkeypatch.setattr(weightings, "_bond_sides", counted)
-    assert _catalog_items(cone_catalog(g)) == _catalog_items(expected)
+    _assert_catalog_matches_dict_walk(g)
     assert sorted(sizes) == searched
     # each search visits the 2^(k-1) - 1 proper vertex sets holding vertex 0
     assert sum(2 ** (k - 1) - 1 for k in sizes) < 2 ** LIMIT
@@ -936,16 +945,19 @@ def test_embed_cone_inclusion_for_any_contraction():
         w = base_weighting(g)
         small = res.contracted.edges()
         c_small = cone_of_weighting(res.contracted, restrict_weighting(g, w, res))
-        padding = _Embedding.build(small, edges, S)
-        emb = _embed_cone(c_small, padding, padding.rays(c_small))
+        # the cone the catalog builds in G's edges from the padded rays
+        emb = Cone._pointed(len(edges), tuple(edges), None,
+                            cones_module._orthant_rows(len(edges)),
+                            fan_module._padding(edges, small)(c_small.rays()))
         assert cone_of_weighting(g, w).contains_cone(emb)
         # the padded rays are those a double description run finds
         rows = [tuple(dict(zip(small, a)).get(e, 0) for e in edges)
                 for a in c_small.equalities]
         rows += [tuple(int(f == e) for f in edges) for e in S]
         solved = Cone.orthant_section(len(edges), rows, labels=edges)
-        assert (emb.equalities, emb.inequalities, emb.labels) == (
-            solved.equalities, solved.inequalities, solved.labels)
+        assert (emb.inequalities, emb.labels) == (
+            solved.inequalities, solved.labels)
+        assert span_rule_holds(emb, solved)
         assert (emb.rays(), emb.lineality(), emb.dim()) == (
             solved.rays(), solved.lineality(), solved.dim())
 

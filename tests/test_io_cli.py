@@ -1,7 +1,12 @@
+import contextlib
+import copy
+import io
 import json
 import time
+from xml.dom import minidom
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowfan import (ParseError, ValidationError, build_fan, emit_fan_json,
                      emit_graph_json, parse_fan_json, parse_graph_json,
@@ -9,6 +14,7 @@ from flowfan import (ParseError, ValidationError, build_fan, emit_fan_json,
 from flowfan import cli
 from flowfan.cli import main
 from flowfan.io import _json_int, edge_doc_id, fan_to_document
+from flowfan.oracle import ORACLE_BOX_LIMIT
 from flowfan.weightings import FLOW_LIMIT, FlowCore
 
 from helpers import banana, corpus, necklace, path_graph, star_tree, two_gon
@@ -395,6 +401,25 @@ def test_cli_slice_accepts_edge_ids_of_mixed_types(tmp_path, capsys):
     assert "<title>flows: 1=2, a=1</title>" in svg
 
 
+def test_cli_slice_escapes_edge_ids(tmp_path, capsys):
+    # edge ids are XML character data: "<" and "&" are escaped, so the
+    # file parses, and a parser reads the ids back as written
+    doc = dict(MIXED_ID_DOC, edges=[{"id": "a<b", "from": "u", "to": "v"},
+                                    {"id": "c&d", "from": "u", "to": "v"}])
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "slice.svg"
+    assert main(["slice", path, "--svg", str(out)]) == 0
+    capsys.readouterr()
+    svg = minidom.parse(str(out))
+    labels = [t.firstChild.data for t in svg.getElementsByTagName("text")]
+    assert labels == ["a<b", "c&d"]
+    titles = {t.firstChild.data for t in svg.getElementsByTagName("title")}
+    assert "flows: a<b=2, c&d=1" in titles and len(titles) == 4
+    # ids with no character to escape are written as before
+    assert "<title>flows: 1=2, a=1</title>" in render_slice_svg(
+        slice_fan(build_fan(parse_graph_json(json.dumps(MIXED_ID_DOC)))))
+
+
 def test_cli_rays_reads_the_catalog(tmp_path, capsys, monkeypatch):
     # the same bytes as the rays of the whole fan, with no fan built
     docs = [TWO_GON_DOC, banana_doc(), banana_doc(n=3, edges=4), MIXED_ID_DOC]
@@ -466,6 +491,26 @@ def test_cli_oracle_check(tmp_path, capsys):
     assert main(["oracle-check", path, "--box-radius", "1"]) == 1
 
 
+def test_cli_oracle_check_refuses_a_box_above_the_limit(tmp_path, capsys):
+    # banana(4,100) at the default radius 800: 1601^3 points, refused
+    # before any is walked
+    from flowfan import BudgetExceeded, oracle_cone_catalog
+    path = write_doc(tmp_path, banana_doc(100, edges=4))
+    t0 = time.perf_counter()
+    assert main(["oracle-check", path]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: oracle_cone_catalog: box points: estimated "
+        f"{1601 ** 3}, limit {ORACLE_BOX_LIMIT}"]
+    # radius 50 gives 101^3 points, the least box of three coefficients
+    # above the limit
+    with pytest.raises(BudgetExceeded) as exc:
+        oracle_cone_catalog(banana(4, 1), 50)
+    assert (exc.value.estimate, exc.value.limit) == (101 ** 3, ORACLE_BOX_LIMIT)
+
+
 def test_cli_oracle_check_lists_every_missing_and_extra_cone(tmp_path, capsys,
                                                              monkeypatch):
     from flowfan import canonical_key, cli
@@ -523,3 +568,101 @@ def test_cli_fan_lists_flows_below_the_budget(tmp_path, capsys):
     assert main(["fan", path]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["cones"]
+
+
+# -- documents under Hypothesis ------------------------------------------------
+
+BIG = 2 ** 80
+
+
+@st.composite
+def graph_documents(draw):
+    """Connected GraphDocuments: up to four vertices of genus up to 2^60,
+    a spanning tree plus up to three more edges or loops, int and string
+    ids, twist and leg weights up to 2^80 in absolute value, and the last
+    leg's weight set so that the legs sum to -twist * (2 genus - 2)."""
+    n = draw(st.integers(1, 4))
+    vids = [draw(st.sampled_from([i, f"v{i}"])) for i in range(n)]
+    genera = draw(st.lists(st.integers(0, 2 ** 60), min_size=n, max_size=n))
+    ends = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    ends += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3))
+    twist = draw(st.integers(-BIG, BIG))
+    weights = draw(st.lists(st.integers(-BIG, BIG), max_size=3))
+    genus = sum(genera) + len(ends) - n + 1
+    weights.append(-twist * (2 * genus - 2) - sum(weights))
+    return {
+        "vertices": [{"id": v, "genus": _json_int(x)}
+                     for v, x in zip(vids, genera)],
+        "edges": [{"id": draw(st.sampled_from([i, f"e{i}"])),
+                   "from": vids[a], "to": vids[b]} for i, (a, b) in enumerate(ends)],
+        "legs": [{"id": f"p{i}", "vertex": vids[draw(st.integers(0, n - 1))],
+                  "weight": _json_int(x)} for i, x in enumerate(weights)],
+        "twist": _json_int(twist),
+    }
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(graph_documents())
+def test_graph_document_round_trip(doc):
+    g = parse_graph_json(json.dumps(doc))
+    text = emit_graph_json(g)
+    assert parse_graph_json(text) == g
+    out = json.loads(text)
+    numbers = [(out["twist"], g.twist)]
+    numbers += [(v["genus"], g.genus_of[v["id"]]) for v in out["vertices"]]
+    numbers += [(leg["weight"], g.leg_weights[(leg["id"],)]) for leg in out["legs"]]
+    for written, value in numbers:
+        # an int beyond the 53-bit double-safe range is written as a string
+        assert written == (str(value) if abs(value) >= 2 ** 53 else value)
+
+
+def _paths(node, path=()):
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-BIG, BIG), st.text(max_size=3),
+    st.sampled_from(["12", "-1", "u", "e1", [], {}, [1], {"id": "u"}]),
+    st.floats(allow_nan=False, allow_infinity=False, width=32))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A small valid GraphDocument with one to three edits: a node
+    replaced by a JSON value, deleted, or, in a list, repeated."""
+    doc = copy.deepcopy(draw(st.sampled_from(
+        [TWO_GON_DOC, MIXED_ID_DOC, banana_doc(3, 3), banana_doc(2, 4)]
+        + [json.loads(emit_graph_json(g)) for g in corpus(6)])))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        op = draw(st.sampled_from(["replace", "delete", "repeat"]))
+        if not path:
+            doc = draw(JSON_VALUES) if op == "replace" else {}
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if op == "delete":
+            del parent[key]
+        elif op == "repeat" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[key] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(mutated_documents())
+def test_cli_never_raises_on_mutated_documents(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "graph.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "fan", "genus", "base-weighting", "rays"):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main([command, str(path)]) in (0, 1, 2)
