@@ -138,7 +138,8 @@ def _cmd_dual(args):
     try:
         w = _parse_flows(args.flows, g)
     except UnknownEdge as exc:
-        print(f"unknown edge: {exc}", file=sys.stderr)
+        # a KeyError's str is the repr of its key; print the bare id
+        print(f"unknown edge: {exc.args[0]}", file=sys.stderr)
         return 1
     ok, defects = is_weighting(g, w)
     if not ok:

@@ -39,8 +39,7 @@ cone caches its facets when they are first listed, so ``verify_fan`` on
 a fan from ``build_fan`` reads the facets the descent found.
 """
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cmp_to_key
+from math import lcm
 
 from .errors import UnknownEdge, UnsupportedDimension
 from .cones import (Cone, _face_cone, _face_ray_sets, _facet_ray_sets,
@@ -425,7 +424,7 @@ def check_contraction_compat(g, edge_set) -> CompatReport:
 @dataclass(frozen=True)
 class SliceCell:
     dim: int
-    vertices: tuple  # barycentric coordinate tuples (Fractions, sum 1)
+    vertices: tuple  # primitive rays r; r / sum(r) is the barycentric point
     flows: tuple     # (edge key, flow) pairs of the witness, in edge order
 
 
@@ -436,40 +435,6 @@ class SliceDescription:
     cells: tuple
 
 
-def _bary(ray):
-    s = sum(ray)
-    return tuple(Fraction(x, s) for x in ray)
-
-
-def _sort_polygon(vertices):
-    """Order barycentric points around their centroid, exactly."""
-    pts = [(v[1], v[2]) for v in vertices]  # affine chart is order-faithful
-    n = len(pts)
-    cx = sum(p[0] for p in pts) / n
-    cy = sum(p[1] for p in pts) / n
-
-    def half(p):
-        dx, dy = p[0] - cx, p[1] - cy
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-    def cmp(a, b):
-        pa, pb = pts[a], pts[b]
-        ha, hb = half(pa), half(pb)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cross = ((pa[0] - cx) * (pb[1] - cy) - (pa[1] - cy) * (pb[0] - cx))
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    order = sorted(range(n), key=cmp_to_key(cmp))
-    ordered = [vertices[i] for i in order]
-    start = min(range(n), key=lambda i: ordered[i])
-    return tuple(ordered[start:] + ordered[:start])
-
-
 def check_sliceable(num_edges):
     """Raise ``UnsupportedDimension`` unless the fan of a graph with
     ``num_edges`` edges can be sliced: only 2 and 3 edges can. Cheap, so
@@ -478,23 +443,63 @@ def check_sliceable(num_edges):
         raise UnsupportedDimension(f"slice requires 2 or 3 edges, got {num_edges}")
 
 
+def _facet_cycle(c, first):
+    """The rays of a pointed 3-cone ``c`` in R^3 in the cyclic order of its
+    facets, each a pair of rays, from the ray ``first`` = p and
+    counterclockwise in the (t2, t3) chart of the slice. Of p's two
+    neighbours a and b, the walk steps first to a when det(p, a, b) > 0:
+    adding the other two columns to the first turns each row r into
+    (sum(r), r2, r3), so that determinant has the sign of the triangle
+    p, a, b in the chart, as each sum(r) is positive."""
+    nbrs = {}
+    for u, v in _facet_ray_sets(c):
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    (a0, a1, a2), (b0, b1, b2) = nbrs[first]
+    p0, p1, p2 = first
+    det = (p0 * (a1 * b2 - a2 * b1) - p1 * (a0 * b2 - a2 * b0)
+           + p2 * (a0 * b1 - a1 * b0))
+    cycle = [first, nbrs[first][0 if det > 0 else 1]]
+    while len(cycle) < len(nbrs):
+        u, v = nbrs[cycle[-1]]
+        cycle.append(v if u == cycle[-2] else u)
+    return tuple(cycle)
+
+
 def slice_fan(fan: Fan) -> SliceDescription:
     """Cut the maximal cones with the hyperplane where the coordinates sum
     to one. Each maximal cone of dimension d >= 1 becomes a cell of
-    dimension d - 1 with exact rational vertices, tagged with its witness
-    flows. Only ambient dimensions 2 and 3 are supported
-    (:func:`check_sliceable`)."""
+    dimension d - 1, tagged with its witness flows, whose vertices are the
+    cone's primitive rays: a ray r meets the hyperplane in r / sum(r).
+    Only ambient dimensions 2 and 3 are supported
+    (:func:`check_sliceable`).
+
+    A polygon lists its rays in facet order (:func:`_facet_cycle`), from
+    the least in barycentric order. A fan from :func:`build_fan` has only
+    one kind of polygon, the triangle of the orthant: each catalog cone is
+    the orthant cut by the kernel of its equality rows, which in R^3 is
+    3-dimensional only when there are none, and every other cone of the
+    fan is a face of a catalog cone, of lower dimension. The facet walk
+    still orders any pointed 3-cone of a fan built by hand.
+
+    Cells sort by (dimension, vertices), each ray scaled to one common
+    denominator D, the lcm of the ray sums, as the integer tuple
+    D / sum(r) * r; this is the order of the barycentric points."""
     d = len(fan.edge_order)
     check_sliceable(d)
+    cones = [c for c in fan.maximal_cones() if c.dim() >= 1]
+    D = lcm(*(sum(r) for c in cones for r in c.rays()))
+
+    def scaled(r):
+        return tuple(x * (D // sum(r)) for x in r)
+
     cells = []
-    for c in fan.maximal_cones():
+    for c in cones:
         cdim = c.dim()
-        if cdim < 1:
-            continue
-        verts = [_bary(r) for r in c.rays()]
+        verts = c.rays()
         if cdim == 3:
-            verts = list(_sort_polygon(verts))
+            verts = _facet_cycle(c, min(verts, key=scaled))
         w = fan.witnesses[canonical_key(c)]
-        cells.append(SliceCell(cdim - 1, tuple(verts), tuple(w.flows().items())))
-    cells.sort(key=lambda cell: (cell.dim, cell.vertices))
+        cells.append(SliceCell(cdim - 1, verts, tuple(w.flows().items())))
+    cells.sort(key=lambda cell: (cell.dim, tuple(map(scaled, cell.vertices))))
     return SliceDescription(d, fan.edge_order, tuple(cells))

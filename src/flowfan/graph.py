@@ -536,7 +536,6 @@ def enumerate_cycles(g: Graph):
 class ContractionResult:
     contracted: Graph
     vertex_map: dict
-    edge_map: dict
     contracted_set: frozenset
 
 
@@ -582,5 +581,4 @@ def contract(g: Graph, edge_set) -> ContractionResult:
     # a surviving id keeps its sort_key, so the parent's ranks order the
     # child's ids; the index is stored where Graph.index caches it
     vars(contracted)["index"] = GraphIndex.build(contracted, g.index.rank)
-    edge_map = {e: e for e in edges - S}
-    return ContractionResult(contracted, vertex_map, edge_map, frozenset(S))
+    return ContractionResult(contracted, vertex_map, frozenset(S))

@@ -22,6 +22,7 @@ the reference the writer is tested against, byte for byte, through
 """
 
 import json
+from math import isfinite
 
 from .errors import ParseError, ValidationError
 from .graph import Graph, validate_graph
@@ -63,6 +64,9 @@ def _require(obj, key, path):
 def _read_id(value, path):
     if isinstance(value, (list, dict)):
         raise ParseError(path, "expected a string or number id")
+    if isinstance(value, float) and not isfinite(value):
+        # json reads NaN and Infinity, but NaN != NaN, so no lookup finds it
+        raise ParseError(path, f"expected a finite number id, got {value!r}")
     return value
 
 

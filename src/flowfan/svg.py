@@ -4,39 +4,50 @@ The slice of a 2-edge fan is drawn on a horizontal interval, a 3-edge fan
 on a triangle in barycentric coordinates. Cells from maximal cones become
 point markers (class ``cell-point``), segments (``cell-segment``) or
 filled polygons (``cell-polygon``), each carrying its witness flows in a
-hover title. Coordinates are exact rationals quantised to 3 decimals, so
-output bytes are deterministic. Edge ids are written as XML character
-data, with ``&``, ``<`` and ``>`` escaped.
+hover title. A vertex is a primitive ray r, drawn at r / sum(r); its
+coordinates are integer numerators over sum(r), quantised exactly to 3
+decimals, so output bytes are deterministic. Edge ids are written as XML
+character data, with ``&``, ``<`` and ``>`` escaped and each character
+XML 1.0 cannot carry written as ``\\uXXXX``.
 """
 
-from fractions import Fraction
+import re
 
-from .errors import UnsupportedDimension
+from .fan import check_sliceable
 from .io import edge_doc_id
 
 _WIDTH, _HEIGHT = 420, 400
-_INTERVAL = ((Fraction(30), Fraction(200)), (Fraction(390), Fraction(200)))
-_TRIANGLE = ((Fraction(30), Fraction(370)),
-             (Fraction(390), Fraction(370)),
-             (Fraction(210), Fraction(58)))
+_INTERVAL = ((30, 200), (390, 200))
+_TRIANGLE = ((30, 370), (390, 370), (210, 58))
 
 
-def _fmt(x: Fraction) -> str:
-    scaled = round(x * 1000)
+def _fmt(num, den=1) -> str:
+    """``num / den``, ``den > 0``, to 3 decimals, rounded half to even."""
+    scaled, rest = divmod(1000 * num, den)
+    if 2 * rest > den or (2 * rest == den and scaled % 2):
+        scaled += 1
     sign = "-" if scaled < 0 else ""
     scaled = abs(scaled)
     return f"{sign}{scaled // 1000}.{scaled % 1000:03d}"
 
 
-def _point(bary, corners):
-    x = sum(b * c[0] for b, c in zip(bary, corners))
-    y = sum(b * c[1] for b, c in zip(bary, corners))
+def _point(ray, corners):
+    """The point r / sum(r) of the slice as (x, y) numerators over sum(r)."""
+    x = sum(r * c[0] for r, c in zip(ray, corners))
+    y = sum(r * c[1] for r, c in zip(ray, corners))
     return x, y
 
 
+# the characters XML 1.0 cannot carry: C0 controls but tab, LF and CR,
+# surrogates, U+FFFE and U+FFFF
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def _escape(text):
-    """``text`` as XML character data: ``&``, ``<`` and ``>`` escaped."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """``text`` as XML character data: ``&``, ``<`` and ``>`` escaped, and
+    each character XML 1.0 cannot carry written as the text ``\\uXXXX``."""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return _NOT_XML.sub(lambda m: f"\\u{ord(m.group()):04x}", text)
 
 
 def _title(flows):
@@ -46,8 +57,7 @@ def _title(flows):
 
 def render_slice_svg(slice_description) -> str:
     d = slice_description.ambient_dim
-    if d not in (2, 3):
-        raise UnsupportedDimension(f"SVG slice requires 2 or 3 edges, got {d}")
+    check_sliceable(d)
     corners = _INTERVAL if d == 2 else _TRIANGLE
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
@@ -70,18 +80,21 @@ def render_slice_svg(slice_description) -> str:
                      f'text-anchor="middle">{_escape(str(edge_doc_id(e)))}</text>')
     # polygons first so points and segments stay visible on top
     for cell in sorted(slice_description.cells, key=lambda c: -c.dim):
-        pts = [_point(v, corners) for v in cell.vertices]
+        pts = []
+        for v in cell.vertices:
+            x, y = _point(v, corners)
+            pts.append((_fmt(x, sum(v)), _fmt(y, sum(v))))
         title = _title(cell.flows)
         if cell.dim == 0:
             (x, y), = pts
-            lines.append(f'<circle class="cell-point" cx="{_fmt(x)}" cy="{_fmt(y)}" '
+            lines.append(f'<circle class="cell-point" cx="{x}" cy="{y}" '
                          f'r="4">{title}</circle>')
         elif cell.dim == 1:
             (x0, y0), (x1, y1) = pts
-            lines.append(f'<line class="cell-segment" x1="{_fmt(x0)}" y1="{_fmt(y0)}" '
-                         f'x2="{_fmt(x1)}" y2="{_fmt(y1)}">{title}</line>')
+            lines.append(f'<line class="cell-segment" x1="{x0}" y1="{y0}" '
+                         f'x2="{x1}" y2="{y1}">{title}</line>')
         else:
-            coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
+            coords = " ".join(f"{x},{y}" for x, y in pts)
             lines.append(f'<polygon class="cell-polygon" points="{coords}">'
                          f'{title}</polygon>')
     lines.append("</svg>")

@@ -968,7 +968,8 @@ def test_slice_two_gon():
     assert sl.ambient_dim == 2
     points = [c for c in sl.cells if c.dim == 0]
     assert len(points) == 4
-    coords = sorted(v[1] for c in points for v in c.vertices)
+    # a vertex is a primitive ray r, the barycentric point r / sum(r)
+    coords = sorted(Fraction(r[1], sum(r)) for c in points for r in c.vertices)
     assert coords == [Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1)]
 
 
@@ -980,8 +981,9 @@ def test_slice_banana():
     assert len(points) == 36
     assert len(segments) == 3
     for c in sl.cells:
-        for v in c.vertices:
-            assert sum(v) == 1
+        for r in c.vertices:
+            assert sum(Fraction(x, sum(r)) for x in r) == 1
+            assert min(r) >= 0 and gcd(*r) == 1
         assert c.flows
 
 
@@ -990,6 +992,38 @@ def test_slice_polygon_cell():
     sl = slice_fan(fan)
     assert [c.dim for c in sl.cells] == [2]
     assert len(sl.cells[0].vertices) == 3
+
+
+def test_slice_orders_a_polygon_by_its_facet_cycle():
+    # hand-built fans with one pointed 3-cone on 3 to 7 rays: the polygon
+    # starts at the least barycentric point, each two neighbours span a
+    # facet, and every turn is counterclockwise in the (t2, t3) chart
+    base = build_fan(path_graph(3, leg_weights=(1, -1)))
+    (orthant,) = base.maximal_cones()
+    witness = base.witnesses[canonical_key(orthant)]
+    rng = random.Random(5)
+    seen = set()
+    while len(seen) < 60:
+        gens = [tuple(rng.randint(0, 6) for _ in range(3))
+                for _ in range(rng.randint(3, 8))]
+        c = Cone.from_generators(3, [v for v in gens if any(v)])
+        if c.dim() != 3 or canonical_key(c) in seen:
+            continue
+        seen.add(canonical_key(c))
+        k = canonical_key(c)
+        fan = Fan(base.graph, base.edge_order, [c], {k: witness}, frozenset({k}))
+        (cell,) = slice_fan(fan).cells
+        vs = cell.vertices
+        assert cell.dim == 2 and sorted(vs) == sorted(c.rays())
+        bary = [tuple(Fraction(x, sum(r)) for x in r) for r in vs]
+        assert bary[0] == min(bary)
+        facets = {frozenset(f) for f in cones_module._facet_ray_sets(c)}
+        n = len(vs)
+        for i in range(n):
+            assert frozenset((vs[i], vs[(i + 1) % n])) in facets
+            (_, p2, p3), (_, a2, a3), (_, b2, b3) = (
+                bary[i], bary[(i + 1) % n], bary[(i + 2) % n])
+            assert (a2 - p2) * (b3 - p3) - (a3 - p3) * (b2 - p2) > 0
 
 
 def test_slice_unsupported_dimension():

@@ -1,8 +1,8 @@
-"""Golden bytes: the sha256 of ``emit_fan_json`` on fixed graphs, and of
-the charts of every fan cone.
+"""Golden bytes: the sha256 of ``emit_fan_json`` on fixed graphs, of
+the charts of every fan cone, and of the SVG slices of fixed fans.
 
-A change that alters any fan's output bytes, or any cone's polar dual,
-spanned dual or monoid generators, fails here. Run this file
+A change that alters any fan's output bytes, any cone's polar dual,
+spanned dual or monoid generators, or any slice's SVG bytes, fails here. Run this file
 under several ``PYTHONHASHSEED`` values (and under ``python -O``) to
 catch bytes that depend on the hash seed or on asserts.
 """
@@ -10,10 +10,12 @@ import hashlib
 
 import pytest
 
-from flowfan import build_fan, emit_fan_json
-from flowfan.cones import canonical_key, dual_cone_generators, monoid_generators
+from flowfan import Fan, build_fan, emit_fan_json, render_slice_svg, slice_fan
+from flowfan.cones import (Cone, canonical_key, dual_cone_generators,
+                           monoid_generators)
 
-from helpers import banana, complete_graph, corpus, loop_graph, necklace, wheel
+from helpers import (banana, complete_graph, corpus, loop_graph, necklace,
+                     path_graph, two_gon, wheel)
 
 
 def _digest(graphs):
@@ -66,3 +68,33 @@ def test_chart_bytes():
                            monoid_generators(polar))).encode())
     assert h.hexdigest() == (
         "e955114c8fbeab74db3f715a13cb117cdf806080a034f754f0f932dd5c78ea12")
+
+
+def _hexagon_fan():
+    """A hand-built fan on path_graph(3)'s edges: one pointed 3-cone on six
+    rays whose coordinate sums differ (3, 4 and 5), with the witness of
+    that graph's orthant. No fan from ``build_fan`` has a polygon with
+    more than three vertices."""
+    base = build_fan(path_graph(3, leg_weights=(1, -1)))
+    (orthant,) = base.maximal_cones()
+    c = Cone.from_generators(3, [(4, 1, 0), (1, 2, 0), (0, 3, 1),
+                                 (0, 1, 2), (1, 0, 3), (3, 0, 1)])
+    assert len(c.rays()) == 6 and c.dim() == 3
+    k = canonical_key(c)
+    return Fan(base.graph, base.edge_order, [c],
+               {k: base.witnesses[canonical_key(orthant)]}, frozenset({k}))
+
+
+@pytest.mark.parametrize("make, digest", [
+    (lambda: build_fan(banana(3, 20)),
+     "6aa9c5cbe6d77d97a1d422113282360df4fb61ddd1c9006f0104716d64ac0fc7"),
+    (lambda: build_fan(two_gon(3)),
+     "e8a93232c19131a06b35290acb98ae5b755e9a1b0fc1991281ca0aec50591555"),
+    (lambda: build_fan(path_graph(3, leg_weights=(1, -1))),
+     "3b417b9dd27f16f8e7853ae80018db9d7a48a8451b14dcab5f32887b79666165"),
+    (_hexagon_fan,
+     "cc25ca6233ffcccdc096d8e11f59e279f196ce90a7fbe8648968a6ad3da9ec4b"),
+], ids=["banana(3,20)", "two_gon(3)", "path_graph(3)", "hexagon"])
+def test_slice_svg_bytes(make, digest):
+    svg = render_slice_svg(slice_fan(make()))
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest

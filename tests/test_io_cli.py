@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import time
+from fractions import Fraction
 from xml.dom import minidom
 
 import pytest
@@ -15,6 +16,7 @@ from flowfan import cli
 from flowfan.cli import main
 from flowfan.io import _json_int, edge_doc_id, fan_to_document
 from flowfan.oracle import ORACLE_BOX_LIMIT
+from flowfan.svg import _fmt
 from flowfan.weightings import FLOW_LIMIT, FlowCore
 
 from helpers import banana, corpus, necklace, path_graph, star_tree, two_gon
@@ -205,6 +207,23 @@ def test_svg_counts():
     assert svg3.count('<polygon class="cell-polygon"') == 1
 
 
+def _fmt_reference(num, den):
+    scaled = round(Fraction(1000 * num, den))
+    sign = "-" if scaled < 0 else ""
+    return f"{sign}{abs(scaled) // 1000}.{abs(scaled) % 1000:03d}"
+
+
+@pytest.mark.parametrize("den", [1, 2, 3, 7, 16, 400, 2000, 6000])
+def test_fmt_rounds_as_fraction_rounding(den):
+    # ties sit at 1000 * num / den = k + 1/2: den 16, 400, 2000 and 6000
+    # have them, and round(Fraction) sends each to the even neighbour
+    for num in range(-700, 701):
+        assert _fmt(num, den) == _fmt_reference(num, den)
+    assert _fmt(1, 2000) == "0.000" and _fmt(3, 2000) == "0.002"
+    assert _fmt(-1, 2000) == "0.000" and _fmt(-3, 2000) == "-0.002"
+    assert _fmt(-1, 16) == "-0.062" and _fmt(-3, 16) == "-0.188"
+
+
 def test_svg_deterministic():
     a = render_slice_svg(slice_fan(build_fan(banana(3, 10))))
     b = render_slice_svg(slice_fan(build_fan(banana(3, 10))))
@@ -242,6 +261,21 @@ def test_cli_graph_without_vertices_is_disconnected(tmp_path, capsys, command):
     assert message in captured.out + captured.err
     if command != "validate":
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
+def test_cli_non_finite_id_is_a_parse_error(tmp_path, capsys, number):
+    # json reads these, but NaN != NaN, so such a vertex was reported as
+    # unreachable; a non-finite id is refused where it stands
+    path = tmp_path / "graph.json"
+    path.write_text('{"vertices": [{"id": %s, "genus": 1}], "edges": [], '
+                    '"legs": [], "twist": 0}' % number)
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"parse error at /vertices/0/id: expected a finite number id, "
+        f"got {float(number)!r}"]
 
 
 def test_cli_parse_error(tmp_path):
@@ -348,6 +382,16 @@ def test_cli_dual(tmp_path, capsys):
     assert main(["dual", path, "--flows", "e9=1,e2=3,e3=4"]) == 1
 
 
+@pytest.mark.parametrize("args", [["dual", "--flows", "e9=1,e2=3,e3=4"],
+                                  ["contract", "--edges", "e9"]])
+def test_cli_unknown_edge_prints_the_bare_id(tmp_path, capsys, args):
+    path = write_doc(tmp_path, banana_doc())
+    assert main([args[0], path] + args[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["unknown edge: e9"]
+
+
 def test_cli_dual_rejects_a_repeated_edge(tmp_path, capsys):
     # the last value alone, e1=2, e2=1, would be a valid weighting
     path = write_doc(tmp_path, TWO_GON_DOC)
@@ -418,6 +462,22 @@ def test_cli_slice_escapes_edge_ids(tmp_path, capsys):
     # ids with no character to escape are written as before
     assert "<title>flows: 1=2, a=1</title>" in render_slice_svg(
         slice_fan(build_fan(parse_graph_json(json.dumps(MIXED_ID_DOC)))))
+
+
+@pytest.mark.parametrize("eid", ["a\u0001", "a\ud800", "a\uffff"])
+def test_cli_slice_writes_ids_xml_cannot_carry_as_text(tmp_path, capsys, eid):
+    # a C0 control, a lone surrogate or U+FFFF is written as the text
+    # \uXXXX: the file is well-formed, and a surrogate no longer fails to
+    # encode when the file is written
+    doc = dict(MIXED_ID_DOC, edges=[{"id": eid, "from": "u", "to": "v"},
+                                    {"id": "b", "from": "u", "to": "v"}])
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "slice.svg"
+    assert main(["slice", path, "--svg", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    svg = minidom.parse(str(out))
+    labels = [t.firstChild.data for t in svg.getElementsByTagName("text")]
+    assert labels == ["a\\u%04x" % ord(eid[1]), "b"]
 
 
 def test_cli_rays_reads_the_catalog(tmp_path, capsys, monkeypatch):
