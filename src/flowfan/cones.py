@@ -37,18 +37,28 @@ on graphs too large for that search, and builds the cone with
 ``Cone._pointed``.
 
 A cone caches what it computes: its rays and lineality, its dimension,
-a tight-set table of its ray frozenset plus, per inequality row, the
-frozenset of rays on that row's hyperplane, and its facets as ray
-frozensets (the ``_facets`` slot, filled by :func:`_facet_ray_sets`).
-Face enumeration and the face test read the table instead of taking dot
-products, and a fan built by :func:`~flowfan.fan.build_fan` hands its
-verifier facets it has already listed. The caches rely on the rows never
-changing after construction, which nothing in this package does. Every
-constructor path, ``__init__`` and ``Cone._pointed``, starts them empty.
+and, for a cone of a fan from :func:`~flowfan.fan.build_fan`, its facets
+(the ``_facets`` slot), recorded once by the descent as the ray tuples
+of the facet cones. The caches rely on the rows never changing after
+construction, which nothing in this package does. Every constructor
+path, ``__init__`` and ``Cone._pointed``, starts them empty.
 Intersections and faces are built from rows that are normalized already,
-without passing them through ``__init__`` again. A face inherits its
-table, cut down to its rays, and a facet also its dimension, one less
-than its parent's.
+without passing them through ``__init__`` again.
+
+Faces are ray bitmasks, as in Kaibel and Pfetsch, "Computing the face
+lattice of a polytope from its vertex-facet incidences" (2002), and
+Kliem and Stump, "A face iterator for polyhedra and more" (2019). A
+mask is an int over a cone's sorted rays, bit j standing for the ray j;
+:func:`_row_masks` gives, per inequality row, the mask of the rays on
+that row's hyperplane, computed afresh on each call. The faces of the
+pointed part are the tight-set closures, the ANDs of row masks
+(:func:`_face_masks`); the facets of a face are read off its mask and
+the row masks by :func:`_facets_of`. A mask's rays are read in
+ascending bit order (:func:`_rays_of`), so they come out sorted. A face
+of a pointed cone keeps its parent's inequality rows, so the parent's
+row masks cut down to the face are the face's own, with its rays
+renumbered in the same order; a descent through faces therefore keeps
+the masks of the cone it started from.
 
 A cone built from known rays, by ``Cone._pointed`` with ``equalities``
 None, gets its equality rows by one rule: on their first read, once, they
@@ -65,10 +75,11 @@ span C with b.t >= 0 lies in C. That holds for the two kinds built:
   root graph's edges, is the section of the root's orthant by its padded
   rows and the unit rows of K, so the same holds for it.
 * A face F of a pointed cone C = {a.t = 0, b.t >= 0} keeps C's rows b
-  (:func:`_face`). Since F ⊆ C, span F ⊆ ker a, so the t in span F with
-  b.t >= 0 form C ∩ span F, and that is F: F = C ∩ {c.t = 0} for some
-  c with c.t >= 0 on C, and c vanishes on F, so on span F (Ziegler,
-  *Lectures on Polytopes*, section 2.2).
+  (:func:`faces`, :func:`~flowfan.fan.build_fan`). Since F ⊆ C,
+  span F ⊆ ker a, so the t in span F with b.t >= 0 form C ∩ span F, and
+  that is F: F = C ∩ {c.t = 0} for some c with c.t >= 0 on C, and c
+  vanishes on F, so on span F (Ziegler, *Lectures on Polytopes*,
+  section 2.2).
 
 A face of a pointed cone is fixed by its rays, so building, closing,
 checking and writing a fan reads the rows of few of its cones.
@@ -80,8 +91,8 @@ count, with no rank: distinct primitive extreme rays of a pointed cone
 are never parallel (a ray and its negative would make a line), so a
 pointed cone of dimension one has one extreme ray and one of dimension
 two exactly two, while three vectors span at most three dimensions.
-Such a cone is simplicial, so its facets drop one ray each and need no
-tight-set table either. A polar dual takes its dimension from duality,
+Such a cone is simplicial, so every set of its rays spans a face, its
+facets drop one ray each, and it needs no row masks either. A polar dual takes its dimension from duality,
 the ambient dimension less that of the lineality it is dual to (see
 ``Cone.polar``). Other cones rank their rays and lineality basis.
 
@@ -92,9 +103,10 @@ the cycle class makes basis cycles sufficient.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from math import lcm, prod
+from operator import and_
 
 from .errors import AmbientMismatch, BudgetExceeded, FlowFanError, NotPointed
 from .graph import cycle_basis
@@ -223,7 +235,7 @@ class Cone:
     """
 
     __slots__ = ("ambient_dim", "labels", "_equalities", "inequalities",
-                 "_lineality", "_rays", "_tight", "_dim", "_facets")
+                 "_lineality", "_rays", "_dim", "_facets")
 
     def __init__(self, ambient_dim, equalities=(), inequalities=(), labels=None):
         self.ambient_dim = ambient_dim
@@ -232,7 +244,6 @@ class Cone:
         self.inequalities = _normalize_rows(inequalities, equalities=False)
         self._rays = None
         self._lineality = None
-        self._tight = None
         self._dim = None
         self._facets = None
 
@@ -249,7 +260,6 @@ class Cone:
         cone.inequalities = inequalities
         cone._rays = rays
         cone._lineality = ()
-        cone._tight = None
         cone._dim = None
         cone._facets = None
         return cone
@@ -309,16 +319,6 @@ class Cone:
     def lineality(self):
         self._compute()
         return self._lineality
-
-    def _tight_sets(self):
-        """(frozenset of the rays, one frozenset per inequality row of the
-        rays on its hyperplane), built on first use."""
-        if self._tight is None:
-            rays = self.rays()
-            self._tight = (frozenset(rays),
-                           tuple(frozenset(r for r in rays if dot(q, r) == 0)
-                                 for q in self.inequalities))
-        return self._tight
 
     def is_pointed(self):
         return not self.lineality()
@@ -430,80 +430,78 @@ def extreme_rays(c: Cone):
     return c.rays()
 
 
-def _face_ray_sets(c: Cone):
-    """All tight-set closures of the ray set: the faces of the pointed part,
-    each given by the frozenset of rays it contains."""
-    full, facet_sets = c._tight_sets()
-    seen = {full}
-    queue = [full]
-    while queue:
-        s = queue.pop()
-        for f in facet_sets:
-            t = s & f
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return seen
+def _row_masks(c: Cone):
+    """One ray mask per inequality row of ``c``, in row order: bit j is set
+    when ``c.rays()[j]`` lies on that row's hyperplane. Not cached."""
+    rays = c.rays()
+    return tuple(sum(1 << j for j, r in enumerate(rays) if dot(q, r) == 0)
+                 for q in c.inequalities)
 
 
-def _facets_of(s, tight_sets):
-    """The facets of the face of a cone with the ray frozenset ``s``, as ray
-    frozensets; ``tight_sets`` are the cone's, one per inequality row.
+def _facet_row_masks(c: Cone):
+    """The row masks :func:`_facets_of` and :func:`_is_closure` read for
+    ``c``: those of :func:`_row_masks`, or none on at most three rays,
+    where ``c`` is simplicial and neither reads them."""
+    return _row_masks(c) if len(c.rays()) > 3 else ()
+
+
+def _rays_of(rays, mask):
+    """The rays of ``mask`` in ascending bit order, so sorted when ``rays``
+    is."""
+    return tuple(r for j, r in enumerate(rays) if mask >> j & 1)
+
+
+def _face_masks(c: Cone):
+    """All tight-set closures of the rays of ``c``: the faces of the pointed
+    part, each as its ray mask. They are the ANDs of the full mask with
+    any set of row masks, taken one row mask at a time."""
+    out = {(1 << len(c.rays())) - 1}
+    for m in _row_masks(c):
+        out |= {s & m for s in out}
+    return out
+
+
+def _facets_of(s, masks):
+    """The facets of the face with the ray mask ``s`` of a cone whose row
+    masks are ``masks``, as ray masks.
 
     On more than three rays they are the inclusion-maximal proper cuts
-    ``s & t``, in row order: a face is cut out by rows turned into
+    ``s & m``, in row order: a face is cut out by rows turned into
     equalities, every proper face lies in a facet, and a facet is cut out
     by a single row (Ziegler, *Lectures on Polytopes*, section 2.2). On
     at most three rays the face is simplicial (see the module docstring)
-    and each facet drops one ray, in ray order; ``tight_sets`` is then
-    not read."""
-    if len(s) <= 3:
-        rays = sorted(s)
-        return tuple(frozenset(rays[:i] + rays[i + 1:]) for i in range(len(rays)))
-    proper = [u for u in dict.fromkeys(s & t for t in tight_sets) if u != s]
-    return tuple(u for u in proper if not any(u < v for v in proper))
+    and each facet drops one bit, in ascending bit order; ``masks`` is
+    then not read."""
+    if s.bit_count() <= 3:
+        return tuple(s ^ (1 << j) for j in range(s.bit_length()) if s >> j & 1)
+    proper = [u for u in dict.fromkeys(s & m for m in masks) if u != s]
+    return tuple(u for u in proper
+                 if not any(u != v and u | v == v for v in proper))
 
 
-def _facet_ray_sets(c: Cone):
-    """The facets of pointed ``c`` by :func:`_facets_of`, computed once per
-    cone and cached on it; a cone on at most three rays builds no
-    tight-set table. Every face of ``c`` but ``c`` itself lies in a
-    facet, and is a face of it."""
-    if c._facets is None:
-        rays = c.rays()
-        c._facets = _facets_of(frozenset(rays),
-                               c._tight_sets()[1] if len(rays) > 3 else ())
-    return c._facets
-
-
-def _face(c: Cone, ray_subset):
-    """The face of pointed ``c`` with the rays in the frozenset
-    ``ray_subset``: ``c``'s inequality rows cut by the span of those rays,
-    whose normals are its equality rows, computed on first read (see the
-    module docstring). As it keeps ``c``'s inequality rows, its tight-set
-    table is ``c``'s cut down to ``ray_subset``, without a dot product."""
-    _, tight_sets = c._tight_sets()
-    face = Cone._pointed(c.ambient_dim, c.labels, None, c.inequalities,
-                         tuple(sorted(ray_subset)))
-    face._tight = (ray_subset, tuple(t & ray_subset for t in tight_sets))
-    return face
-
-
-def _face_cone(c: Cone, facet):
-    """The facet of pointed ``c`` with the rays in ``facet``, one of
-    ``_facet_ray_sets(c)``, as :func:`_face` builds it. Its dimension is
-    one less than ``c``'s, so it takes no rank."""
-    face = _face(c, facet)
-    face._dim = c.dim() - 1
-    return face
+def _facet_rays(c: Cone):
+    """The facets of pointed ``c`` as sorted ray tuples: those
+    :func:`~flowfan.fan.build_fan` recorded on it, or else those of its
+    own rows by :func:`_facets_of`. Every face of ``c`` but ``c`` itself
+    lies in a facet, and is a face of it."""
+    if c._facets is not None:
+        return c._facets
+    rays = c.rays()
+    return tuple(_rays_of(rays, t)
+                 for t in _facets_of((1 << len(rays)) - 1, _facet_row_masks(c)))
 
 
 def faces(c: Cone):
     """All faces of a pointed cone, including the origin and the cone
-    itself, sorted by (dimension, rays)."""
+    itself, sorted by (dimension, rays). Each keeps ``c``'s inequality
+    rows; its equality rows are computed on first read (see the module
+    docstring)."""
     if not c.is_pointed():
         raise NotPointed("face enumeration requires a pointed cone")
-    out = [_face(c, s) for s in _face_ray_sets(c)]
+    rays = c.rays()
+    out = [Cone._pointed(c.ambient_dim, c.labels, None, c.inequalities,
+                         _rays_of(rays, s))
+           for s in _face_masks(c)]
     return sorted(out, key=lambda f: (f.dim(), f.rays()))
 
 
@@ -511,20 +509,28 @@ def intersect_cones(c1: Cone, c2: Cone) -> Cone:
     return c1.intersect(c2)
 
 
+def _is_closure(face_rays, rays, masks):
+    """Whether ``face_rays`` are rays of a pointed cone with the sorted
+    ``rays`` and the row masks ``masks`` whose mask s is a tight-set
+    closure: the AND of the row masks that hold s is s. A cone on at most
+    three rays is simplicial (see the module docstring), so every set of
+    its rays spans a face, and ``masks`` is then not read."""
+    inside = set(face_rays)
+    s = sum(1 << j for j, r in enumerate(rays) if r in inside)
+    return s.bit_count() == len(inside) and (len(rays) <= 3 or s == reduce(
+        and_, (m for m in masks if s & m == s), (1 << len(rays)) - 1))
+
+
 def is_face_of(f: Cone, c: Cone) -> bool:
-    """Exact face test: f's rays are rays of c and form a tight-set closure
-    (f equals c cut by a supporting hyperplane)."""
+    """Exact face test: ``f`` and ``c`` have the same lineality RREF, and
+    f's rays are rays of c that form a tight-set closure (f equals c cut
+    by a supporting hyperplane). Every face of c holds c's lineality
+    space, and c's rows vanish on it, so the closure is taken on the rays
+    of the pointed part, reduced modulo that space."""
     if f.ambient_dim != c.ambient_dim or f.labels != c.labels:
         raise AmbientMismatch("cones live in different ambient spaces")
-    fr = frozenset(f.rays())
-    cr, tight_sets = c._tight_sets()
-    if not f.is_pointed() or not fr <= cr:
-        return False
-    closure = cr
-    for t in tight_sets:
-        if fr <= t:
-            closure &= t
-    return fr == closure
+    return (f.lineality() == c.lineality()
+            and _is_closure(f.rays(), c.rays(), _facet_row_masks(c)))
 
 
 @dataclass(frozen=True)
@@ -570,23 +576,25 @@ def _triangulate_rays(c: Cone):
     """Pulling triangulation of the pointed part into simplicial ray lists.
 
     A face of dimension k is a simplex when it has k rays. Otherwise it is
-    pulled from its least ray r0: its simplices are r0 joined with those
-    of each facet without r0 (:func:`_facets_of`), whose dimension is
-    k - 1. The pointed part has dimension ``c.dim()`` less that of the
-    lineality, so no face is ranked."""
+    pulled from its least ray r0, its lowest bit: its simplices are r0
+    joined with those of each facet without r0 (:func:`_facets_of` on the
+    row masks of ``c``), whose dimension is k - 1. The pointed part has
+    dimension ``c.dim()`` less that of the lineality, so no face is
+    ranked."""
     rays = c.rays()
     if not rays:
         return []
+    masks = _facet_row_masks(c)
 
     def pull(s, k):
-        rlist = sorted(s)
-        if len(rlist) == k:
-            return [rlist]
-        r0 = rlist[0]
-        return [[r0] + tri for t in _facets_of(s, c._tight_sets()[1])
-                if r0 not in t for tri in pull(t, k - 1)]
+        if s.bit_count() == k:
+            return [list(_rays_of(rays, s))]
+        low = s & -s
+        r0 = rays[low.bit_length() - 1]
+        return [[r0] + tri for t in _facets_of(s, masks)
+                if not t & low for tri in pull(t, k - 1)]
 
-    return pull(frozenset(rays), c.dim() - len(c.lineality()))
+    return pull((1 << len(rays)) - 1, c.dim() - len(c.lineality()))
 
 
 # the most parallelepiped points monoid_generators folds for one cone

@@ -33,18 +33,22 @@ whole face lattice: every face of a pointed cone other than the cone is
 a face of one of its facets (Ziegler, *Lectures on Polytopes*, section
 2.2), so a face-closed collection is one that holds each cone's facets.
 :func:`build_fan` descends from each catalog cone through the facets not
-yet expanded, and :func:`verify_fan` checks that each cone's facets are
-in the fan. In both, a cone is maximal when it is no cone's facet. A
-cone caches its facets when they are first listed, so ``verify_fan`` on
-a fan from ``build_fan`` reads the facets the descent found.
+yet expanded, on ray bitmasks over that catalog cone's sorted rays and
+its row masks, computed once per catalog cone (see the
+:mod:`~flowfan.cones` module docstring). It records each cone's facets
+on the cone, once, as their ray tuples, which are those of the facet
+cones' keys. :func:`verify_fan` checks that each cone's facets are in
+the fan, reading the recorded facets, so on a fan from ``build_fan`` it
+lists none anew. In both, a cone is maximal when it is no cone's facet.
 """
 from dataclasses import dataclass
 from math import lcm
 
 from .errors import UnknownEdge, UnsupportedDimension
-from .cones import (Cone, _face_cone, _face_ray_sets, _facet_ray_sets,
-                    _orthant_rows, _unit_rows, canonical_key,
-                    cone_of_weighting, intersect_cones, is_face_of)
+from .cones import (Cone, _face_masks, _facet_rays, _facet_row_masks,
+                    _facets_of, _is_closure, _orthant_rows, _rays_of,
+                    _unit_rows, canonical_key, cone_of_weighting,
+                    intersect_cones)
 from .graph import contract, enumerate_cycles
 from .weightings import (FlowCore, base_weighting, flow_bound, lift_weighting,
                          restrict_weighting, shift_along_cycle)
@@ -199,9 +203,15 @@ def build_fan(g) -> Fan:
 
     Each catalog cone, in key order, is expanded unless it already was:
     the descent from it visits its facets, then their facets, and so on,
-    but never expands a cone twice. A facet not yet in the fan is built
-    by ``_face_cone``, which hands it its tight-set table and dimension,
-    and takes the witness of the catalog cone being expanded.
+    but never expands a cone twice. It runs on ray masks over the sorted
+    rays of the catalog cone C it starts from, with C's row masks,
+    computed once. Every cone of the fan keeps the orthant's unit rows as
+    its inequality rows, so C's row masks cut down to a face are that
+    face's own, and :func:`~flowfan.cones._facets_of` gives its facets as
+    from its own rows. Expanding a cone records its facets on it, once,
+    as their sorted ray tuples. A facet not yet in the fan is built as a
+    ``Cone._pointed`` with C's inequality rows, its rays and its parent's
+    dimension minus one, and takes the witness of C.
 
     That witness is the one of the first catalog cone, in key order, that
     has the face. Let C be that cone and F the face. No cone between C
@@ -224,18 +234,26 @@ def build_fan(g) -> Fan:
         if k in expanded:
             continue
         expanded.add(k)
-        stack = [cones[k]]
+        top = cones[k]
+        rays, masks = top.rays(), _facet_row_masks(top)
+        stack = [(top, (1 << len(rays)) - 1)]
         while stack:
-            c = stack.pop()
-            for s in _facet_ray_sets(c):
-                fk = ((), tuple(sorted(s)))  # a pointed cone's key
+            c, s = stack.pop()
+            recorded = []
+            for t in _facets_of(s, masks):
+                fk = ((), _rays_of(rays, t))  # a pointed cone's key
                 facets.add(fk)
-                if fk not in cones:
-                    cones[fk] = _face_cone(c, s)
+                f = cones.get(fk)
+                if f is None:
+                    f = cones[fk] = Cone._pointed(c.ambient_dim, c.labels, None,
+                                                  top.inequalities, fk[1])
+                    f._dim = c.dim() - 1
                     witnesses[fk] = witnesses[k]
+                recorded.append(f._rays)
                 if fk not in expanded:
                     expanded.add(fk)
-                    stack.append(cones[fk])
+                    stack.append((f, t))
+            c._facets = tuple(recorded)
     maximal = frozenset(cones) - facets
     ordered = sorted(cones.values(), key=lambda c: (c.dim(), c.rays()))
     return Fan(g, tuple(g.edges()), ordered, witnesses, maximal)
@@ -245,20 +263,6 @@ def build_fan(g) -> Fan:
 class FanReport:
     ok: bool
     violations: tuple = ()
-
-
-def _meet_in_common_face(c1, rays1, c2, rays2):
-    """Whether two pointed cones, given with their ray sets, meet in a
-    common face. A ray r meets a cone in r or in the origin."""
-    if len(rays1) > len(rays2):
-        c1, rays1, c2, rays2 = c2, rays2, c1, rays1
-    if not rays1:
-        return True
-    if len(rays1) == 1:
-        (r,) = rays1
-        return r in rays2 or not c2.contains(r)
-    inter = intersect_cones(c1, c2)
-    return is_face_of(inter, c1) and is_face_of(inter, c2)
 
 
 def _ray_supports(rays):
@@ -271,21 +275,46 @@ def _ray_supports(rays):
     return masks, union
 
 
-def _meet_on_common_support(c1, supports1, c2, supports2):
+def _pair_view(c):
+    """What the pair stage of :func:`verify_fan` reads of a pointed cone in
+    the orthant, computed once per cone and call: (``c``, its
+    :func:`_ray_supports`, the row masks a closure test reads)."""
+    return c, _ray_supports(c.rays()), _facet_row_masks(c)
+
+
+def _meet_in_common_face(view1, rays1, view2, rays2):
+    """Whether two pointed cones, given by their :func:`_pair_view` and
+    with ray sets ``rays1`` and ``rays2``, meet in a common face. A ray r
+    meets a cone in r or in the origin. Otherwise their intersection is
+    tested as a tight-set closure on each cone's row masks."""
+    if len(rays1) > len(rays2):
+        view1, rays1, view2, rays2 = view2, rays2, view1, rays1
+    if not rays1:
+        return True
+    if len(rays1) == 1:
+        (r,) = rays1
+        return r in rays2 or not view2[0].contains(r)
+    inter = intersect_cones(view1[0], view2[0]).rays()
+    return all(_is_closure(inter, c.rays(), masks)
+               for c, _, masks in (view1, view2))
+
+
+def _meet_on_common_support(view1, view2):
     """:func:`_meet_in_common_face` for two pointed cones in the orthant,
-    each given with its :func:`_ray_supports`. It is decided on G1 and G2,
-    the faces spanned by the rays whose supports lie in S, the cones'
-    common support, since the cones meet where G1 and G2 do (see
+    given by their :func:`_pair_view`. It is decided on G1 and G2, the
+    faces spanned by the rays whose supports lie in S, the cones' common
+    support, since the cones meet where G1 and G2 do (see
     :func:`verify_fan`)."""
-    s = supports1[1] & supports2[1]
-    g1 = [r for r, m in supports1[0] if m | s == s]
+    (supports1, union1), (supports2, union2) = view1[1], view2[1]
+    s = union1 & union2
+    g1 = [r for r, m in supports1 if m | s == s]
     if not g1:
         return True
-    g2 = [r for r, m in supports2[0] if m | s == s]
+    g2 = [r for r, m in supports2 if m | s == s]
     if not g2 or len(g1) == len(g2) == 1:
         # G1 or G2 is the origin, or two rays meet in a ray or the origin
         return True
-    return _meet_in_common_face(c1, g1, c2, g2)
+    return _meet_in_common_face(view1, g1, view2, g2)
 
 
 def verify_fan(fan: Fan) -> FanReport:
@@ -295,13 +324,13 @@ def verify_fan(fan: Fan) -> FanReport:
     of the first stage that has any; later stages need the earlier ones
     (faces are taken of pointed cones only).
 
-    The second stage checks only that each cone's facets, cached on the
-    cone when first listed, are in the fan. Every proper face of a
-    pointed cone is a face of one of its facets, which has a lower
-    dimension, so by induction over dimension every face of every cone
-    then is. A cone with a missing facet falls back to
-    its whole face lattice, so the report names every missing face of it,
-    in (ray count, rays) order.
+    The second stage checks only that each cone's facets are in the fan:
+    those ``build_fan`` recorded on it, or else those of its own rows
+    (:func:`~flowfan.cones._facet_rays`). Every proper face of a pointed
+    cone is a face of one of its facets, which has a lower dimension, so
+    by induction over dimension every face of every cone then is. A cone
+    with a missing facet falls back to its whole face lattice, so the
+    report names every missing face of it, in (ray count, rays) order.
 
     The third stage checks pairs of maximal cones only, which suffices in
     a face-closed collection of pointed cones (Ziegler, *Lectures on
@@ -337,9 +366,11 @@ def verify_fan(fan: Fan) -> FanReport:
     one of them is a single ray r, the ray rule above decides: r lies in
     C_i exactly when it lies in G_i, and is a ray of C_i exactly when it
     is one of G_i. Only when G1 and G2 have two or more rays each do C1
-    and C2 need an intersection. The supports of each cone's rays are
-    computed once per call, not once per pair. Violations are reported in
-    the order of the pairs' positions in ``fan.cones``."""
+    and C2 need an intersection, which is then a common face when its
+    rays form a tight-set closure on the row masks of each. The supports
+    of each maximal cone's rays and its row masks are computed once per
+    call, not once per pair (:func:`_pair_view`). Violations are reported
+    in the order of the pairs' positions in ``fan.cones``."""
     cones = fan.cones
     violations = []
     for c in cones:
@@ -349,30 +380,29 @@ def verify_fan(fan: Fan) -> FanReport:
             violations.append(f"cone {canonical_key(c)} leaves the orthant")
     if violations:
         return FanReport(False, tuple(violations))
-    # pointed cones and their faces are keyed by their ray sets alone:
-    # canonical_key is ((), sorted rays)
-    ray_sets = [frozenset(c.rays()) for c in cones]
-    known = set(ray_sets)
+    # pointed cones and their faces are keyed by their sorted rays alone:
+    # canonical_key is ((), rays)
+    ray_keys = [c.rays() for c in cones]
+    known = set(ray_keys)
     facets = set()
     for c in cones:
-        facet_sets = _facet_ray_sets(c)
-        if all(s in known for s in facet_sets):
-            facets.update(facet_sets)
+        facet_keys = _facet_rays(c)
+        if all(r in known for r in facet_keys):
+            facets.update(facet_keys)
             continue
-        missing = sorted((tuple(sorted(s)) for s in _face_ray_sets(c)
-                          if s not in known), key=lambda r: (len(r), r))
+        missing = sorted({_rays_of(c.rays(), s) for s in _face_masks(c)} - known,
+                         key=lambda r: (len(r), r))
         violations += [f"face {((), r)} of {canonical_key(c)} missing"
                        for r in missing]
     if violations:
         return FanReport(False, tuple(violations))
-    maximal = [i for i, rs in enumerate(ray_sets) if rs not in facets]
-    wide = [i for i in maximal if len(ray_sets[i]) > 1]
-    supports = {i: _ray_supports(cones[i].rays()) for i in maximal}
+    maximal = [i for i, rs in enumerate(ray_keys) if rs not in facets]
+    wide = [i for i in maximal if len(ray_keys[i]) > 1]
+    views = {i: _pair_view(cones[i]) for i in maximal}
     # a cone with at most one ray is paired with the wide cones only
     for i in maximal:
-        for j in (maximal if len(ray_sets[i]) > 1 else wide):
-            if j > i and not _meet_on_common_support(cones[i], supports[i],
-                                                     cones[j], supports[j]):
+        for j in (maximal if len(ray_keys[i]) > 1 else wide):
+            if j > i and not _meet_on_common_support(views[i], views[j]):
                 violations.append(
                     f"intersection of {canonical_key(cones[i])} and "
                     f"{canonical_key(cones[j])} is not a common face")
@@ -452,7 +482,7 @@ def _facet_cycle(c, first):
     (sum(r), r2, r3), so that determinant has the sign of the triangle
     p, a, b in the chart, as each sum(r) is positive."""
     nbrs = {}
-    for u, v in _facet_ray_sets(c):
+    for u, v in _facet_rays(c):
         nbrs.setdefault(u, []).append(v)
         nbrs.setdefault(v, []).append(u)
     (a0, a1, a2), (b0, b1, b2) = nbrs[first]

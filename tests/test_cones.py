@@ -199,23 +199,30 @@ def pointed_cones(draw):
 def test_dim_and_facets_of_pointed_cones(c):
     assert c.is_pointed()
     assert c.dim() == linalg.int_rank(list(c.rays()))
-    # the facets are the maximal proper faces of the face lattice
-    full = frozenset(c.rays())
-    proper = [s for s in cones._face_ray_sets(c) if s != full]
-    maximal = {s for s in proper if not any(s < t for t in proper)}
-    assert len(cones._facet_ray_sets(c)) == len(maximal)
-    assert set(cones._facet_ray_sets(c)) == maximal
+    # the facets are the maximal proper faces of the face lattice, as ray
+    # masks, and the sorted ray tuples of those masks
+    rays = c.rays()
+    full = (1 << len(rays)) - 1
+    proper = [s for s in cones._face_masks(c) if s != full]
+    maximal = {s for s in proper if not any(s != t and s | t == t for t in proper)}
+    facets = cones._facets_of(full, cones._row_masks(c))
+    assert len(facets) == len(maximal)
+    assert set(facets) == maximal
+    assert cones._facet_rays(c) == tuple(
+        tuple(r for j, r in enumerate(rays) if s >> j & 1) for s in facets)
 
 
 def _dot_product_face_test(f, c):
-    """The face test taking every dot product afresh on each call."""
-    fr = set(f.rays())
-    cr = set(c.rays())
-    if not f.is_pointed() or not fr <= cr:
+    """The face test from the definition, by dot products and a double
+    description from scratch: f lies in c, and f equals c cut by the
+    inequality rows of c that vanish on all of f, its rays and both signs
+    of its lineality basis."""
+    if not c.contains_cone(f):
         return False
-    tight = [q for q in c.inequalities if all(dot(q, r) == 0 for r in fr)]
-    closure = {r for r in cr if all(dot(q, r) == 0 for q in tight)}
-    return fr == closure
+    gens = list(f.rays()) + list(f.lineality())
+    tight = [q for q in c.inequalities if all(dot(q, g) == 0 for g in gens)]
+    cut = Cone(c.ambient_dim, list(c.equalities) + tight, c.inequalities)
+    return canonical_key(cut) == canonical_key(f)
 
 
 @st.composite
@@ -259,8 +266,8 @@ def test_is_face_of_matches_dot_product_rule(case):
     if c.is_pointed():
         for face in faces(c):
             assert is_face_of(face, c)
-            # the rows a face gets from the table cut out exactly its rays,
-            # and they are normalized as Cone.__init__ leaves them
+            # the rows a face keeps from c and reads off its rays cut out
+            # exactly its rays, normalized as Cone.__init__ leaves them
             cut = Cone(c.ambient_dim, face.equalities, face.inequalities)
             assert canonical_key(cut) == canonical_key(face)
             assert (cut.equalities, cut.inequalities) == (
@@ -301,6 +308,16 @@ def test_is_face_of_examples():
     assert is_face_of(axis, orthant)
     assert not is_face_of(interior, orthant)
     assert is_face_of(orthant, orthant)
+    # with a lineality space: every face holds it, so the origin is no
+    # face of the line and the ray (0, 1) none of the half-plane y >= 0,
+    # while the line is a face of itself
+    line = Cone(1)
+    assert not is_face_of(Cone(1, equalities=[(1,)]), line)
+    assert is_face_of(line, line)
+    half_plane = Cone(2, inequalities=[(0, 1)])
+    assert not is_face_of(Cone.orthant_section(2, [(1, 0)]), half_plane)
+    assert is_face_of(Cone(2, equalities=[(0, 1)]), half_plane)
+    assert is_face_of(half_plane, half_plane)
 
 
 def test_is_face_of_rejects_diagonal_of_square_cone():
@@ -556,19 +573,22 @@ def _closure_and_rank_triangulation(c):
     rays = c.rays()
     if not rays:
         return []
-    face_sets = cones._face_ray_sets(c)
-    dims = {s: int_rank(sorted(s)) for s in face_sets}
+    full = (1 << len(rays)) - 1
+    face_sets = {s: [r for j, r in enumerate(rays) if s >> j & 1]
+                 for s in cones._face_masks(c)}
+    dims = {s: int_rank(rs) for s, rs in face_sets.items()}
 
     def pull(s):
-        rlist = sorted(s)
+        rlist = face_sets[s]
         if len(rlist) == dims[s]:
             return [rlist]
         r0 = rlist[0]
         return [[r0] + tri for t in face_sets
-                if t < s and dims[t] == dims[s] - 1 and r0 not in t and t
+                if t != s and t | s == s and dims[t] == dims[s] - 1
+                and r0 not in face_sets[t] and t
                 for tri in pull(t)]
 
-    return pull(frozenset(rays))
+    return pull(full)
 
 
 def _simplices(triangulation):
@@ -632,8 +652,8 @@ def test_chart_monoid_generators_skip_the_lattice_work(monkeypatch):
     monkeypatch.setattr(linalg, "solve_left_many",
                         _counting(calls, "solve_left_many", linalg.solve_left_many))
     monkeypatch.setattr(cones, "int_rank", _counting(calls, "int_rank", int_rank))
-    monkeypatch.setattr(cones, "_face_ray_sets",
-                        _counting(calls, "_face_ray_sets", cones._face_ray_sets))
+    monkeypatch.setattr(cones, "_face_masks",
+                        _counting(calls, "_face_masks", cones._face_masks))
     for c in fan.cones:
         calls.clear()
         polar = c.polar()
@@ -644,7 +664,7 @@ def test_chart_monoid_generators_skip_the_lattice_work(monkeypatch):
         # the triangulation ranks no face and lists no face lattice
         assert "solve_left_many" not in calls
         assert "int_rank" not in calls
-        assert "_face_ray_sets" not in calls
+        assert "_face_masks" not in calls
 
 
 def test_dual_cone_generators_build_one_cycle_basis_per_graph(monkeypatch):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -13,8 +14,9 @@ from flowfan import cones as cones_module
 from flowfan import fan as fan_module
 from flowfan.cones import Cone, cycle_constraint_rows
 from flowfan.fan import (_meet_in_common_face, _meet_on_common_support,
-                         _ray_supports)
-from flowfan.graph import contract, cycle_basis, enumerate_cycles
+                         _pair_view, _ray_supports)
+from flowfan.graph import (Graph, contract, cycle_basis, enumerate_cycles,
+                           sort_key)
 from flowfan.io import emit_fan_json
 from flowfan.linalg import dot, int_rank
 from flowfan import weightings
@@ -272,11 +274,15 @@ def test_catalog_holds_the_cones_of_sampled_flows(g):
 
 @pytest.mark.parametrize("g, built", [(banana(3, 20), 0), (necklace(3, 3, 3), 42)])
 def test_build_fan_builds_each_added_face_once(monkeypatch, g, built):
-    counts = {}
-    _count_calls(monkeypatch, fan_module, "_face_cone", counts)
+    catalog = cone_catalog(g)
+    monkeypatch.setattr(fan_module, "cone_catalog", lambda _: catalog)
+    faces_built = _cones_built(monkeypatch)
     fan = build_fan(g)
-    assert len(fan.cones) - len(cone_catalog(g)) == built
-    assert counts.get("_face_cone", 0) == built
+    assert len(fan.cones) - len(catalog) == built
+    # each face not in the catalog is built once, as a cone of the fan
+    assert len(faces_built) == built
+    assert ({id(c) for c in faces_built}
+            == {id(c) for c in fan.cones} - {id(c) for c, _ in catalog})
 
 
 def _closure_fan(catalog):
@@ -285,8 +291,8 @@ def _closure_fan(catalog):
     witnesses = {canonical_key(c): w for c, w in catalog}
     proper = set()
     for k, c in [(canonical_key(c), c) for c, _ in catalog]:
-        for s in cones_module._face_ray_sets(c):
-            fk = ((), tuple(sorted(s)))
+        for s in cones_module._face_masks(c):
+            fk = ((), cones_module._rays_of(c.rays(), s))
             if fk != k:
                 proper.add(fk)
                 witnesses.setdefault(fk, witnesses[k])
@@ -310,11 +316,13 @@ def test_facet_descent_matches_full_face_closure(graphs):
         for c in fan.cones:
             if canonical_key(c) in catalog_keys:
                 continue
-            # a face cone's table and dimension come from its parent
-            assert c._tight is not None and c._dim is not None
+            # a face cone's dimension comes from its parent, and the
+            # facets the descent recorded on it from its catalog cone's
+            # row masks are those of its own rows
+            assert c._dim is not None
             fresh = Cone._pointed(c.ambient_dim, c.labels, c.equalities,
                                   c.inequalities, c.rays())
-            assert c._tight == fresh._tight_sets()
+            assert c._facets == cones_module._facet_rays(fresh)
             assert c._dim == int_rank(list(c.rays()))
 
 
@@ -339,10 +347,10 @@ def test_build_fan_expands_a_catalog_face_from_the_first_cone_holding_it(monkeyp
                          ids=["banana(3,20)", "neck3x3"])
 def test_build_and_verify_never_walk_a_face_lattice(monkeypatch, g):
     counts = {}
-    _count_calls(monkeypatch, cones_module, "_face_ray_sets", counts)
-    _count_calls(monkeypatch, fan_module, "_face_ray_sets", counts)
+    _count_calls(monkeypatch, cones_module, "_face_masks", counts)
+    _count_calls(monkeypatch, fan_module, "_face_masks", counts)
     assert verify_fan(build_fan(g)).ok
-    assert counts.get("_face_ray_sets", 0) == 0
+    assert counts.get("_face_masks", 0) == 0
 
 
 @pytest.mark.parametrize("g", [banana(3, 20), necklace(3, 3, 3)],
@@ -384,47 +392,52 @@ def test_dim_of_every_fan_cone_is_the_rank_of_its_rays(graphs):
 
 
 def _facet_computations(monkeypatch):
-    """The cones whose facets ``_facet_ray_sets`` computes, and those
-    whose tight-set table ``Cone._tight_sets`` builds, one entry per
-    computation."""
-    computed = {"facets": [], "tight": []}
-    facet_ray_sets = cones_module._facet_ray_sets
-    tight_sets = Cone._tight_sets
+    """The ray masks whose facets ``_facets_of`` computes, and the cones
+    whose row masks ``_row_masks`` computes, one entry per computation."""
+    computed = {"facets": [], "masks": []}
+    facets_of, row_masks = cones_module._facets_of, cones_module._row_masks
 
-    def facets(c):
-        if c._facets is None:
-            computed["facets"].append(c)
-        return facet_ray_sets(c)
+    def facets(s, masks):
+        computed["facets"].append(s)
+        return facets_of(s, masks)
 
-    def tight(c):
-        if c._tight is None:
-            computed["tight"].append(c)
-        return tight_sets(c)
+    def rows(c):
+        computed["masks"].append(c)
+        return row_masks(c)
 
-    monkeypatch.setattr(cones_module, "_facet_ray_sets", facets)
-    monkeypatch.setattr(fan_module, "_facet_ray_sets", facets)
-    monkeypatch.setattr(Cone, "_tight_sets", tight)
+    for module in (cones_module, fan_module):
+        monkeypatch.setattr(module, "_facets_of", facets)
+    monkeypatch.setattr(cones_module, "_row_masks", rows)
     return computed
 
 
 @pytest.mark.parametrize("g", [banana(3, 20), necklace(3, 3, 3)],
                          ids=["banana(3,20)", "neck3x3"])
 def test_build_and_verify_compute_each_cones_facets_once(monkeypatch, g):
+    catalog = cone_catalog(g)
+    monkeypatch.setattr(fan_module, "cone_catalog", lambda _: catalog)
     computed = _facet_computations(monkeypatch)
     fan = build_fan(g)
-    # every cone of the fan is expanded, so its facets are cached
+    # every cone of the fan is expanded once, so its facets are recorded,
+    # from the row masks of the catalog cone it was reached from, each
+    # computed once
     assert all(c._facets is not None for c in fan.cones)
+    assert len(computed["facets"]) == len(fan.cones)
+    masks_of = [id(c) for c in computed["masks"]]
+    assert len(set(masks_of)) == len(masks_of)
+    assert set(masks_of) <= {id(c) for c, _ in catalog}
     before = {id(c): c._facets for c in fan.cones}
-    built = len(computed["facets"])
+    computed["facets"].clear()
+    computed["masks"].clear()
     assert verify_fan(fan).ok
-    # verify_fan reads the cached facets and computes none anew; the
-    # tight-set tables it adds are those of its face tests
-    assert len(computed["facets"]) == built
+    # verify_fan reads the recorded facets and computes none anew; the
+    # row masks it computes are those of its pair stage, once per
+    # maximal cone
+    assert computed["facets"] == []
     assert all(c._facets is before[id(c)] for c in fan.cones)
-    fan_cones = {id(c) for c in fan.cones}
-    for cones in computed.values():
-        ids = [id(c) for c in cones]
-        assert len(set(ids)) == len(ids) and set(ids) <= fan_cones
+    ids = [id(c) for c in computed["masks"]]
+    assert len(set(ids)) == len(ids)
+    assert set(ids) <= {id(c) for c in fan.maximal_cones()}
 
 
 def test_verify_fan_names_every_missing_face_of_cones_with_cached_facets():
@@ -449,23 +462,23 @@ def test_verify_fan_names_every_missing_face_of_cones_with_cached_facets():
     assert len(expected) == 2 * sum(len(c.rays()) == 2 for c in kept)
 
 
-def _eager_faces(monkeypatch):
-    """For each face that ``cones._face`` builds, the cone
-    ``Cone.__init__`` makes of its parent's rows with the inequality rows
-    zero on every ray of the face turned into equalities, the rule that
-    gave a face its rows at construction."""
+def _eager_faces(fan, catalog_keys):
+    """For each face of ``fan`` not in the catalog, the cone
+    ``Cone.__init__`` makes of the rows of a cone the face was recorded a
+    facet of, with the inequality rows zero on every ray of the face
+    turned into equalities, the rule that gave a face its rows at
+    construction."""
+    by_rays = {c.rays(): c for c in fan.cones}
     expected = {}
-    face = cones_module._face
-
-    def face_rows(c, ray_subset):
-        f = face(c, ray_subset)
-        tight = [q for q in c.inequalities
-                 if all(dot(q, r) == 0 for r in ray_subset)]
-        expected[id(f)] = (f, Cone(c.ambient_dim, list(c.equalities) + tight,
-                                   c.inequalities, labels=c.labels))
-        return f
-
-    monkeypatch.setattr(cones_module, "_face", face_rows)
+    for c in fan.cones:
+        for rays in c._facets:
+            f = by_rays[rays]
+            if canonical_key(f) in catalog_keys or id(f) in expected:
+                continue
+            tight = [q for q in c.inequalities
+                     if all(dot(q, r) == 0 for r in rays)]
+            expected[id(f)] = Cone(c.ambient_dim, list(c.equalities) + tight,
+                                   c.inequalities, labels=c.labels)
     return expected
 
 
@@ -473,17 +486,18 @@ def _eager_faces(monkeypatch):
     corpus(), [necklace(3, 3, 3)], [complete_graph((2, -2, 0, 0, 0))],
     [banana(3, 20)], [banana(4, 3)]],
     ids=["corpus", "neck3x3", "K5", "banana(3,20)", "banana(4,3)"])
-def test_rows_read_late_equal_the_eager_rules(monkeypatch, graphs):
-    faces_built = _eager_faces(monkeypatch)
+def test_rows_read_late_equal_the_eager_rules(graphs):
     for g in graphs:
-        faces_built.clear()
         fan = build_fan(g)
         assert verify_fan(fan).ok
         emit_fan_json(fan)
+        catalog_keys = {canonical_key(c) for c, _ in cone_catalog(g)}
+        faces_built = _eager_faces(fan, catalog_keys)
+        assert len(faces_built) == len(fan.cones) - len(catalog_keys)
         units = cones_module._unit_rows(len(fan.edge_order))
         for c in fan.cones:
             if id(c) in faces_built:
-                ref = faces_built[id(c)][1]
+                ref = faces_built[id(c)]
             else:
                 # a catalog cone: the eager cone of its witness's cycle rows
                 w = fan.witnesses[canonical_key(c)]
@@ -764,12 +778,14 @@ def test_meet_in_common_face_ray_rule():
                     ((1, 1, 0), False),    # inside a 2-D face
                     ((1, 1, 1), False)]:   # in the interior
         r = Cone.from_generators(3, [ray])
-        for args in [(r, {ray}, orthant, set(orthant.rays())),
-                     (orthant, set(orthant.rays()), r, {ray})]:
+        whole, single = _pair_view(orthant), _pair_view(r)
+        for args in [(single, {ray}, whole, set(orthant.rays())),
+                     (whole, set(orthant.rays()), single, {ray})]:
             assert _meet_in_common_face(*args) is ok
     plane = Cone.orthant_section(3, [(0, 0, 1)])
     outside = Cone.from_generators(3, [(0, 0, 1)])
-    assert _meet_in_common_face(outside, {(0, 0, 1)}, plane, set(plane.rays()))
+    assert _meet_in_common_face(_pair_view(outside), {(0, 0, 1)},
+                                _pair_view(plane), set(plane.rays()))
 
 
 @st.composite
@@ -808,9 +824,9 @@ def orthant_cone_pairs(draw):
 def test_meet_on_common_support_matches_full_cones(pair):
     c1, c2 = pair
     assert c1.is_pointed() and c2.is_pointed()
-    full = _meet_in_common_face(c1, set(c1.rays()), c2, set(c2.rays()))
-    assert _meet_on_common_support(c1, _ray_supports(c1.rays()),
-                                   c2, _ray_supports(c2.rays())) is full
+    v1, v2 = _pair_view(c1), _pair_view(c2)
+    full = _meet_in_common_face(v1, set(c1.rays()), v2, set(c2.rays()))
+    assert _meet_on_common_support(v1, v2) is full
 
 
 def test_meet_on_common_support_examples():
@@ -837,9 +853,9 @@ def test_meet_on_common_support_examples():
             # on S = {1, 2} the tilted cone's face is e3, a ray of the plane
             (plane, tilted, True)]:
         for a, b in [(c1, c2), (c2, c1)]:
-            assert _meet_on_common_support(
-                a, _ray_supports(a.rays()), b, _ray_supports(b.rays())) is ok
-            assert _meet_in_common_face(a, set(a.rays()), b, set(b.rays())) is ok
+            assert _meet_on_common_support(_pair_view(a), _pair_view(b)) is ok
+            assert _meet_in_common_face(_pair_view(a), set(a.rays()),
+                                        _pair_view(b), set(b.rays())) is ok
 
 
 def test_verify_fan_reports_ray_inside_a_cone():
@@ -1017,7 +1033,7 @@ def test_slice_orders_a_polygon_by_its_facet_cycle():
         assert cell.dim == 2 and sorted(vs) == sorted(c.rays())
         bary = [tuple(Fraction(x, sum(r)) for x in r) for r in vs]
         assert bary[0] == min(bary)
-        facets = {frozenset(f) for f in cones_module._facet_ray_sets(c)}
+        facets = {frozenset(f) for f in cones_module._facet_rays(c)}
         n = len(vs)
         for i in range(n):
             assert frozenset((vs[i], vs[(i + 1) % n])) in facets
@@ -1079,3 +1095,97 @@ def test_distinct_maximal_cones_share_no_interior_vector():
             for other in maxima:
                 if canonical_key(other) != canonical_key(c):
                     assert not other.contains(interior)
+
+
+def _coordinate_face_mismatches(g, edge_sets):
+    """The edge sets K for which the cones of ``build_fan(g)`` whose rays
+    all vanish on K are not the cones of ``build_fan(G/K)`` padded with
+    zeros on K."""
+    fan = build_fan(g)
+    edges = fan.edge_order
+    bad = []
+    for K in map(frozenset, edge_sets):
+        off = [i for i, e in enumerate(edges) if e in K]
+        on_face = {c.rays() for c in fan.cones
+                   if all(r[i] == 0 for r in c.rays() for i in off)}
+        small = contract(g, K).contracted
+        pad = fan_module._padding(edges, small.edges())
+        if on_face != {pad(c.rays()) for c in build_fan(small).cones}:
+            bad.append(K)
+    return bad
+
+
+def _edge_sets(g, sizes):
+    return [K for k in sizes for K in combinations(g.edges(), k)]
+
+
+@pytest.mark.parametrize("g, sizes", [(banana(4, 3), (1, 2, 3, 4)),
+                                      (necklace(3, 3, 3), (1, 2))],
+                         ids=["banana(4,3)", "neck3x3"])
+def test_coordinate_faces_are_the_fans_of_contractions(g, sizes):
+    # the fan restricted to the coordinate face where K vanishes is the
+    # fan of G/K: 15 edge sets of banana(4,3) and 45 of neck3x3
+    edge_sets = _edge_sets(g, sizes)
+    assert len(edge_sets) in (15, 45)
+    assert _coordinate_face_mismatches(g, edge_sets) == []
+
+
+def test_coordinate_faces_of_one_edge_on_the_corpus():
+    checked = 0
+    for g in corpus():
+        edge_sets = _edge_sets(g, (1,))
+        assert _coordinate_face_mismatches(g, edge_sets) == []
+        checked += len(edge_sets)
+    assert checked == 521
+
+
+def test_coordinate_face_check_sees_a_dropped_catalog_cone(monkeypatch):
+    # drop neck3x3's first catalog cone that is maximal in its fan, which
+    # vanishes on its first edge, and with it the faces no other catalog
+    # cone has; the catalogs of G/K keep all their cones
+    g = necklace(3, 3, 3)
+    maximal = build_fan(g).maximal_keys
+    catalog = cone_catalog(g)
+    dropped = next(c for c, _ in catalog if canonical_key(c) in maximal)
+    original = fan_module.cone_catalog
+
+    def mutated(h):
+        if h is g:
+            return [(c, w) for c, w in catalog if c is not dropped]
+        return original(h)
+
+    monkeypatch.setattr(fan_module, "cone_catalog", mutated)
+    bad = _coordinate_face_mismatches(g, _edge_sets(g, (1, 2)))
+    assert frozenset([g.edges()[0]]) in bad
+
+
+def _relabelled(g, vertex_id, edge_id):
+    """``g`` with each vertex v renamed ``vertex_id(v)`` and each edge e
+    renamed ``edge_id(e)``, legs kept."""
+    edges = [(edge_id(e[0]), vertex_id(g.source(e)), vertex_id(g.target(e)))
+             for e in g.edges()]
+    legs = [(h[0], vertex_id(g.end[h]), g.leg_weights[h]) for h in g.legs()]
+    return Graph.build({vertex_id(v): g.genus_of[v] for v in g.vertices()},
+                       edges, legs, g.twist)
+
+
+def _fan_by_position(g):
+    fan = build_fan(g)
+    return (fan.ray_list(),
+            [(c.dim(), c.rays(), canonical_key(c) in fan.maximal_keys)
+             for c in fan.cones],
+            [tuple(fan.witnesses[canonical_key(c)].flows().values())
+             for c in fan.cones])
+
+
+@pytest.mark.parametrize("g", [necklace(3, 3, 3), complete_graph((2, -2, 0, 0, 0))],
+                         ids=["neck3x3", "K5"])
+def test_strictly_increasing_relabelling_keeps_the_fan(g):
+    # vertices become ints and edges get a common prefix, both in the
+    # order of the old ids, so every position is kept
+    rank = {v: i for i, v in enumerate(sorted(g.vertices(), key=sort_key))}
+    h = _relabelled(g, lambda v: 3 * rank[v] + 7, lambda e: f"x{e}")
+    assert [e[0] for e in h.edges()] == [f"x{e[0]}" for e in g.edges()]
+    assert ([canonical_key(c) for c, _ in cone_catalog(h)]
+            == [canonical_key(c) for c, _ in cone_catalog(g)])
+    assert _fan_by_position(h) == _fan_by_position(g)
