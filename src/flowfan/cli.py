@@ -32,6 +32,9 @@ def _load_graph(path):
             text = fh.read()
     except OSError as exc:
         raise ParseError("/", f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError("/", f"{path} is not UTF-8: byte {exc.start} "
+                              f"cannot be decoded") from None
     return parse_graph_json(text)
 
 

@@ -22,8 +22,12 @@ The acyclic flows are lists on the integer arrays of
 :class:`~flowfan.weightings.FlowCore`, built once per graph.
 :meth:`~flowfan.weightings.FlowCore.rays` reads each flow's cone off the
 directed bonds of the digraph the flow orients, so no row is normalized
-and no :class:`~flowfan.cones.Cone` is built for a flow, and only the
-witness of a new cone becomes a :class:`~flowfan.weightings.Weighting`.
+and no :class:`~flowfan.cones.Cone` is built for a flow. Which edges
+form a bond depends only on the flow's signs, so the bonds are searched
+once per orientation, on its first flow, and each later flow of it
+computes only the entries ``L / |x_e|``. Only the witness of a new cone
+becomes a :class:`~flowfan.weightings.Weighting`, filled in from a
+template of the base weighting's halves built with the core.
 ``FlowCore.rays`` answers every flow: on a graph too large for the bond
 search it solves the same cone by double description from the orthant,
 so the catalog has one path.
@@ -124,12 +128,13 @@ def _visit(edges, h, contracted, path, out, seen):
       :meth:`FlowCore.rays` returns exactly the unit vectors of ``h``.
       Padded, they are the sorted unit rows of G's edges off K, read off
       K before anything is built."""
-    if flow_bound(h) == 0:
+    S = flow_bound(h)
+    if S == 0:
         units = _unit_rows(len(edges))
         found = {tuple(sorted(units[i] for i, e in enumerate(edges)
                               if e not in contracted)): None}
     else:
-        found = _acyclic_catalog(h)
+        found = _acyclic_catalog(h, S)
         if contracted:
             pad = _padding(edges, h.edges())
             found = {pad(rays): w for rays, w in found.items()}
@@ -159,12 +164,13 @@ def _lift(path, w):
     return w
 
 
-def _acyclic_catalog(g):
+def _acyclic_catalog(g, S):
     """The cones of the weightings of ``g`` without a positive cycle, as
-    their sorted rays -> first witness, in enumeration order. Each flow's
-    rays come from :meth:`~flowfan.weightings.FlowCore.rays`, and only the
-    first flow of a cone becomes a weighting; no cone is built here."""
-    core = FlowCore.build(g)
+    their sorted rays -> first witness, in enumeration order; ``S`` is
+    ``flow_bound(g)``. Each flow's rays come from
+    :meth:`~flowfan.weightings.FlowCore.rays`, and only the first flow of
+    a cone becomes a weighting; no cone is built here."""
+    core = FlowCore.build(g, S)
     out = {}
     for coeffs in core.acyclic_coefficients():
         x = core.shifted(coeffs)

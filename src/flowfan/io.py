@@ -118,12 +118,23 @@ def parse_graph_document(doc) -> Graph:
     return g
 
 
-def parse_graph_json(text) -> Graph:
+def _load_json(text):
+    """``json.loads(text)``, failing on bad input only with a ParseError at
+    the root: also for nesting deeper than the recursion limit and for an
+    integer literal past the int-string digit limit, where ``json`` raises
+    RecursionError and ValueError."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("/", f"invalid JSON: {exc.msg}") from None
-    return parse_graph_document(doc)
+    except RecursionError:
+        raise ParseError("/", "invalid JSON: nested too deeply") from None
+    except ValueError as exc:
+        raise ParseError("/", f"invalid JSON: {exc}") from None
+
+
+def parse_graph_json(text) -> Graph:
+    return parse_graph_document(_load_json(text))
 
 
 def edge_doc_id(edge_key):
@@ -266,10 +277,7 @@ def emit_fan_json(fan) -> str:
 
 def parse_fan_json(text) -> dict:
     """Parse a FanDocument back to the plain data model (ints restored)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError("/", f"invalid JSON: {exc.msg}") from None
+    doc = _load_json(text)
     rays = _expect(_require(doc, "rays", ""), list, "/rays")
     out_rays = [[_read_int(x, f"/rays/{i}/{j}")
                  for j, x in enumerate(_expect(r, list, f"/rays/{i}"))]

@@ -20,7 +20,7 @@ weighting's cone off the directed bonds of the digraph it orients, run
 on such lists; the public functions keep half-edge dicts.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
 
 from .cones import Cone, _unit_rows
@@ -286,23 +286,39 @@ class FlowCore:
     of :func:`~flowfan.graph.cycle_basis` as the (edge position, sign)
     pairs of its halves, so shifting by the basis is a list add, the
     cycle rows of a flow are a gather and the positive-cycle test is
-    :func:`_positive_cycle` on the list. :meth:`rays` reads a flow's cone
-    off the index's ``ends``, each edge's source and target vertex
-    positions. A :class:`Weighting` is built only when one is asked for.
+    :func:`_positive_cycle` on the list. ``bound`` is ``flow_bound(g)``.
+
+    What depends only on a flow's orientation is worked out once per
+    graph. ``bonds`` maps each sign pattern that :meth:`rays` has met to
+    the rays and directed bonds of the digraph it orients, found on its
+    first flow off the index's ``ends``, each edge's source and target
+    vertex positions. ``template`` lists each half of the base weighting,
+    in its key order, as (half, sign, edge position), a leg as (half, its
+    weight, ``len(base)``), so :meth:`weighting` is one gather. A
+    :class:`Weighting` is built only when one is asked for.
     """
 
     graph: Graph
     base_weighting: Weighting
     base: tuple
     cycles: tuple
+    bound: int
+    template: tuple
+    bonds: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
-    def build(cls, g: Graph):
+    def build(cls, g: Graph, bound=None):
+        """The core of ``g``; ``bound`` is ``flow_bound(g)`` when the
+        caller has it already."""
         w = base_weighting(g)
         index = g.index
         cycles = tuple(tuple((index.edge_pos[h], index.sign[h]) for h in cyc.halves)
                        for cyc in cycle_basis(g))
-        return cls(g, w, tuple(_edge_values(g, w.values)), cycles)
+        n = len(index.edges)
+        template = tuple((h, index.sign[h], index.edge_pos[h]) if h in index.edge_pos
+                         else (h, v, n) for h, v in w.values.items())
+        return cls(g, w, tuple(_edge_values(g, w.values)), cycles,
+                   flow_bound(g) if bound is None else bound, template)
 
     def shifted(self, coeffs):
         """The flow ``shift_by_cycles(g, base, coeffs)`` as a list."""
@@ -349,14 +365,49 @@ class FlowCore:
         cycle of G/Z, a loop of G/Z among them, lies in no directed bond
         and is zero on the whole cone.
 
+        Z, G/Z, its orientation and so its directed bonds depend only on
+        the sign of each ``x_e``, and a bond of one edge is that edge's
+        unit vector. So the bonds are searched once per orientation, on
+        its first flow (:meth:`_orientation`), and kept in ``bonds`` under
+        its sign pattern; every flow computes only L and the entries of
+        its bonds of two or more edges.
+
+        Past ``BOND_VERTEX_LIMIT`` vertices of G/Z the search is too
+        large, and the rays come from
+        :meth:`~flowfan.cones.Cone.orthant_section` over :meth:`rows`,
+        double description from the orthant, the rays of the same cone.
+        """
+        signs = tuple([(v > 0) - (v < 0) for v in x])
+        try:
+            entry = self.bonds[signs]
+        except KeyError:
+            entry = self.bonds[signs] = self._orientation(x)
+        if entry is None:
+            return Cone.orthant_section(len(x), self.rows(x)).rays()
+        fixed, wide = entry
+        if not wide:
+            return fixed
+        out = list(fixed)
+        for bond in wide:
+            size = [abs(x[i]) for i in bond]
+            L = lcm(*size)
+            ray = [0] * len(x)
+            for i, v in zip(bond, size):
+                ray[i] = L // v
+            out.append(tuple(ray))
+        out.sort()
+        return tuple(out)
+
+    def _orientation(self, x):
+        """The entry of ``bonds`` for the sign pattern of flow ``x``: the
+        sorted rays every flow of that pattern has, the unit vectors of
+        its zero edges and of its bonds of one edge, and its other
+        directed bonds as tuples of edge positions; or None when G/Z has
+        more than ``BOND_VERTEX_LIMIT`` vertices.
+
         The vertices of G/Z are the components of Z, numbered in the order
         of their first vertex, and :func:`_bond_sides` searches their
-        vertex sets, 2^(k-1) of them for k components. Past
-        ``BOND_VERTEX_LIMIT`` components that search is too large, and the
-        rays come from :meth:`~flowfan.cones.Cone.orthant_section` over
-        :meth:`rows`, double description from the orthant, the rays of
-        the same cone.
-        """
+        vertex sets, 2^(k-1) of them for k components."""
         index = self.graph.index
         arcs = index.arcs
         label = [-1] * len(arcs)
@@ -372,31 +423,29 @@ class FlowCore:
                             stack.append(t)
                 k += 1
         if k > BOND_VERTEX_LIMIT:
-            return Cone.orthant_section(len(x), self.rows(x)).rays()
-        n = len(x)
-        units = _unit_rows(n)
-        out = [units[i] for i, v in enumerate(x) if not v]
+            return None
+        units = _unit_rows(len(x))
+        fixed = [units[i] for i, v in enumerate(x) if not v]
+        wide = []
         if k > 1:
             succ, pred = [0] * k, [0] * k
-            cut = []  # (edge position, tail, head, |flow|) across components
+            cut = []  # (edge position, tail, head) across components
             for i, (a, b) in enumerate(index.ends):
-                v = x[i]
                 a, b = label[a], label[b]
                 if a != b:
-                    if v < 0:
-                        a, b, v = b, a, -v
+                    if x[i] < 0:
+                        a, b = b, a
                     succ[a] |= 1 << b
                     pred[b] |= 1 << a
-                    cut.append((i, a, b, v))
+                    cut.append((i, a, b))
             for U in _bond_sides(succ, pred):
-                bond = [(i, v) for i, a, b, v in cut if (U >> a ^ U >> b) & 1]
-                L = lcm(*(v for _, v in bond))
-                ray = [0] * n
-                for i, v in bond:
-                    ray[i] = L // v
-                out.append(tuple(ray))
-        out.sort()
-        return tuple(out)
+                bond = tuple(i for i, a, b in cut if (U >> a ^ U >> b) & 1)
+                if len(bond) == 1:
+                    fixed.append(units[bond[0]])
+                else:
+                    wide.append(bond)
+        fixed.sort()
+        return tuple(fixed), tuple(wide)
 
     def acyclic_coefficients(self):
         """Every coefficient vector ``c`` whose flow ``shifted(c)`` has no
@@ -437,7 +486,7 @@ class FlowCore:
         h = len(cycles)
         if h == 0:
             return [()]  # a forest has no cycle
-        S = flow_bound(self.graph)
+        S = self.bound
         volume = S * (len(index.vertices) - 1)
         # free[i]: the basis cycles after the current one through edge i
         free = [0] * len(self.base)
@@ -495,12 +544,10 @@ class FlowCore:
         return out
 
     def weighting(self, x):
-        """The :class:`Weighting` of flow ``x``, keys in the base's order."""
-        index = self.graph.index
-        values = {h: (index.sign[h] * x[index.edge_pos[h]] if h in index.edge_pos
-                      else v)
-                  for h, v in self.base_weighting.values.items()}
-        return Weighting(self.graph, values)
+        """The :class:`Weighting` of flow ``x``, keys in the base's order,
+        filled in from ``template``."""
+        y = [*x, 1]  # a leg's entry is its weight times this last 1
+        return Weighting(self.graph, {h: s * y[i] for h, s, i in self.template})
 
 
 def enumeration_bound(g: Graph, w: Weighting) -> int:

@@ -190,7 +190,7 @@ def test_catalog_visits_each_contracted_set_once(monkeypatch):
 
 def test_catalog_embeds_only_new_keys(monkeypatch):
     g = necklace(3, 3, 3)
-    root_rays = fan_module._acyclic_catalog(g)
+    root_rays = fan_module._acyclic_catalog(g, flow_bound(g))
     built = _cones_built(monkeypatch)
     catalog = cone_catalog(g)
     # every key of the root's own cones is new when the root is visited
@@ -229,7 +229,7 @@ def test_zero_demand_graphs_have_the_closed_form_cone(monkeypatch):
     for g in graphs:
         for h in _zero_demand_graphs(monkeypatch, g):
             units = tuple(sorted(cones_module._unit_rows(len(h.edges()))))
-            ((rays, w),) = fan_module._acyclic_catalog(h).items()
+            ((rays, w),) = fan_module._acyclic_catalog(h, flow_bound(h)).items()
             # the orthant, whose rays span the whole space: no equalities
             assert rays == units and span_normals(rays, len(units)) == ()
             base = base_weighting(h)
@@ -247,9 +247,9 @@ def test_catalog_searches_flows_of_graphs_with_demand_only(monkeypatch, g, build
     counts = []
     original = FlowCore.build
 
-    def counted(cls, h):
+    def counted(cls, h, *rest):
         counts.append(h)
-        return original(h)
+        return original(h, *rest)
 
     monkeypatch.setattr(FlowCore, "build", classmethod(counted))
     cone_catalog(g)
@@ -541,7 +541,7 @@ LIMIT = weightings.BOND_VERTEX_LIMIT
 
 
 @pytest.mark.parametrize("g, searched", [
-    # G/Z's vertex count for each bond search, one per flow searched
+    # G/Z's vertex count for each bond search, one per orientation
     (chain(30, 3), []),
     # the two flows zero on one half-ring leave 10 vertices, the other
     # two all 20; the contracted ring is one vertex, with no sets to search
@@ -566,6 +566,40 @@ def test_catalog_falls_back_to_dd_above_the_bond_vertex_limit(monkeypatch, g, se
     assert sorted(sizes) == searched
     # each search visits the 2^(k-1) - 1 proper vertex sets holding vertex 0
     assert sum(2 ** (k - 1) - 1 for k in sizes) < 2 ** LIMIT
+
+
+def _counted(monkeypatch, module, name):
+    """The arguments of every call of ``module.name`` from now on."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_catalog_searches_each_orientation_once(monkeypatch):
+    # banana(3,20)'s 231 acyclic flows have 7 sign patterns; 171 flows send
+    # all three edges one way, the one pattern whose G/Z has two vertices.
+    # Its bonds are searched on its first flow, not on each of the 171
+    searches = _counted(monkeypatch, weightings, "_bond_sides")
+    assert len(cone_catalog(banana(3, 20))) == 178
+    assert [len(succ) for succ, _ in searches] == [2]
+
+
+def test_catalog_computes_each_flow_bound_once(monkeypatch):
+    # neck3x3's walk visits 404 graphs, 9 of them with vertex demand; the
+    # bound read to tell them apart is the one their flow search uses
+    visits = _counted(monkeypatch, fan_module, "_visit")
+    bounds = _counted(monkeypatch, fan_module, "flow_bound")
+    again = _counted(monkeypatch, weightings, "flow_bound")
+    builds = _counted(monkeypatch, FlowCore, "build")
+    cone_catalog(necklace(3, 3, 3))
+    assert len(visits) == len(bounds) == 404
+    assert (len(again), len(builds)) == (0, 9)
 
 
 @pytest.mark.parametrize("g", [chain(LIMIT, 3), ring(16, 8)], ids=["chain", "ring16-8"])

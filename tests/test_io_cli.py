@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import sys
 import time
 from fractions import Fraction
 from xml.dom import minidom
@@ -285,6 +286,37 @@ def test_cli_parse_error(tmp_path):
     doc = json.loads(json.dumps(TWO_GON_DOC))
     del doc["twist"]
     assert main(["genus", write_doc(tmp_path, doc)]) == 2
+
+
+DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                 reason="no int-string digit limit before 3.11")
+MALFORMED = [
+    pytest.param(b"\xff\xfe{}", "is not UTF-8: byte 0 cannot be decoded",
+                 id="not-utf8"),
+    pytest.param(b"[" * 100_000, "invalid JSON: nested too deeply", id="deep"),
+    pytest.param(b'{"vertices": [{"id": ' + b"9" * 5000 + b', "genus": 0}]}',
+                 "invalid JSON: Exceeds the limit", id="digits", marks=DIGIT_LIMIT),
+]
+
+
+@pytest.mark.parametrize("data, message", MALFORMED)
+def test_cli_malformed_file_is_a_parse_error(tmp_path, capsys, data, message):
+    # each of these raised out of the reader or json.loads as a traceback
+    path = tmp_path / "graph.json"
+    path.write_bytes(data)
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("parse error at /: ") and message in line
+
+
+@pytest.mark.parametrize("data, message", MALFORMED[1:])
+@pytest.mark.parametrize("parse", [parse_graph_json, parse_fan_json])
+def test_malformed_json_is_a_parse_error(parse, data, message):
+    with pytest.raises(ParseError) as info:
+        parse(data.decode())
+    assert info.value.path == "/" and message in info.value.message
 
 
 @pytest.mark.parametrize("part, key, bad", [

@@ -16,8 +16,8 @@ from flowfan.cones import Cone, canonical_key, cone_of_weighting, cycle_constrai
 from flowfan.weightings import FlowCore, _positive_cycle, has_positive_cycle
 
 from helpers import (banana, box_radius, box_vectors, complete_graph, corpus,
-                     loop_graph, necklace, one_edge_genus1, path_graph,
-                     ref_positive_cycle_halves, span_rule_holds, two_gon)
+                     ladder, loop_graph, necklace, one_edge_genus1, path_graph,
+                     ref_positive_cycle_halves, ring, span_rule_holds, two_gon)
 
 
 def flows_weighting(g, flows):
@@ -573,6 +573,41 @@ def any_flows(draw):
 def test_bond_rays_match_orthant_section(case):
     core, x = case
     assert core.rays(x) == _dd_rays(core, x)
+
+
+# graphs whose G/Z has more than BOND_VERTEX_LIMIT vertices for most sign
+# patterns, so FlowCore.rays answers by double description
+PAST_LIMIT = [ring(16, 8), ladder(7)]
+
+
+@st.composite
+def flows_sharing_signs(draw):
+    """(graph, flows): a graph as in :func:`any_flows` or one of
+    ``PAST_LIMIT``, and flows on one to three sign patterns, each with two
+    to four magnitude vectors, in a random order."""
+    g = draw(st.one_of(st.sampled_from(CORPUS_FAMILY), small_graphs(),
+                       st.sampled_from(PAST_LIMIT)))
+    n = len(g.edges())
+    signs = st.lists(st.sampled_from((0, 1, 1, -1, -1)), min_size=n, max_size=n)
+    flows = []
+    for pattern in draw(st.lists(signs, min_size=1, max_size=3)):
+        for _ in range(draw(st.integers(2, 4))):
+            flows.append([s * draw(st.integers(1, 12)) for s in pattern])
+    return g, draw(st.permutations(flows))
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(flows_sharing_signs())
+def test_bond_table_answers_every_flow_of_an_orientation(case):
+    # one core keeps the table of every pattern it has met; its answer
+    # for each flow is that of double description and of a fresh core
+    g, flows = case
+    core = FlowCore.build(g)
+    for x in flows:
+        assert core.rays(x) == _dd_rays(core, x) == FlowCore.build(g).rays(x)
+    patterns = {tuple((v > 0) - (v < 0) for v in x) for x in flows}
+    assert set(core.bonds) == patterns
 
 
 def test_bond_rays_match_orthant_section_on_corpus_recursion():
