@@ -32,9 +32,10 @@ whose rays are the unit vectors, and inserts its equalities only.
 ``orthant_section`` is the path for general rows, that of
 :func:`cone_of_weighting`. The catalog takes the rays of a weighting's
 cone from :meth:`~flowfan.weightings.FlowCore.rays`, which reads them
-off the flow's directed bonds and calls ``orthant_section`` itself only
-on graphs too large for that search, and builds the cone with
-``Cone._pointed``.
+off the directed bonds of the flow's orientation, and builds the cone
+with ``Cone._pointed``. Each orientation is solved once; where it
+leaves too many vertices for the bond search, by one ``orthant_section``
+over its sign pattern's rows.
 
 A cone caches what it computes: its rays and lineality, its dimension,
 and, for a cone of a fan from :func:`~flowfan.fan.build_fan`, its facets
@@ -336,12 +337,6 @@ class Cone:
     def contains(self, v):
         return (all(dot(a, v) == 0 for a in self.equalities)
                 and all(dot(b, v) >= 0 for b in self.inequalities))
-
-    def contains_cone(self, other):
-        gens = list(other.rays())
-        for b in other.lineality():
-            gens += [b, tuple(-x for x in b)]
-        return all(self.contains(g) for g in gens)
 
     def intersect(self, other):
         """The intersection cone. When an operand's rays are known and it is

@@ -23,14 +23,14 @@ The acyclic flows are lists on the integer arrays of
 :meth:`~flowfan.weightings.FlowCore.rays` reads each flow's cone off the
 directed bonds of the digraph the flow orients, so no row is normalized
 and no :class:`~flowfan.cones.Cone` is built for a flow. Which edges
-form a bond depends only on the flow's signs, so the bonds are searched
-once per orientation, on its first flow, and each later flow of it
-computes only the entries ``L / |x_e|``. Only the witness of a new cone
-becomes a :class:`~flowfan.weightings.Weighting`, filled in from a
-template of the base weighting's halves built with the core.
-``FlowCore.rays`` answers every flow: on a graph too large for the bond
-search it solves the same cone by double description from the orthant,
-so the catalog has one path.
+form a bond depends only on the flow's signs, so each orientation is
+solved once, from its sign pattern, and every flow of it computes only
+the entries ``L / |x_e|``. Where the orientation leaves too many
+vertices for the bond search, its bonds are read off one double
+description of its sign pattern's cone, so past that limit too every
+flow takes the same path. Only the witness of a new cone becomes a
+:class:`~flowfan.weightings.Weighting`, filled in from a template of the
+base weighting's halves built with the core.
 
 Faces are closed and checked through facets, never through a cone's
 whole face lattice: every face of a pointed cone other than the cone is
@@ -54,8 +54,8 @@ from .cones import (Cone, _face_masks, _facet_rays, _facet_row_masks,
                     _unit_rows, canonical_key, cone_of_weighting,
                     intersect_cones)
 from .graph import contract, enumerate_cycles
-from .weightings import (FlowCore, base_weighting, flow_bound, lift_weighting,
-                         restrict_weighting, shift_along_cycle)
+from .weightings import (FlowCore, _positive_cycle, base_weighting, flow_bound,
+                         lift_weighting, restrict_weighting, shift_along_cycle)
 
 
 def _padding(edges, small_edges):
@@ -426,7 +426,14 @@ def check_contraction_compat(g, edge_set) -> CompatReport:
     """For every witness weighting w of the catalog: the cone of the
     restricted weighting, padded with zeros on the contracted edges, is
     contained in the cone of w; when the contracted set is a positive cycle
-    for w the two agree exactly."""
+    for w the two agree exactly.
+
+    The set S is a positive cycle for w when it is the edge set of a
+    simple cycle along which w is positive on every source half.
+    :func:`~flowfan.weightings._positive_cycle`, run on w's source-half
+    values set to 0 off S, returns a simple cycle of positive arcs inside
+    S or None, and S is a positive cycle exactly when that cycle takes
+    every edge of S."""
     edges = g.edges()
     S = frozenset(edge_set)
     for e in S:
@@ -434,7 +441,6 @@ def check_contraction_compat(g, edge_set) -> CompatReport:
             raise UnknownEdge(e)
     res = contract(g, S)
     pad = _padding(edges, res.contracted.edges())
-    cycles_on_S = [cyc for cyc in enumerate_cycles(g) if cyc.edge_set(g) == S]
     violations = []
     checked = 0
     for c, w in cone_catalog(g):
@@ -445,10 +451,8 @@ def check_contraction_compat(g, edge_set) -> CompatReport:
         if not all(c.contains(r) for r in rays):
             violations.append(f"inclusion fails for witness {w.flows()}")
             continue
-        positive = any(
-            all(w.values[h] > 0 for h in orient.halves)
-            for cyc in cycles_on_S
-            for orient in (cyc, cyc.reversed(g)))
+        cyc = _positive_cycle(g.index, [w.values[e] if e in S else 0 for e in edges])
+        positive = cyc is not None and len(cyc) == len(S)
         if positive and ((), rays) != canonical_key(c):
             violations.append(f"equality fails for witness {w.flows()}")
     return CompatReport(not violations, checked, tuple(violations))

@@ -422,33 +422,20 @@ def _spanning_forest(g: Graph, edge_set=None):
     return order, root, parent
 
 
-def _tree_path_halves(g, parent, u, v):
-    """Directed halves along the tree path from u to v."""
-    anc_u, anc_v = [u], [v]
-    seen_u = {u}
-    x = u
-    while x in parent:
-        x = g.target(parent[x])
-        anc_u.append(x)
-        seen_u.add(x)
-    x = v
-    while x not in seen_u:
-        x = g.target(parent[x])
-        anc_v.append(x)
-    meet = x
-    up = []
-    x = u
-    while x != meet:
-        h = parent[x]
-        up.append(h)
-        x = g.target(h)
-    down = []
-    x = v
-    while x != meet:
-        h = parent[x]
-        down.append(g.partner(h))
-        x = g.target(h)
-    return up + list(reversed(down))
+def _tree_path_halves(g, parent, depth, u, v):
+    """Directed halves along the tree path from u to v: the deeper end
+    climbs toward its parent until the two ends meet."""
+    up, down = [], []
+    while u != v:
+        if depth[u] >= depth[v]:
+            h = parent[u]
+            up.append(h)
+            u = g.target(h)
+        else:
+            h = parent[v]
+            down.append(g.partner(h))
+            v = g.target(h)
+    return up + down[::-1]
 
 
 def cycle_basis(g: Graph):
@@ -468,14 +455,18 @@ def cycle_basis(g: Graph):
 
 def _fundamental_cycles(g: Graph):
     """The tuple of cycles :func:`cycle_basis` lists, computed afresh."""
-    _, _, parent = _spanning_forest(g)
+    order, _, parent = _spanning_forest(g)
+    # a parent comes before its children in the visiting order
+    depth = {}
+    for v in order:
+        depth[v] = depth[g.target(parent[v])] + 1 if v in parent else 0
     tree_edges = {g.edge_of(h) for h in parent.values()}
     out = []
     for e in g.edges():
         if e in tree_edges:
             continue
         u, w = g.source(e), g.target(e)
-        halves = (e,) + tuple(_tree_path_halves(g, parent, w, u))
+        halves = (e,) + tuple(_tree_path_halves(g, parent, depth, w, u))
         out.append(Cycle(halves).canonical(g))
     return tuple(out)
 

@@ -223,8 +223,8 @@ def has_positive_cycle(g: Graph, values) -> bool:
     return _positive_cycle(g.index, _edge_values(g, values)) is not None
 
 
-# the most vertices of G/Z whose vertex sets FlowCore.rays searches; past
-# it, FlowCore.rays solves the flow's cone by double description instead
+# the most vertices of G/Z whose vertex sets FlowCore._orientation
+# searches; past it, the orientation's bonds come from double description
 BOND_VERTEX_LIMIT = 12
 
 # the most coefficient values FlowCore.acyclic_coefficients lists
@@ -290,16 +290,16 @@ class FlowCore:
 
     What depends only on a flow's orientation is worked out once per
     graph. ``bonds`` maps each sign pattern that :meth:`rays` has met to
-    the rays and directed bonds of the digraph it orients, found on its
-    first flow off the index's ``ends``, each edge's source and target
-    vertex positions. ``template`` lists each half of the base weighting,
+    the rays and directed bonds of the digraph it orients, found once,
+    from the pattern alone, off the index's ``ends``, each edge's source
+    and target vertex positions; past ``BOND_VERTEX_LIMIT`` vertices of
+    G/Z too. ``template`` lists each half of the base weighting,
     in its key order, as (half, sign, edge position), a leg as (half, its
     weight, ``len(base)``), so :meth:`weighting` is one gather. A
     :class:`Weighting` is built only when one is asked for.
     """
 
     graph: Graph
-    base_weighting: Weighting
     base: tuple
     cycles: tuple
     bound: int
@@ -317,7 +317,7 @@ class FlowCore:
         n = len(index.edges)
         template = tuple((h, index.sign[h], index.edge_pos[h]) if h in index.edge_pos
                          else (h, v, n) for h, v in w.values.items())
-        return cls(g, w, tuple(_edge_values(g, w.values)), cycles,
+        return cls(g, tuple(_edge_values(g, w.values)), cycles,
                    flow_bound(g) if bound is None else bound, template)
 
     def shifted(self, coeffs):
@@ -367,24 +367,17 @@ class FlowCore:
 
         Z, G/Z, its orientation and so its directed bonds depend only on
         the sign of each ``x_e``, and a bond of one edge is that edge's
-        unit vector. So the bonds are searched once per orientation, on
-        its first flow (:meth:`_orientation`), and kept in ``bonds`` under
-        its sign pattern; every flow computes only L and the entries of
-        its bonds of two or more edges.
-
-        Past ``BOND_VERTEX_LIMIT`` vertices of G/Z the search is too
-        large, and the rays come from
-        :meth:`~flowfan.cones.Cone.orthant_section` over :meth:`rows`,
-        double description from the orthant, the rays of the same cone.
+        unit vector. So each orientation is solved once, from its sign
+        pattern (:meth:`_orientation`), and kept in ``bonds`` under that
+        pattern, past ``BOND_VERTEX_LIMIT`` vertices of G/Z too; every
+        flow computes only L and the entries of its bonds of two or more
+        edges.
         """
         signs = tuple([(v > 0) - (v < 0) for v in x])
         try:
-            entry = self.bonds[signs]
+            fixed, wide = self.bonds[signs]
         except KeyError:
-            entry = self.bonds[signs] = self._orientation(x)
-        if entry is None:
-            return Cone.orthant_section(len(x), self.rows(x)).rays()
-        fixed, wide = entry
+            fixed, wide = self.bonds[signs] = self._orientation(signs)
         if not wide:
             return fixed
         out = list(fixed)
@@ -398,16 +391,21 @@ class FlowCore:
         out.sort()
         return tuple(out)
 
-    def _orientation(self, x):
-        """The entry of ``bonds`` for the sign pattern of flow ``x``: the
-        sorted rays every flow of that pattern has, the unit vectors of
-        its zero edges and of its bonds of one edge, and its other
-        directed bonds as tuples of edge positions; or None when G/Z has
-        more than ``BOND_VERTEX_LIMIT`` vertices.
+    def _orientation(self, signs):
+        """The entry of ``bonds`` for a sign pattern: the sorted rays every
+        flow of that pattern has, the unit vectors of its zero edges and
+        of its bonds of one edge, and its other directed bonds as tuples
+        of edge positions.
 
         The vertices of G/Z are the components of Z, numbered in the order
-        of their first vertex, and :func:`_bond_sides` searches their
-        vertex sets, 2^(k-1) of them for k components."""
+        of their first vertex. Up to ``BOND_VERTEX_LIMIT`` of them,
+        :func:`_bond_sides` searches their vertex sets, 2^(k-1) of them
+        for k components. Past it, that search is too large, and one
+        :meth:`~flowfan.cones.Cone.orthant_section` over ``rows(signs)``,
+        double description from the orthant, solves the cone of the signs
+        taken as a flow. By :meth:`rays` with every ``|x_e| = 1``, its
+        rays are 0/1 vectors, one per zero edge and one per directed bond,
+        so their supports are the same bonds."""
         index = self.graph.index
         arcs = index.arcs
         label = [-1] * len(arcs)
@@ -418,34 +416,31 @@ class FlowCore:
                 stack = [v0]
                 while stack:
                     for i, _, t in arcs[stack.pop()]:
-                        if not x[i] and label[t] < 0:
+                        if not signs[i] and label[t] < 0:
                             label[t] = k
                             stack.append(t)
                 k += 1
         if k > BOND_VERTEX_LIMIT:
-            return None
-        units = _unit_rows(len(x))
-        fixed = [units[i] for i, v in enumerate(x) if not v]
-        wide = []
-        if k > 1:
+            cone = Cone.orthant_section(len(signs), self.rows(signs))
+            supports = [tuple(i for i, v in enumerate(r) if v) for r in cone.rays()]
+        else:
+            supports = [(i,) for i, v in enumerate(signs) if not v]
             succ, pred = [0] * k, [0] * k
             cut = []  # (edge position, tail, head) across components
             for i, (a, b) in enumerate(index.ends):
                 a, b = label[a], label[b]
                 if a != b:
-                    if x[i] < 0:
+                    if signs[i] < 0:
                         a, b = b, a
                     succ[a] |= 1 << b
                     pred[b] |= 1 << a
                     cut.append((i, a, b))
-            for U in _bond_sides(succ, pred):
-                bond = tuple(i for i, a, b in cut if (U >> a ^ U >> b) & 1)
-                if len(bond) == 1:
-                    fixed.append(units[bond[0]])
-                else:
-                    wide.append(bond)
-        fixed.sort()
-        return tuple(fixed), tuple(wide)
+            if k > 1:
+                supports += [tuple(i for i, a, b in cut if (U >> a ^ U >> b) & 1)
+                             for U in _bond_sides(succ, pred)]
+        units = _unit_rows(len(signs))
+        return (tuple(sorted(units[s[0]] for s in supports if len(s) == 1)),
+                tuple(s for s in supports if len(s) > 1))
 
     def acyclic_coefficients(self):
         """Every coefficient vector ``c`` whose flow ``shifted(c)`` has no

@@ -217,9 +217,10 @@ def _dot_product_face_test(f, c):
     description from scratch: f lies in c, and f equals c cut by the
     inequality rows of c that vanish on all of f, its rays and both signs
     of its lineality basis."""
-    if not c.contains_cone(f):
+    lineality = list(f.lineality())
+    gens = list(f.rays()) + lineality
+    if not all(c.contains(v) for v in gens + [tuple(-x for x in b) for b in lineality]):
         return False
-    gens = list(f.rays()) + list(f.lineality())
     tight = [q for q in c.inequalities if all(dot(q, g) == 0 for g in gens)]
     cut = Cone(c.ambient_dim, list(c.equalities) + tight, c.inequalities)
     return canonical_key(cut) == canonical_key(f)

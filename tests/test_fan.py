@@ -4,7 +4,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from flowfan import (Fan, UnknownEdge, UnsupportedDimension, base_weighting,
                      build_fan, canonical_key, check_contraction_compat,
@@ -27,7 +27,7 @@ from helpers import (banana, box_radius, box_vectors, chain, complete_graph,
                      corpus, ladder, loop_graph, necklace, path_graph,
                      random_graph, ref_positive_cycle_halves, ring,
                      span_normals, span_rule_holds, two_gon, wheel)
-from test_weightings import flows_weighting
+from test_weightings import flows_weighting, small_graphs
 
 
 def test_two_gon_catalog():
@@ -548,8 +548,8 @@ LIMIT = weightings.BOND_VERTEX_LIMIT
     (ring(20, 3), [10, 10]),
     (chain(LIMIT - 1, 3), [LIMIT]),
     (chain(LIMIT, 3), []),
-    # two flows of each are searched; those that leave more than LIMIT
-    # vertices are solved by double description
+    # two orientations of each are searched; each orientation that leaves
+    # more than LIMIT vertices is solved by one double description
     (ring(16, 8), [8, 8]),
     (ring(24, 5), [12, 12]),
 ])
@@ -573,9 +573,9 @@ def _counted(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
     return calls
@@ -588,6 +588,15 @@ def test_catalog_searches_each_orientation_once(monkeypatch):
     searches = _counted(monkeypatch, weightings, "_bond_sides")
     assert len(cone_catalog(banana(3, 20))) == 178
     assert [len(succ) for succ, _ in searches] == [2]
+
+
+@pytest.mark.parametrize("g", [ring(16, 8), ring(24, 5)], ids=["ring16-8", "ring24-5"])
+def test_catalog_runs_dd_once_per_orientation_past_the_limit(monkeypatch, g):
+    # the flows past the limit share one sign pattern, whose bonds come
+    # from one double description; one run per flow made 7 and 4
+    runs = _counted(monkeypatch, cones_module, "_double_description")
+    cone_catalog(g)
+    assert len(runs) == 1
 
 
 def test_catalog_computes_each_flow_bound_once(monkeypatch):
@@ -605,7 +614,7 @@ def test_catalog_computes_each_flow_bound_once(monkeypatch):
 @pytest.mark.parametrize("g", [chain(LIMIT, 3), ring(16, 8)], ids=["chain", "ring16-8"])
 def test_flow_core_rays_solve_flows_past_the_limit_by_dd(g):
     # past the limit FlowCore.rays answers with the rays of the flow's
-    # cone by double description from the orthant, never with None
+    # cone, from bonds read off one double description of its orientation
     core = FlowCore.build(g)
     past = 0
     for coeffs in core.acyclic_coefficients():
@@ -974,6 +983,71 @@ def test_check_contraction_compat_examples():
         check_contraction_compat(g, [("nope", 0)])
 
 
+def _ref_is_positive_cycle(g, w, S):
+    """Reference: S is the edge set of a simple cycle of G, one of whose
+    two orientations w makes positive on every half."""
+    return any(all(w.values[h] > 0 for h in orient.halves)
+               for cyc in enumerate_cycles(g) if cyc.edge_set(g) == S
+               for orient in (cyc, cyc.reversed(g)))
+
+
+def _compat_positive(monkeypatch, g, S, pairs):
+    """For each (cone, weighting) of ``pairs``, whether
+    ``check_contraction_compat`` takes S to be a positive cycle for the
+    weighting. It is handed ``pairs`` as the catalog and a key that
+    matches no cone, so it reports an equality violation for exactly
+    those weightings."""
+    monkeypatch.setattr(fan_module, "cone_catalog", lambda h: pairs)
+    monkeypatch.setattr(fan_module, "canonical_key", lambda c: None)
+    report = check_contraction_compat(g, S)
+    assert report.checked == len(pairs)
+    assert not any(v.startswith("inclusion") for v in report.violations)
+    return [f"equality fails for witness {w.flows()}" in report.violations
+            for _, w in pairs]
+
+
+def test_compat_positive_cycle_rule_matches_cycle_enumeration(monkeypatch):
+    # every one- and two-edge S of 40 corpus graphs, 239 sets, for every
+    # witness: 1,139 verdicts, 57 of them positive
+    cases = [(g, cone_catalog(g)) for g in corpus(40)]
+    cycle_searches = _counted(monkeypatch, fan_module, "enumerate_cycles")
+    checked = positive = 0
+    for g, pairs in cases:
+        for S in map(frozenset, _edge_sets(g, (1, 2))):
+            want = [_ref_is_positive_cycle(g, w, S) for _, w in pairs]
+            assert _compat_positive(monkeypatch, g, S, pairs) == want
+            checked += len(want)
+            positive += sum(want)
+    assert cycle_searches == []
+    assert (checked, positive) == (1139, 57)
+
+
+def test_compat_positive_cycle_rule_on_hand_built_cases(monkeypatch):
+    two_loops = Graph.build({"u": 0, "v": 0},
+                            [("a", "u", "u"), ("b", "v", "v"), ("c", "u", "v")],
+                            [("p", "u", 2), ("q", "v", -2)])
+    theta, loop, tri = banana(3, 2), loop_graph(), ring(3, 2)
+    cases = [
+        # the whole theta is no cycle, though e1 and e2 form a positive one
+        (theta, {("e1", 0): 2, ("e2", 0): -1, ("e3", 0): 1}, theta.edges(), False),
+        (theta, {("e1", 0): 2, ("e2", 0): -1, ("e3", 0): 1}, [("e1", 0), ("e2", 0)], True),
+        # two disjoint positive loops are two cycles
+        (two_loops, {("a", 0): 1, ("b", 0): -2, ("c", 0): 2}, [("a", 0), ("b", 0)], False),
+        (two_loops, {("a", 0): 1, ("b", 0): -2, ("c", 0): 2}, [("b", 0)], True),
+        (loop, {("e1", 0): 3}, loop.edges(), True),
+        (loop, {("e1", 0): 0}, loop.edges(), False),
+        # e01 and e02 run along the triangle, e00 carries nothing
+        (tri, {("e00", 0): 0, ("e01", 0): -2, ("e02", 0): -2}, tri.edges(), False),
+        (tri, {("e00", 0): -1, ("e01", 0): -3, ("e02", 0): -3}, tri.edges(), True),
+    ]
+    for g, flows, S, expected in cases:
+        w = flows_weighting(g, flows)
+        S = frozenset(S)
+        assert _ref_is_positive_cycle(g, w, S) == expected
+        assert _compat_positive(monkeypatch, g, S, [(cone_of_weighting(g, w), w)]) == [
+            expected]
+
+
 def test_decomposition_on_positive_cycle():
     g = two_gon(3)
     w = flows_weighting(g, {("e1", 0): 4, ("e2", 0): -1})
@@ -999,7 +1073,8 @@ def test_embed_cone_inclusion_for_any_contraction():
         emb = Cone._pointed(len(edges), tuple(edges), None,
                             cones_module._orthant_rows(len(edges)),
                             fan_module._padding(edges, small)(c_small.rays()))
-        assert cone_of_weighting(g, w).contains_cone(emb)
+        c = cone_of_weighting(g, w)
+        assert all(c.contains(r) for r in emb.rays())
         # the padded rays are those a double description run finds
         rows = [tuple(dict(zip(small, a)).get(e, 0) for e in edges)
                 for a in c_small.equalities]
@@ -1191,6 +1266,15 @@ def test_coordinate_face_check_sees_a_dropped_catalog_cone(monkeypatch):
     monkeypatch.setattr(fan_module, "cone_catalog", mutated)
     bad = _coordinate_face_mismatches(g, _edge_sets(g, (1, 2)))
     assert frozenset([g.edges()[0]]) in bad
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=100,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(small_graphs(min_betti=3, max_weight=3).filter(lambda g: flow_bound(g) > 0))
+def test_coordinate_faces_of_one_edge_on_generated_graphs(g):
+    # with no vertex demand the fan is the orthant's, so such graphs are
+    # left out
+    assert _coordinate_face_mismatches(g, _edge_sets(g, (1,))) == []
 
 
 def _relabelled(g, vertex_id, edge_id):

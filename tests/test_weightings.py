@@ -421,7 +421,7 @@ FLOW_SETTINGS = settings(deadline=None, derandomize=True, database=None,
 @given(shifted_flows())
 def test_array_positive_cycle_matches_dict_search(case):
     g, core, coeffs = case
-    w = shift_by_cycles(g, core.base_weighting, coeffs)
+    w = shift_by_cycles(g, base_weighting(g), coeffs)
     x = core.shifted(coeffs)
     assert x == [w.values[e] for e in g.edges()]
     ref = ref_positive_cycle_halves(g, w.values)
@@ -440,7 +440,7 @@ def test_array_positive_cycle_matches_dict_search(case):
 def test_flow_core_rows_and_witness_match_dict_path(case):
     g, core, coeffs = case
     basis = cycle_basis(g)
-    w = shift_by_cycles(g, core.base_weighting, coeffs)
+    w = shift_by_cycles(g, base_weighting(g), coeffs)
     x = core.shifted(coeffs)
     assert core.rows(x) == cycle_constraint_rows(g, w, basis)[1]
     # same values in the same key order as shift_by_cycles leaves them
@@ -452,7 +452,7 @@ def test_flow_core_rows_and_witness_match_dict_path(case):
 def _box_survivors(g, core):
     """Reference: every point of the box at the smaller proved radius, in
     graded lexicographic order, kept when its flow has no positive cycle."""
-    radius = box_radius(g, core.base_weighting)
+    radius = box_radius(g, base_weighting(g))
     return [c for c in box_vectors(len(core.cycles), radius)
             if _positive_cycle(g.index, core.shifted(c)) is None]
 
@@ -480,22 +480,23 @@ BOX_POINT_CAP = 20_000
 
 
 @st.composite
-def small_graphs(draw):
+def small_graphs(draw, min_betti=0, max_weight=8):
     """A connected graph on up to four vertices with first Betti number
-    at most 3 (loops and parallel edges allowed), genera 0 or 1, twist 0
-    or 1 and up to three legs of weight in [-8, 8]."""
+    from ``min_betti`` to 3 (loops and parallel edges allowed), genera 0
+    or 1, twist 0 or 1 and up to three legs of weight in
+    [-max_weight, max_weight]."""
     nv = draw(st.integers(1, 4))
     genus_of = {f"v{i}": draw(st.integers(0, 1)) for i in range(nv)}
     ends = [(draw(st.integers(0, i - 1)), i) for i in range(1, nv)]
     ends += draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)),
-                          max_size=3))
+                          min_size=min_betti, max_size=3))
     edges = [(f"e{j}", f"v{u}", f"v{v}") for j, (u, v) in enumerate(ends)]
     twist = draw(st.integers(0, 1))
     skeleton = Graph.build(genus_of, edges, [], twist)
     target = -twist * (2 * graph_genus(skeleton) - 2)
-    head = draw(st.lists(st.integers(-8, 8), max_size=2))
+    head = draw(st.lists(st.integers(-max_weight, max_weight), max_size=2))
     tail = target - sum(head)
-    assume(abs(tail) <= 8)
+    assume(abs(tail) <= max_weight)
     legs = [(f"l{j}", f"v{draw(st.integers(0, nv - 1))}", w)
             for j, w in enumerate(head + [tail])]
     g = Graph.build(genus_of, edges, legs, twist)
@@ -508,7 +509,7 @@ def small_graphs(draw):
 @given(st.one_of(st.sampled_from(CORPUS_FAMILY), small_graphs()))
 def test_acyclic_coefficients_match_box_survivors(g):
     core = FlowCore.build(g)
-    radius = box_radius(g, core.base_weighting)
+    radius = box_radius(g, base_weighting(g))
     assume((2 * radius + 1) ** len(core.cycles) <= BOX_POINT_CAP)
     assert core.acyclic_coefficients() == _box_survivors(g, core)
 
