@@ -11,12 +11,27 @@ cone's rays padded with zeros on K, and builds a cone, once and directly
 in G's edges, only for a key that is new. Closing the catalog under
 faces gives the fan.
 
+The walk holds a node G/K as the edge set K, a bit mask over G's edge
+positions, and a component label for each vertex position of G: the
+least position in its component of K, which is the vertex ``contract``
+names the merged vertex after. Legs are kept and the canonical degree
+is additive under contraction, so the vertex demands of G/K (legs plus
+twist times canonical degree) are sums of G's over each component, and
+its flow bound comes with no graph. Its cycles come from one search on
+G's arrays with K's edges dropped and arc ends relabelled
+(:func:`~flowfan.graph._cycle_search`). A graph G/K is built, by one
+``contract`` from its parent's graph, only when its flows are searched
+or a witness is lifted through it; the walk's stack holds it while the
+walk is below it.
+
 Most contracted graphs have no vertex demand left: at every vertex the
-legs cancel the twist times the canonical degree, so ``flow_bound`` is
-0. Such a graph has one acyclic flow, the zero flow, whose cone is the
-orthant on its edges, so the walk writes down its key, cone and witness
-(``base_weighting``) in closed form instead of searching its flows; see
-:func:`_visit`.
+legs cancel the twist times the canonical degree, so the flow bound is
+0, and merging components keeps it 0 for every graph below. Such a
+graph has one acyclic flow, the zero flow, whose cone is the orthant on
+its edges and whose weighting is ``base_weighting``: the legs, then
+each surviving edge's two halves at 0. So the walk writes down its key
+and witness in closed form, on G's arrays, instead of building the graph
+and searching its flows; see :func:`_visit`.
 
 The acyclic flows are lists on the integer arrays of
 :class:`~flowfan.weightings.FlowCore`, built once per graph.
@@ -53,9 +68,9 @@ from .cones import (Cone, _face_masks, _facet_rays, _facet_row_masks,
                     _facets_of, _is_closure, _orthant_rows, _rays_of,
                     _unit_rows, canonical_key, cone_of_weighting,
                     intersect_cones)
-from .graph import contract, enumerate_cycles
-from .weightings import (FlowCore, _positive_cycle, base_weighting, flow_bound,
-                         lift_weighting, restrict_weighting, shift_along_cycle)
+from .graph import _cycle_search, contract
+from .weightings import (FlowCore, Weighting, _complete_values, _positive_cycle,
+                         _vertex_demands, restrict_weighting)
 
 
 def _padding(edges, small_edges):
@@ -92,76 +107,165 @@ def cone_catalog(g):
     of its first visit (K grows down a branch), which has thus already
     added every key the repeat would reach, so no first occurrence moves.
 
-    A contracted graph whose vertex demands are all zero gets its one cone,
-    the orthant on its edges, and its base weighting as witness with no
-    flow search (see :func:`_visit`); every other graph goes through
-    :func:`_acyclic_catalog`.
+    The walk reads each G/K off G's index (see :func:`_visit`): K is a bit
+    mask over G's edge positions, and each vertex position of G carries
+    the label of its component of K. The demands of G/K, and so its flow
+    bound, are sums of G's, and its cycles come from one search on G's
+    arrays. A graph G/K is built, by one ``contract`` from its parent's
+    graph, only when its flows are searched or a witness is lifted through
+    it. A G/K with no vertex demand gets its one cone, the orthant on its
+    edges, and its witness in closed form, with no flow search; every
+    other G/K goes through :func:`_acyclic_catalog`.
     """
     out = {}
-    _visit(tuple(g.edges()), g, frozenset(), [], out, set())
+    labels = list(range(len(g.index.vertices)))
+    demand = _vertex_demands(g)
+    _visit(g, demand, [[g, None]], 0, labels, _bound(demand, labels), out, set())
     return [pair for _, pair in sorted(out.items(), key=lambda kv: kv[0])]
 
 
-def _visit(edges, h, contracted, path, out, seen):
-    """Add the cones of ``h`` = G/K, K = ``contracted``, new to ``out`` as
-    key -> (cone, witness) in G's ``edges``, then visit G/(K | C) for each
-    cycle C of ``h`` whose edge set K | C is not in ``seen``. ``path``
-    lists the (graph, contraction of the cycle's edges, cycle) steps from
-    G down to ``h``.
+def _bound(demand, labels):
+    """The flow bound of the contracted graph whose vertices are the
+    components that ``labels`` names: half the total of the absolute
+    summed ``demand`` of each component."""
+    total = [0] * len(labels)
+    for d, label in zip(demand, labels):
+        total[label] += d
+    return sum(map(abs, total)) // 2
 
-    The rays of each cone of ``h``, padded with zeros on K, give its key
-    in G. A key new to ``out`` gets its one cone, built in G's edges from
-    the padded rays and the unit rows of G (see the
-    :mod:`~flowfan.cones` module docstring for its equality rows), and its
-    witness lifted to G; a key already in ``out`` costs nothing more.
 
-    When every vertex demand of ``h`` is zero, ``flow_bound(h) == 0``, the
-    one cone and witness of ``h`` are written down with no flow search,
-    and are those :func:`_acyclic_catalog` would give:
+def _visit(g, demand, stack, contracted, labels, S, out, seen):
+    """Add the cones of G/K new to ``out`` as key -> (cone, witness) in
+    G's edges, then visit G/(K | C) for each cycle C of G/K whose edge set
+    K | C is not in ``seen``. G is ``g``, and K = ``contracted`` is a bit
+    mask over its edge positions.
+
+    ``stack`` holds one entry per level from G down to G/K: [the level's
+    graph, or None until it is built; the halves of the cycle contracted
+    from its parent into it]. ``labels`` gives each vertex position of G
+    the least position in its component of K, the vertex that
+    :func:`~flowfan.graph.contract` names the merged vertex after, and
+    ``demand`` the vertex demands of G (legs + k * kappa(v)). Legs are
+    kept and the canonical degree is additive under contraction, so the
+    demand of a vertex of G/K is the sum of ``demand`` over its component,
+    and ``S``, the flow bound of G/K, is half the total of their absolute
+    values, with no ``flow_bound`` call. Merging components keeps zero
+    sums at zero, so every child of a graph with no demand has none.
+
+    The rays of each cone of G/K, padded with zeros on K, give its key in
+    G. A key new to ``out`` gets its one cone, built in G's edges from the
+    padded rays and the unit rows of G (see the :mod:`~flowfan.cones`
+    module docstring for its equality rows), and its witness lifted to G
+    (:func:`_lift`); a key already in ``out`` costs nothing more.
+
+    When S = 0 the one cone and witness of G/K are written down with no
+    graph built and no flow search, and are those :func:`_acyclic_catalog`
+    would give:
 
     * Every acyclic flow has ``|x_e| <= S`` (:func:`flow_bound`), so S = 0
       leaves only the zero flow.
-    * ``base_weighting(h)`` is that flow: forest flows solved from zero
-      demands are zero, and legs keep their weights. Its ``values`` have
-      the key order that :meth:`FlowCore.weighting` gives the zero flow.
-    * With every edge of zero flow, G/Z is a single vertex, so
-      :meth:`FlowCore.rays` returns exactly the unit vectors of ``h``.
-      Padded, they are the sorted unit rows of G's edges off K, read off
-      K before anything is built."""
-    S = flow_bound(h)
+    * ``base_weighting`` of G/K is that flow: forest flows solved leaf
+      first from zero demands are zero, and legs keep their weights. Its
+      values, in that key order, are :func:`_zero_flow_values`.
+    * With every edge of zero flow, G/K/Z is a single vertex, so
+      :meth:`FlowCore.rays` returns exactly the unit vectors of G/K.
+      Padded, they are the sorted unit rows of G's edges off K.
+
+    Otherwise G/K is built (:func:`_level_graph`) and its flows searched.
+    The cycles of G/K come from :func:`~flowfan.graph._cycle_search` on
+    G's arrays with K dropped and arc ends relabelled: the halves, in the
+    order, that :func:`~flowfan.graph.enumerate_cycles` gives on the
+    graph ``contract`` builds. A child merges the components its cycle
+    passes through into one, labelled by the least of their labels."""
+    index = g.index
+    edges = index.edges
+    n = len(edges)
     if S == 0:
-        units = _unit_rows(len(edges))
-        found = {tuple(sorted(units[i] for i, e in enumerate(edges)
-                              if e not in contracted)): None}
+        units = _unit_rows(n)
+        # sorted: unit row i comes before unit row j when i > j
+        found = {tuple(units[i] for i in range(n - 1, -1, -1)
+                       if not contracted >> i & 1): None}
     else:
+        h = _level_graph(stack, len(stack) - 1)
         found = _acyclic_catalog(h, S)
         if contracted:
             pad = _padding(edges, h.edges())
             found = {pad(rays): w for rays, w in found.items()}
-    orthant = _orthant_rows(len(edges))
+    orthant = _orthant_rows(n)
     for rays, w in found.items():
         k = ((), rays)  # a pointed cone's key
         if k not in out:
-            c = Cone._pointed(len(edges), edges, None, orthant, rays)
-            out[k] = (c, _lift(path, base_weighting(h) if w is None else w))
-    for cyc in enumerate_cycles(h):
-        cyc_edges = frozenset(cyc.edges(h))
-        key = contracted | cyc_edges
+            c = Cone._pointed(n, edges, None, orthant, rays)
+            values = _zero_flow_values(g, contracted) if w is None else w.values
+            out[k] = (c, _lift(g, stack, values))
+    pos, ends = index.edge_pos, index.ends
+    for halves in _cycle_search(g, labels, contracted):
+        cycle = 0
+        for h in halves:
+            cycle |= 1 << pos[h]
+        key = contracted | cycle
         if key not in seen:
             seen.add(key)
-            res = contract(h, cyc_edges)
-            _visit(edges, res.contracted, key, path + [(h, res, cyc)], out,
-                   seen)
+            merged = {labels[v] for h in halves for v in ends[pos[h]]}
+            least = min(merged)
+            child = [least if label in merged else label for label in labels]
+            stack.append([None, halves])
+            _visit(g, demand, stack, key, child, S and _bound(demand, child),
+                   out, seen)
+            stack.pop()
 
 
-def _lift(path, w):
-    """Carry a witness of the last graph of ``path`` up to G, making each
-    contracted cycle positive on the way."""
-    for gp, res, cyc in reversed(path):
-        # a negative circulation makes the cycle positive
-        w0 = lift_weighting(gp, res, w)
-        w = shift_along_cycle(gp, w0, cyc, -(w0.max_abs() + 1))
-    return w
+def _zero_flow_values(g, contracted):
+    """The values of ``base_weighting`` of G/K, K = ``contracted`` a bit
+    mask over G's edge positions, when G/K has no vertex demand: the legs
+    with their weights, in G's ``end`` order, then each surviving edge's
+    canonical source half and its partner, in edge order, at 0.
+
+    That is the key order ``base_weighting`` gives: ``contract`` keeps
+    ``end`` in its parent's order, so G/K lists its legs as G does, and
+    :func:`~flowfan.weightings._complete_values` adds the halves of the
+    free edges, all of them here, in edge order; solving the forest
+    flows sets values already there."""
+    values = {h: g.leg_weights[h] for h in g.end if g.involution[h] == h}
+    for i, e in enumerate(g.index.edges):
+        if not contracted >> i & 1:
+            values[e] = 0
+            values[g.involution[e]] = 0
+    return values
+
+
+def _level_graph(stack, j):
+    """The graph of level ``j`` of the walk's ``stack``, built on first use
+    by one ``contract`` of the level's cycle in its parent's graph."""
+    level = stack[j]
+    if level[0] is None:
+        parent = _level_graph(stack, j - 1)
+        edge_of = parent.index.edge_of
+        level[0] = contract(parent, {edge_of[h] for h in level[1]}).contracted
+    return level[0]
+
+
+def _lift(g, stack, values):
+    """The witness on G of the half-edge ``values`` of the deepest level of
+    ``stack``, carried up one level at a time. Into each parent level the
+    values are extended over the contracted cycle's edges, zero off a
+    spanning tree of each contracted component, as
+    :func:`~flowfan.weightings.lift_weighting` does; then a negative
+    circulation along the cycle, one more than the largest absolute value,
+    makes it positive, as :func:`~flowfan.weightings.shift_along_cycle`
+    does. Each parent graph is built once (:func:`_level_graph`); the
+    values stay one dict per level, and one :class:`Weighting` on G is
+    made at the end."""
+    inv, edge_of = g.involution, g.index.edge_of
+    for j in range(len(stack) - 1, 0, -1):
+        halves = stack[j][1]
+        values = _complete_values(_level_graph(stack, j - 1),
+                                  {edge_of[h] for h in halves}, values)
+        amount = max(map(abs, values.values())) + 1
+        for h in halves:
+            values[h] += amount
+            values[inv[h]] -= amount
+    return Weighting(g, values)
 
 
 def _acyclic_catalog(g, S):

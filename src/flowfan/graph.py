@@ -21,11 +21,13 @@ integer arrays over them: each half's edge position and its sign against
 its edge, each vertex's non-leg halves as (edge position, sign, position
 of the vertex at the partner half) triples, and each edge's end
 positions. A flow on these arrays is a list with one source-half value
-per edge position; the positive-cycle search, the cycle search of
-:func:`enumerate_cycles` and the catalog's enumeration of acyclic flows
-run on such lists. The cache relies on the graph's dicts not being
-mutated once it has been read; no operation in this package mutates a
-graph, and :func:`contract` builds a new one.
+per edge position; the positive-cycle search and the catalog's
+enumeration of acyclic flows run on such lists. The cycle search,
+:func:`_cycle_search`, runs on these arrays too, for a graph G or for a
+contracted graph G/K read off G's arrays with no graph built. The cache
+relies on the graph's dicts not being mutated once it has been read; no
+operation in this package mutates a graph, and :func:`contract` builds
+a new one.
 
 ``sort_key`` runs only while the index of a graph built from scratch is
 made. :func:`contract` hands the contracted graph an index built on the
@@ -476,48 +478,81 @@ def enumerate_cycles(g: Graph):
 
     Self-loops count as length-1 cycles; a cycle repeats no vertex and no
     undirected edge. Representatives are the lexicographically smallest
-    directed form, sorted by (length, halves).
+    directed form, sorted by (length, halves). This is
+    :func:`_cycle_search` on ``g`` with nothing contracted.
+    """
+    return [Cycle(halves) for halves in _cycle_search(g)]
 
-    Each cycle is found once, already in that form (Tiernan, CACM 1970;
-    Johnson, SIAM J. Comput. 1975). Edges are ordered by their canonical
-    source halves, which are the smaller halves of their edges, so of
-    all the halves of a cycle, in both of its orientations, the least is
-    the canonical source half e0 of its first edge. The smallest form is
-    thus the orientation holding e0, rotated to start at it. For each
-    edge e0 in edge order a DFS runs from the target of e0 back to its
-    source, on paths that repeat no vertex, hence no edge, through later
-    edges only; a loop closes at once. A cycle is closed only by the
-    search from its first edge, along the one path that its smallest form
-    lists after e0, so it is found exactly once and no rotation or
-    reversal is ever built.
+
+def _cycle_search(g: Graph, label=None, dropped=0):
+    """The cycles of G/K as :func:`enumerate_cycles` lists them, each as
+    its tuple of halves, where G is ``g`` and K the edges whose positions
+    are set in the bit mask ``dropped``. ``label`` maps each vertex
+    position of G to the least position in its component of K (None: no
+    edge contracted), the vertex that :func:`contract` names the merged
+    vertex after.
+
+    The search runs on quotient arrays made from G's index: each arc of
+    ``index.arcs`` moves to the label of its tail and points to the label
+    of its head. G/K keeps every surviving half, and its index ranks them
+    with G's ranks (see :func:`contract`), so the halves, their ranks and
+    the edge order of G/K are G's, restricted. The edges of K are skipped
+    as first edges only: an edge of K joins two vertices of one
+    component, so its arcs are loops of the quotient, and a loop at the
+    vertex a path stands on leads back onto the path, which no path takes.
+
+    Each cycle is found once, already in its smallest form (Tiernan, CACM
+    1970; Johnson, SIAM J. Comput. 1975). Edges are ordered by their
+    canonical source halves, which are the smaller halves of their edges,
+    so of all the halves of a cycle, in both of its orientations, the
+    least is the canonical source half e0 of its first edge. The smallest
+    form is thus the orientation holding e0, rotated to start at it. For
+    each edge e0 in edge order a DFS runs from the target of e0 back to
+    its source, on paths that repeat no vertex, hence no edge, through
+    later edges only; a loop closes at once. A cycle is closed only by
+    the search from its first edge, along the one path that its smallest
+    form lists after e0, so it is found exactly once and no rotation or
+    reversal is ever built. Which cycles are found does not depend on the
+    order in which a vertex's arcs are read, and the result is sorted, so
+    a merged vertex may read its members' arcs one member after another.
     """
     index = g.index
-    arcs, edges, rank = index.arcs, index.edges, index.rank
+    arcs, ends, edges = index.arcs, index.ends, index.edges
+    if label is not None:
+        quotient = [[] for _ in arcs]
+        for v, out in enumerate(arcs):
+            quotient[label[v]] += [(i, s, label[t]) for i, s, t in out]
+        arcs, ends = quotient, [(label[a], label[b]) for a, b in ends]
     other = [g.involution[e] for e in edges]
     on_path = [False] * len(arcs)
-    path, found = [], []
-
-    def extend(v, i0, start):
-        on_path[v] = True
-        for i, s, t in arcs[v]:
-            if i > i0:
-                path.append(edges[i] if s > 0 else other[i])
-                if t == start:
-                    found.append(Cycle(tuple(path)))
-                elif not on_path[t]:
-                    extend(t, i0, start)
-                path.pop()
-        on_path[v] = False
-
-    for i0, (start, v) in enumerate(index.ends):
-        path.append(edges[i0])
+    found = []
+    for i0, (start, v) in enumerate(ends):
+        if dropped >> i0 & 1:
+            continue
+        path = [edges[i0]]
         if v == start:
-            found.append(Cycle(tuple(path)))
-        else:
-            extend(v, i0, start)
-        path.pop()
-    return sorted(found,
-                  key=lambda c: (len(c.halves), tuple(map(rank.__getitem__, c.halves))))
+            found.append(tuple(path))
+            continue
+        on_path[v] = True
+        verts, stack = [v], [iter(arcs[v])]
+        while stack:
+            for i, s, t in stack[-1]:
+                if i > i0:
+                    h = edges[i] if s > 0 else other[i]
+                    if t == start:
+                        found.append((*path, h))
+                    elif not on_path[t]:
+                        on_path[t] = True
+                        path.append(h)
+                        verts.append(t)
+                        stack.append(iter(arcs[t]))
+                        break
+            else:
+                stack.pop()
+                on_path[verts.pop()] = False
+                path.pop()
+    rank = index.rank
+    return sorted(found, key=lambda c: (len(c), tuple(map(rank.__getitem__, c))))
 
 
 # -- contraction ------------------------------------------------------------

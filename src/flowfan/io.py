@@ -14,8 +14,8 @@ strings and accepted back in either form, so weightings and ray entries
 of any size round-trip exactly. Output bytes are deterministic.
 
 :func:`emit_fan_json` writes a FanDocument straight from a
-:class:`~flowfan.fan.Fan`, with no intermediate dict: one string per cone
-entry and one encoded flows block per witness object.
+:class:`~flowfan.fan.Fan`, with no intermediate dict: one list of pieces
+joined once, and one encoded flows block per witness object.
 :func:`fan_to_document` builds the same document as plain data; it is
 the reference the writer is tested against, byte for byte, through
 ``json.dumps(indent=2, sort_keys=True)``.
@@ -221,9 +221,9 @@ def _ints(xs, indent):
     return _block("[", "]", [_int(x) for x in xs], indent)
 
 
-# a cone entry and a witness as _object lays them out inside "cones"
-_CONE = ('{\n      "dim": %d,\n      "maximal": %s,\n      "rays": %s,'
-         '\n      "witness": %s\n    }')
+# a cone entry as _object lays it out inside "cones", up to its witness's
+# block, and a witness's block
+_CONE = '{\n      "dim": %d,\n      "maximal": %s,\n      "rays": %s,\n      "witness": '
 _WITNESS = '{\n        "flows": %s\n      }'
 
 
@@ -232,14 +232,16 @@ def emit_fan_json(fan) -> str:
     :func:`fan_to_document`, written straight from the fan's fixed layout
     (``json.dumps`` with an indent runs the pure-Python encoder).
 
-    Each cone entry is one string. The entries are sorted by (dim, rays),
-    the (dim, ray indices) order, since ray indices follow the sorted rays.
-    Face cones share their catalog cone's witness object, so each
-    witness's block is encoded once. A witness is a weighting on the
-    fan's graph, so its flows are read along ``fan.edge_order``, keyed and
-    sorted by the raw ``str`` of each edge's document id, as ``sort_keys``
-    sorts them; a name shared by two edges keeps the later edge, as a
-    dict would."""
+    The document is one list of pieces, in ``_object``'s layout, joined
+    once at the end, so no cone entry and no enclosing block is copied
+    into a larger string before that. The entries are sorted by (dim,
+    rays), the (dim, ray indices) order, since ray indices follow the
+    sorted rays. Face cones share their catalog cone's witness object, so
+    each witness's block is encoded once, and is one piece of every entry
+    that holds it. A witness is a weighting on the fan's graph, so its
+    flows are read along ``fan.edge_order``, keyed and sorted by the raw
+    ``str`` of each edge's document id, as ``sort_keys`` sorts them; a
+    name shared by two edges keeps the later edge, as a dict would."""
     rays = fan.ray_list()
     ray_index = {r: str(i) for i, r in enumerate(rays)}
     names = {str(edge_doc_id(e)): e for e in fan.edge_order}
@@ -257,22 +259,23 @@ def emit_fan_json(fan) -> str:
             witness_blocks[id(witness)] = block
         is_maximal = key in fan.maximal_keys
         maximal += is_maximal
-        dim = c.dim()
-        cone_rays = c.rays()
-        entries.append(((dim, cone_rays), _CONE % (
-            dim, "true" if is_maximal else "false",
-            _block("[", "]", [ray_index[r] for r in cone_rays], "      "),
-            block)))
+        entries.append(((c.dim(), c.rays()), is_maximal, block))
     entries.sort(key=lambda entry: entry[0])
+    parts = ['{\n  "cones": [']
+    for n, ((dim, cone_rays), is_maximal, block) in enumerate(entries):
+        parts += (",\n    " if n else "\n    ", _CONE % (
+            dim, "true" if is_maximal else "false",
+            _block("[", "]", [ray_index[r] for r in cone_rays], "      ")),
+            block, "\n    }")
+    parts.append("\n  ]" if entries else "]")
     counts = (("maximal", str(maximal)), ("rays", str(len(rays))),
               ("total", str(len(entries))))
-    return _object([
-        ("cones", _block("[", "]", [text for _, text in entries], "  ")),
-        ("counts", _object(counts, "  ")),
-        ("edge_order", _block("[", "]", [json.dumps(edge_doc_id(e))
-                                         for e in fan.edge_order], "  ")),
-        ("rays", _block("[", "]", [_ints(r, "    ") for r in rays], "  ")),
-    ], "") + "\n"
+    parts += (',\n  "counts": ', _object(counts, "  "),
+              ',\n  "edge_order": ', _block("[", "]", [json.dumps(edge_doc_id(e))
+                                                      for e in fan.edge_order], "  "),
+              ',\n  "rays": ', _block("[", "]", [_ints(r, "    ") for r in rays], "  "),
+              "\n}\n")
+    return "".join(parts)
 
 
 def parse_fan_json(text) -> dict:

@@ -589,6 +589,12 @@ def flow_bound(g: Graph) -> int:
     :func:`enumeration_bound` grows exponentially in the first Betti
     number; neither is below the other on every graph.
     """
-    demands = (sum(g.leg_weights[h] for h in g.halves_at(v) if g.is_leg(h))
-               + g.twist * canonical_degree(g, v) for v in g.vertices())
-    return sum(abs(d) for d in demands) // 2
+    return sum(map(abs, _vertex_demands(g))) // 2
+
+
+def _vertex_demands(g: Graph):
+    """The demand d(v) = sum of the legs at v + k*kappa(v) of each vertex,
+    in index order: minus what the non-leg halves at v carry in any
+    weighting."""
+    return [sum(g.leg_weights[h] for h in g.index.halves_at.get(v, ()) if g.is_leg(h))
+            + g.twist * canonical_degree(g, v) for v in g.index.vertices]

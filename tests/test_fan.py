@@ -12,6 +12,7 @@ from flowfan import (Fan, UnknownEdge, UnsupportedDimension, base_weighting,
                      intersect_cones, is_face_of, slice_fan, verify_fan)
 from flowfan import cones as cones_module
 from flowfan import fan as fan_module
+from flowfan import graph as graph_module
 from flowfan.cones import Cone, cycle_constraint_rows
 from flowfan.fan import (_meet_in_common_face, _meet_on_common_support,
                          _pair_view, _ray_supports)
@@ -174,18 +175,32 @@ def _cones_built(monkeypatch):
 def test_catalog_visits_each_contracted_set_once(monkeypatch):
     g = necklace(3, 3, 3)
     counts = {}
-    for name in ("contract", "lift_weighting"):
+    for name in ("_visit", "contract", "_complete_values"):
         _count_calls(monkeypatch, fan_module, name, counts)
     built = _cones_built(monkeypatch)
     catalog = cone_catalog(g)
     assert len(catalog) == 455
     h = len(cycle_basis(g))
-    # 403 distinct unions of cycles, each contracted once
-    assert counts["contract"] == 403
+    # 403 distinct unions of cycles and the root, each visited once
+    assert counts["_visit"] == 404
+    # a contracted graph is built, once, only where its flows are searched
+    # (8 levels with demand) or a witness is lifted through it: 140 of 403
+    assert counts["contract"] == 140
     # a witness is lifted once per contraction level, only for a new key
-    assert counts["lift_weighting"] <= len(catalog) * h
+    assert counts["_complete_values"] <= len(catalog) * h
     # a cone is built only for a key new to the catalog, once
     assert len(built) == len(catalog)
+
+
+@pytest.mark.parametrize("g, builds", [(banana(4, 3), 2), (banana(3, 20), 1)])
+def test_catalog_builds_few_contracted_graphs(monkeypatch, g, builds):
+    # of the graphs below the root only the one with every edge contracted
+    # adds a key, the origin, and its witness is lifted through the levels
+    # above it: on banana(4,3) 2 of 11 graphs, on banana(3,20) 1 of 4
+    counts = {}
+    _count_calls(monkeypatch, fan_module, "contract", counts)
+    cone_catalog(g)
+    assert counts["contract"] == builds
 
 
 def test_catalog_embeds_only_new_keys(monkeypatch):
@@ -204,30 +219,47 @@ def test_catalog_embeds_only_new_keys(monkeypatch):
                for c in built)
 
 
-def _zero_demand_graphs(monkeypatch, g):
-    """The graphs ``cone_catalog(g)`` visits whose vertex demands are all
-    zero, G itself included."""
-    found = [g] if flow_bound(g) == 0 else []
-    original = fan_module.contract
+def _walk_visits(g):
+    """The (K, labels, S) of every graph G/K that ``cone_catalog(g)``
+    visits, in visiting order: K a bit mask over G's edge positions,
+    labels the walk's component label of each vertex position of G, and
+    S the flow bound it computed for G/K."""
+    visits = []
+    original = fan_module._visit
 
-    def recorded(*args):
-        res = original(*args)
-        if flow_bound(res.contracted) == 0:
-            found.append(res.contracted)
-        return res
+    def recorded(g, demand, stack, contracted, labels, S, out, seen):
+        visits.append((contracted, list(labels), S))
+        original(g, demand, stack, contracted, labels, S, out, seen)
 
-    monkeypatch.setattr(fan_module, "contract", recorded)
-    cone_catalog(g)
-    monkeypatch.undo()
-    return found
+    fan_module._visit = recorded
+    try:
+        cone_catalog(g)
+    finally:
+        fan_module._visit = original
+    return visits
 
 
-def test_zero_demand_graphs_have_the_closed_form_cone(monkeypatch):
-    graphs = corpus() + [banana(4, 3), banana(3, 20), necklace(3, 3, 3),
-                         complete_graph((2, -2, 0, 0, 0)), wheel(5, 2)]
+def _contracted(g, mask):
+    """``contract(g, K)`` for the edge positions K set in ``mask``."""
+    return contract(g, [e for i, e in enumerate(g.edges()) if mask >> i & 1])
+
+
+ZERO_DEMAND_GRAPHS = corpus() + [banana(4, 3), banana(3, 20), necklace(3, 3, 3),
+                                 complete_graph((2, -2, 0, 0, 0)), wheel(5, 2)]
+
+
+def _zero_demand_visits(g):
+    """The K of each graph the walk visits whose vertex demands are all
+    zero, G itself included, with that contracted graph."""
+    return [(K, _contracted(g, K).contracted) for K, _, S in _walk_visits(g)
+            if S == 0]
+
+
+def test_zero_demand_graphs_have_the_closed_form_cone():
     checked = 0
-    for g in graphs:
-        for h in _zero_demand_graphs(monkeypatch, g):
+    for g in ZERO_DEMAND_GRAPHS:
+        for _, h in _zero_demand_visits(g):
+            assert flow_bound(h) == 0
             units = tuple(sorted(cones_module._unit_rows(len(h.edges()))))
             ((rays, w),) = fan_module._acyclic_catalog(h, flow_bound(h)).items()
             # the orthant, whose rays span the whole space: no equalities
@@ -238,6 +270,42 @@ def test_zero_demand_graphs_have_the_closed_form_cone(monkeypatch):
     # 287 on the corpus, 11, 4, 395 and 286 on banana(4,3), banana(3,20),
     # the necklace and K5, 104 on the wheel
     assert checked == 1087
+
+
+def test_zero_flow_values_are_the_base_weighting():
+    # the closed-form witness of a graph with no demand, read off G's
+    # arrays, is base_weighting of the contracted graph, keys in order
+    for g in ZERO_DEMAND_GRAPHS:
+        for K, h in _zero_demand_visits(g):
+            assert (list(fan_module._zero_flow_values(g, K).items())
+                    == list(base_weighting(h).values.items()))
+
+
+def _assert_walk_reads_contracted_graphs(g):
+    """Every graph G/K the walk visits, read off G's arrays, is the graph
+    ``contract`` builds: the same labels, flow bound and cycles."""
+    index = g.index
+    vpos = {v: i for i, v in enumerate(index.vertices)}
+    for K, labels, S in _walk_visits(g):
+        res = _contracted(g, K)
+        assert labels == [vpos[res.vertex_map[v]] for v in index.vertices]
+        assert S == flow_bound(res.contracted)
+        want = [c.halves for c in enumerate_cycles(res.contracted)]
+        assert graph_module._cycle_search(g, labels, K) == want
+
+
+@pytest.mark.parametrize("g", corpus()[:60] + [
+    banana(4, 3), banana(3, 20), necklace(3, 3, 3),
+    complete_graph((2, -2, 0, 0, 0)), wheel(5, 2), ladder(5)])
+def test_quotient_cycle_search_matches_contracted_graphs(g):
+    _assert_walk_reads_contracted_graphs(g)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=150,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(small_graphs())
+def test_quotient_cycle_search_matches_contracted_graphs_generated(g):
+    _assert_walk_reads_contracted_graphs(g)
 
 
 @pytest.mark.parametrize("g, builds", [(banana(4, 3), 1), (banana(3, 20), 1),
@@ -601,14 +669,16 @@ def test_catalog_runs_dd_once_per_orientation_past_the_limit(monkeypatch, g):
 
 def test_catalog_computes_each_flow_bound_once(monkeypatch):
     # neck3x3's walk visits 404 graphs, 9 of them with vertex demand; the
-    # bound read to tell them apart is the one their flow search uses
+    # walk sums each bound from G's vertex demands, with no flow_bound
+    # call, and hands it to the flow search of each graph with demand
     visits = _counted(monkeypatch, fan_module, "_visit")
-    bounds = _counted(monkeypatch, fan_module, "flow_bound")
-    again = _counted(monkeypatch, weightings, "flow_bound")
+    bounds = _counted(monkeypatch, weightings, "flow_bound")
     builds = _counted(monkeypatch, FlowCore, "build")
     cone_catalog(necklace(3, 3, 3))
-    assert len(visits) == len(bounds) == 404
-    assert (len(again), len(builds)) == (0, 9)
+    assert len(visits) == 404
+    assert "flow_bound" not in vars(fan_module)
+    assert (len(bounds), len(builds)) == (0, 9)
+    assert all(S == flow_bound(h) > 0 for h, S in builds)
 
 
 @pytest.mark.parametrize("g", [chain(LIMIT, 3), ring(16, 8)], ids=["chain", "ring16-8"])
@@ -1010,7 +1080,7 @@ def test_compat_positive_cycle_rule_matches_cycle_enumeration(monkeypatch):
     # every one- and two-edge S of 40 corpus graphs, 239 sets, for every
     # witness: 1,139 verdicts, 57 of them positive
     cases = [(g, cone_catalog(g)) for g in corpus(40)]
-    cycle_searches = _counted(monkeypatch, fan_module, "enumerate_cycles")
+    cycle_searches = _counted(monkeypatch, fan_module, "_cycle_search")
     checked = positive = 0
     for g, pairs in cases:
         for S in map(frozenset, _edge_sets(g, (1, 2))):

@@ -1,8 +1,10 @@
 """Golden bytes: the sha256 of ``emit_fan_json`` on fixed graphs, of
-the charts of every fan cone, and of the SVG slices of fixed fans.
+the charts of every fan cone, of the SVG slices of fixed fans and of
+one catalog's keys and witnesses.
 
 A change that alters any fan's output bytes, any cone's polar dual,
-spanned dual or monoid generators, or any slice's SVG bytes, fails here. Run this file
+spanned dual or monoid generators, any slice's SVG bytes, or any key or
+witness of that catalog, fails here. Run this file
 under several ``PYTHONHASHSEED`` values (and under ``python -O``) to
 catch bytes that depend on the hash seed or on asserts.
 """
@@ -10,7 +12,8 @@ import hashlib
 
 import pytest
 
-from flowfan import Fan, build_fan, emit_fan_json, render_slice_svg, slice_fan
+from flowfan import (Fan, build_fan, cone_catalog, emit_fan_json,
+                     render_slice_svg, slice_fan)
 from flowfan.cones import (Cone, canonical_key, dual_cone_generators,
                            monoid_generators)
 
@@ -50,6 +53,20 @@ def test_corpus_fan_bytes():
         "wheel(5,3)", "loop_graph"])
 def test_fixed_graph_fan_bytes(make, digest):
     assert _digest([make()]) == digest
+
+
+def test_necklace_catalog_witnesses():
+    # necklace(3, 4, 2): 3,945 keys, most of them first reached in a
+    # contracted graph, with the deepest lift chains of the fixed graphs.
+    # One digest over each key and its witness's half-edge value items,
+    # in catalog order, so a witness that moves or changes fails here
+    h = hashlib.sha256()
+    catalog = cone_catalog(necklace(3, 4, 2))
+    for c, w in catalog:
+        h.update(repr((canonical_key(c), list(w.values.items()))).encode())
+    assert len(catalog) == 3945
+    assert h.hexdigest() == (
+        "ac38e0fd6a1d25bfcf4f39d8989ddbf2a5066de322f2c4193e0fcdcde60f60d1")
 
 
 def test_chart_bytes():
