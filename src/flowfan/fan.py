@@ -375,21 +375,26 @@ class FanReport:
     violations: tuple = ()
 
 
+def _union(supports):
+    """The union of the support masks of ``supports``, (ray, mask) pairs."""
+    union = 0
+    for _, m in supports:
+        union |= m
+    return union
+
+
 def _ray_supports(rays):
     """(each ray of ``rays`` with the bitmask of its nonzero coordinates,
     the union of those masks)."""
     masks = tuple((r, sum(1 << k for k, x in enumerate(r) if x)) for r in rays)
-    union = 0
-    for _, m in masks:
-        union |= m
-    return masks, union
+    return masks, _union(masks)
 
 
 def _pair_view(c):
     """What the pair stage of :func:`verify_fan` reads of a pointed cone in
     the orthant, computed once per cone and call: (``c``, its
-    :func:`_ray_supports`, the row masks a closure test reads)."""
-    return c, _ray_supports(c.rays()), _facet_row_masks(c)
+    :func:`_ray_supports`)."""
+    return c, _ray_supports(c.rays())
 
 
 def _meet_in_common_face(view1, rays1, view2, rays2):
@@ -405,26 +410,36 @@ def _meet_in_common_face(view1, rays1, view2, rays2):
         (r,) = rays1
         return r in rays2 or not view2[0].contains(r)
     inter = intersect_cones(view1[0], view2[0]).rays()
-    return all(_is_closure(inter, c.rays(), masks)
-               for c, _, masks in (view1, view2))
+    return all(_is_closure(inter, c.rays(), _facet_row_masks(c))
+               for c, _ in (view1, view2))
 
 
 def _meet_on_common_support(view1, view2):
     """:func:`_meet_in_common_face` for two pointed cones in the orthant,
     given by their :func:`_pair_view`. It is decided on G1 and G2, the
     faces spanned by the rays whose supports lie in S, the cones' common
-    support, since the cones meet where G1 and G2 do (see
-    :func:`verify_fan`)."""
+    support, since the cones meet where G1 and G2 do; the cut is repeated
+    on G1 and G2 until it keeps every ray, and faces with the same rays
+    are one cone, a face of both (see :func:`verify_fan`)."""
     (supports1, union1), (supports2, union2) = view1[1], view2[1]
     s = union1 & union2
-    g1 = [r for r, m in supports1 if m | s == s]
-    if not g1:
+    while True:
+        g1 = [(r, m) for r, m in supports1 if m | s == s]
+        if not g1:
+            return True
+        g2 = [(r, m) for r, m in supports2 if m | s == s]
+        if not g2 or len(g1) == len(g2) == 1:
+            # G1 or G2 is the origin, or two rays meet in a ray or the origin
+            return True
+        cut = _union(g1) & _union(g2)
+        if cut == s:
+            break
+        supports1, supports2, s = g1, g2, cut
+    # both lists keep their cone's sorted ray order
+    if g1 == g2:
         return True
-    g2 = [r for r, m in supports2 if m | s == s]
-    if not g2 or len(g1) == len(g2) == 1:
-        # G1 or G2 is the origin, or two rays meet in a ray or the origin
-        return True
-    return _meet_in_common_face(view1, g1, view2, g2)
+    return _meet_in_common_face(view1, [r for r, _ in g1],
+                                view2, [r for r, _ in g2])
 
 
 def verify_fan(fan: Fan) -> FanReport:
@@ -475,11 +490,24 @@ def verify_fan(fan: Fan) -> FanReport:
     So the pair passes when G1 or G2 has no ray, or each has one. When
     one of them is a single ray r, the ray rule above decides: r lies in
     C_i exactly when it lies in G_i, and is a ray of C_i exactly when it
-    is one of G_i. Only when G1 and G2 have two or more rays each do C1
-    and C2 need an intersection, which is then a common face when its
-    rays form a tight-set closure on the row masks of each. The supports
-    of each maximal cone's rays and its row masks are computed once per
-    call, not once per pair (:func:`_pair_view`). Violations are reported
+    is one of G_i.
+
+    The cut is then repeated on G1 and G2, until it keeps every ray of
+    both. G1 and G2 are pointed cones in the orthant, so the argument
+    above holds for them with S' the intersection of supp(G1) and
+    supp(G2): they meet where their faces G1' and G2' on S' do, and that
+    cone is a face of G_i exactly when it is one of G_i'. A face of a face
+    is a face, so after each cut C1 and C2 meet in a common face exactly
+    when the new G1 and G2 do. S' lies in S, and the cut keeps every ray
+    exactly when S' = S, so the cuts stop, with supp(G1) = supp(G2) = S,
+    and the ray rules above apply after each. Two faces with the same
+    rays are one cone, and that cone is a face of C1 and of C2, so the
+    pair passes. Only when the last G1 and G2 differ and have two or more
+    rays each do C1 and C2 need an intersection, which is then a common
+    face when its rays form a tight-set closure on the row masks of each.
+    The supports of each maximal cone's rays are computed once per call,
+    not once per pair (:func:`_pair_view`), and a cone's row masks only
+    for a pair that reaches an intersection. Violations are reported
     in the order of the pairs' positions in ``fan.cones``."""
     cones = fan.cones
     violations = []

@@ -483,11 +483,15 @@ class FlowCore:
             return [()]  # a forest has no cycle
         S = self.bound
         volume = S * (len(index.vertices) - 1)
-        # free[i]: the basis cycles after the current one through edge i
-        free = [0] * len(self.base)
-        for cyc in cycles[1:]:
+        # free[k][i]: the basis cycles after cycle k through edge i
+        after = [0] * len(self.base)
+        free = [after]
+        for cyc in cycles[:0:-1]:
+            after = list(after)
             for i, _ in cyc:
-                free[i] += 1
+                after[i] += 1
+            free.append(after)
+        free.reverse()
         out = []
         listed = 0
 
@@ -497,26 +501,34 @@ class FlowCore:
                 y[i] -= s * c
             return y
 
-        def descend(k, prefix, x, room):
-            nonlocal listed
-            cyc = cycles[k]
+        # depth first, one coefficient per level, from an explicit stack of
+        # (level, prefix, parent flow, value, room), children pushed in
+        # reverse so they are taken in order; a self-recursive closure
+        # would be a reference cycle, holding the graph's index until the
+        # cyclic collector runs
+        stack = [(0, (), self.base, 0, volume)]
+        while stack:
+            k, prefix, x, value, room = stack.pop()
+            if k:
+                x = shift(x, cycles[k - 1], value)
+            cyc, fr = cycles[k], free[k]
             last = k == h - 1
             # on (i, s) the value is s * (p - c), p = s * x[i], and the free
             # cycles move it by at most r: it can reach [-S, S] only for
             # |p - c| <= r + S, and its sign is settled for |p - c| > r
             lo, hi, cuts = -min(S, room), min(S, room), set()
             for i, s in cyc:
-                p, r = s * x[i], S * free[i]
+                p, r = s * x[i], S * fr[i]
                 lo, hi = max(lo, p - r - S), min(hi, p + r + S)
                 cuts.update((p - r, p + r + 1))
             if lo > hi:
-                return
+                continue
             starts = [lo] + sorted(c for c in cuts if lo < c <= hi)
             kept = []
             for a, b in zip(starts, starts[1:] + [hi + 1]):
                 y = shift(x, cyc, a)
                 if not last:
-                    y = [v if abs(v) > S * f else 0 for v, f in zip(y, free)]
+                    y = [v if abs(v) > S * f else 0 for v, f in zip(y, fr)]
                 if _positive_cycle(index, y) is None:
                     listed += b - a
                     if listed > FLOW_LIMIT:
@@ -526,15 +538,9 @@ class FlowCore:
                     kept.extend(range(a, b))
             if last:
                 out.extend(prefix + (c,) for c in kept)
-                return
-            for i, _ in cycles[k + 1]:
-                free[i] -= 1
-            for c in kept:
-                descend(k + 1, prefix + (c,), shift(x, cyc, c), room - abs(c))
-            for i, _ in cycles[k + 1]:
-                free[i] += 1
-
-        descend(0, (), self.base, volume)
+            else:
+                stack.extend((k + 1, prefix + (c,), x, c, room - abs(c))
+                             for c in reversed(kept))
         out.sort(key=lambda c: (sum(map(abs, c)), c))
         return out
 

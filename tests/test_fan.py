@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -18,7 +19,7 @@ from flowfan.fan import (_meet_in_common_face, _meet_on_common_support,
                          _pair_view, _ray_supports)
 from flowfan.graph import (Graph, contract, cycle_basis, enumerate_cycles,
                            sort_key)
-from flowfan.io import emit_fan_json
+from flowfan.io import emit_fan_json, emit_graph_json, parse_graph_json
 from flowfan.linalg import dot, int_rank
 from flowfan import weightings
 from flowfan.weightings import (FlowCore, flow_bound, lift_weighting,
@@ -498,14 +499,12 @@ def test_build_and_verify_compute_each_cones_facets_once(monkeypatch, g):
     computed["facets"].clear()
     computed["masks"].clear()
     assert verify_fan(fan).ok
-    # verify_fan reads the recorded facets and computes none anew; the
-    # row masks it computes are those of its pair stage, once per
-    # maximal cone
+    # verify_fan reads the recorded facets and computes none anew; no
+    # pair of these fans reaches an intersection, so it computes no row
+    # masks either
     assert computed["facets"] == []
     assert all(c._facets is before[id(c)] for c in fan.cones)
-    ids = [id(c) for c in computed["masks"]]
-    assert len(set(ids)) == len(ids)
-    assert set(ids) <= {id(c) for c in fan.maximal_cones()}
+    assert computed["masks"] == []
 
 
 def test_verify_fan_names_every_missing_face_of_cones_with_cached_facets():
@@ -591,10 +590,11 @@ def _row_computations(monkeypatch):
 
 
 @pytest.mark.parametrize("g, cones, computed", [
-    # no pair of banana(3,20)'s fan needs a ray test or an intersection
+    # no pair of these fans needs an intersection, and no pair of
+    # banana(3,20)'s needs a ray test either
     (banana(3, 20), 178, 0),
-    (banana(4, 3), 15, 4),
-    (necklace(3, 3, 3), 497, 12)], ids=["banana(3,20)", "banana(4,3)", "neck3x3"])
+    (banana(4, 3), 15, 0),
+    (necklace(3, 3, 3), 497, 0)], ids=["banana(3,20)", "banana(4,3)", "neck3x3"])
 def test_build_verify_and_emit_compute_few_rows(monkeypatch, g, cones, computed):
     rows = _row_computations(monkeypatch)
     fan = build_fan(g)
@@ -802,6 +802,23 @@ def test_verify_fan_stops_after_pointedness_stage():
         f"cone {canonical_key(leaves)} leaves the orthant")
 
 
+def test_fan_pipeline_leaves_no_cyclic_garbage():
+    # parse, build, verify and emit free everything by reference count, so
+    # a graph's index does not wait for the cyclic collector
+    docs = [emit_graph_json(g) for g in [banana(4, 3)] + corpus(20)]
+    gc.collect()
+    gc.disable()
+    try:
+        for doc in docs:
+            fan = build_fan(parse_graph_json(doc))
+            assert verify_fan(fan).ok
+            emit_fan_json(fan)
+            del fan
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_verify_fan_resumes_every_intersection(monkeypatch):
     starts = []
     original = cones_module._double_description
@@ -810,23 +827,33 @@ def test_verify_fan_resumes_every_intersection(monkeypatch):
         starts.append(kwargs.get("start"))
         return original(*args, **kwargs)
 
-    for g, cones, runs in [
-            # the 21 maximal rays have full support, so none lies in the
-            # support of a 2-D cone, and the three 2-D cones pairwise share
-            # one unit ray on their common support: no pair needs an
-            # intersection
-            (banana(3, 8), 28, 0),
-            (banana(4, 3), 15, 6),
-            (necklace(3, 3, 3), 497, 66)]:
-        fan = build_fan(g)
+    def verify_runs(fan):
         starts.clear()
         monkeypatch.setattr(cones_module, "_double_description", recording)
         assert verify_fan(fan).ok
         monkeypatch.undo()
-        # proper faces are not paired at all, and every intersection resumes
-        assert len(fan.cones) == cones
-        assert len(starts) == runs
+        # every intersection resumes
         assert all(s is not None for s in starts)
+        return len(starts)
+
+    for g, cones in [
+            # the 21 maximal rays have full support, so none lies in the
+            # support of a 2-D cone, and the three 2-D cones pairwise share
+            # one unit ray on their common support
+            (banana(3, 8), 28),
+            # every pair that keeps two faces of two or more rays, after
+            # the cuts, keeps two equal faces
+            (banana(4, 3), 15),
+            (necklace(3, 3, 3), 497),
+            (complete_graph((2, -2, 0, 0, 0)), 874),
+            (ladder(5), 3874)]:
+        fan = build_fan(g)
+        # proper faces are not paired at all, and no pair needs an
+        # intersection
+        assert len(fan.cones) == cones
+        assert verify_runs(fan) == 0
+    # on the corpus, 64 pairs still keep two different faces
+    assert sum(verify_runs(build_fan(g)) for g in corpus()) == 64
 
 
 def _all_pairs_stage(cones):
@@ -880,6 +907,37 @@ def test_verify_fan_agrees_with_all_pairs_reference(fan):
         assert report.violations == ()
 
 
+def test_verify_fan_reports_a_crossing_cone_in_neck3x3():
+    # neck3x3's last maximal cone M, with one ray r tilted to r + s
+    # towards a ray s of the maximal cone N that shares most rays with
+    # it, gives a cone X that crosses its neighbours; X and its faces
+    # replace M
+    fan = build_fan(necklace(3, 3, 3))
+    maximal = [c for c in fan.cones if canonical_key(c) in fan.maximal_keys]
+    m = maximal[-1]
+    n = max(maximal[:-1], key=lambda c: len(set(c.rays()) & set(m.rays())))
+    r = next(q for q in m.rays() if q not in n.rays())
+    s = next(q for q in n.rays() if q not in m.rays())
+    x = Cone.from_generators(
+        len(fan.edge_order),
+        [q for q in m.rays() if q != r] + [tuple(map(sum, zip(r, s)))],
+        labels=fan.edge_order)
+    assert x.is_pointed() and len(x.rays()) == len(m.rays())
+    cones = [c for c in fan.cones if c is not m]
+    keys = {canonical_key(c) for c in cones}
+    cones += [f for f in faces(x) if canonical_key(f) not in keys]
+    report = verify_fan(Fan(fan.graph, fan.edge_order, cones, fan.witnesses,
+                            fan.maximal_keys))
+    # the pair stage checks the maximal cones of the new collection, in
+    # its order, as the all-pairs check of them does
+    maximal = [c for c in cones
+               if not any(set(c.rays()) < set(o.rays()) and is_face_of(c, o)
+                          for o in cones)]
+    assert x in maximal
+    assert len(report.violations) == 10
+    assert list(report.violations) == _all_pairs_stage(maximal)
+
+
 def _bad(c1, c2):
     return (f"intersection of {canonical_key(c1)} and "
             f"{canonical_key(c2)} is not a common face")
@@ -907,7 +965,15 @@ def orthant_cone_pairs(draw):
     ``orthant_section``, ``from_generators`` of vectors in the orthant or
     ``intersect`` of two such cones. Half the time the second is spanned
     by some rays of the first and maybe the sum of others, a ray inside
-    the first that is not one of its rays; such pairs often fail."""
+    the first that is not one of its rays; such pairs often fail.
+
+    In dimension 3-5, half the pairs are built to need a second cut (see
+    :func:`_second_cut`). Coordinate y is used by C1 only, through its
+    ray e_x + e_y, and coordinate x by C2 only, through its ray e_x; the
+    other rays, some shared, lie on the remaining coordinates A, and C2's
+    may also use x. The first cut drops e_x + e_y, so G1 lies on A while
+    G2 holds e_x, and the second cut compares the faces left on A, which
+    cross when the rays on A do."""
     d = draw(st.integers(2, 5))
     row = st.tuples(*[st.integers(-3, 3)] * d)
     vector = st.tuples(*[st.integers(0, 3)] * d)
@@ -919,6 +985,22 @@ def orthant_cone_pairs(draw):
         if how == "generators":
             return Cone.from_generators(d, draw(st.lists(vector, max_size=5)))
         return intersect_cones(cone(), cone())
+
+    if d > 2 and draw(st.booleans()):
+        y, x, *a = draw(st.permutations(range(d)))
+
+        def on(coords, **size):
+            return st.lists(st.dictionaries(
+                st.sampled_from(coords), st.integers(1, 2), min_size=1,
+                max_size=2).map(lambda v: tuple(v.get(k, 0) for k in range(d))),
+                max_size=2, **size)
+
+        shared = draw(on(a, min_size=1))
+        c1 = Cone.from_generators(d, shared + draw(on(a)) + [
+            tuple(int(k in (x, y)) for k in range(d))])
+        c2 = Cone.from_generators(d, shared + draw(on(a + [x])) + [
+            tuple(int(k == x) for k in range(d))])
+        return (c1, c2) if draw(st.booleans()) else (c2, c1)
 
     c1 = cone()
     rays = c1.rays()
@@ -932,17 +1014,40 @@ def orthant_cone_pairs(draw):
     return (c1, c2) if draw(st.booleans()) else (c2, c1)
 
 
-@settings(deadline=None, derandomize=True, database=None, max_examples=400)
-@given(orthant_cone_pairs())
-def test_meet_on_common_support_matches_full_cones(pair):
-    c1, c2 = pair
-    assert c1.is_pointed() and c2.is_pointed()
-    v1, v2 = _pair_view(c1), _pair_view(c2)
-    full = _meet_in_common_face(v1, set(c1.rays()), v2, set(c2.rays()))
-    assert _meet_on_common_support(v1, v2) is full
+def _support(rays):
+    return {k for r in rays for k, x in enumerate(r) if x}
 
 
-def test_meet_on_common_support_examples():
+def _second_cut(c1, c2):
+    """Whether the common-support cut of two pointed cones in the orthant
+    is repeated: the first cut leaves faces G1 and G2, not both single
+    rays and neither the origin, whose supports do not both fill S."""
+    s = _support(c1.rays()) & _support(c2.rays())
+    g1, g2 = ([r for r in c.rays() if _support([r]) <= s] for c in (c1, c2))
+    return (bool(g1 and g2) and len(g1) + len(g2) > 2
+            and _support(g1) & _support(g2) != s)
+
+
+def test_meet_on_common_support_matches_full_cones():
+    repeated = []
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=400)
+    @given(orthant_cone_pairs())
+    def check(pair):
+        c1, c2 = pair
+        assert c1.is_pointed() and c2.is_pointed()
+        v1, v2 = _pair_view(c1), _pair_view(c2)
+        full = _meet_in_common_face(v1, set(c1.rays()), v2, set(c2.rays()))
+        assert _meet_on_common_support(v1, v2) is full
+        repeated.append((_second_cut(c1, c2), full))
+
+    check()
+    # the draws reach the second cut, and some of those pairs fail
+    assert repeated.count((True, True)) >= 50
+    assert repeated.count((True, False)) >= 5
+
+
+def test_meet_on_common_support_examples(monkeypatch):
     orthant = Cone.orthant_section(3)
     assert _ray_supports(orthant.rays()) == (
         (((0, 0, 1), 4), ((0, 1, 0), 2), ((1, 0, 0), 1)), 7)
@@ -951,6 +1056,16 @@ def test_meet_on_common_support_examples():
     tilted = Cone.from_generators(3, [(1, 1, 0), (0, 0, 1)])
     ray = {v: Cone.from_generators(3, [v])
            for v in [(1, 0, 0), (0, 1, 0), (0, 1, 1), (1, 1, 1)]}
+
+    def gens(d, *vectors):
+        return Cone.from_generators(d, vectors)
+
+    # the orthant's 3-D faces e1, e2, e3 and e1, e2, e4 in R^4
+    solid = tuple(gens(4, (1, 0, 0, 0), (0, 1, 0, 0), e)
+                  for e in [(0, 0, 1, 0), (0, 0, 0, 1)])
+    two_cuts = (gens(5, (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 1, 0)),
+                gens(5, (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+                     (0, 0, 0, 0, 1)))
     for c1, c2, ok in [
             (orthant, ray[(1, 0, 0)], True),     # a ray of the orthant
             (orthant, ray[(0, 1, 1)], False),    # inside a 2-D face
@@ -964,11 +1079,31 @@ def test_meet_on_common_support_examples():
             # which lies inside the floor but is not one of its rays
             (floor, tilted, False),
             # on S = {1, 2} the tilted cone's face is e3, a ray of the plane
-            (plane, tilted, True)]:
+            (plane, tilted, True),
+            # on S = {0, 1} the floor is a face of the orthant: equal faces
+            (orthant, floor, True),
+            # on S = {0, 1} both faces are cone(e1, e2): equal faces
+            (*solid, True),
+            # on S = {0, 1, 2} G1 is cone(e1, e2) and G2 cone(e1, e2, e3),
+            # so a second cut, to S = {0, 1}, leaves equal faces
+            (*two_cuts, True),
+            # the same, with G2 cone(e1 + e2, e3): the second cut leaves
+            # the ray e1 + e2 of G2, inside G1 and not one of its rays
+            (gens(5, (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 1, 0)),
+             gens(5, (1, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 0, 1)), False),
+            # on S = {0, 1} both faces have support S but different rays:
+            # cone(e1, e1 + 2 e2) and cone(2 e1 + e2, e2) cross
+            (gens(3, (1, 0, 0), (1, 2, 0)),
+             gens(3, (2, 1, 0), (0, 1, 0), (0, 0, 1)), False)]:
         for a, b in [(c1, c2), (c2, c1)]:
             assert _meet_on_common_support(_pair_view(a), _pair_view(b)) is ok
             assert _meet_in_common_face(_pair_view(a), set(a.rays()),
                                         _pair_view(b), set(b.rays())) is ok
+    # equal faces, after one cut or two, pass with no intersection
+    runs = _counted(monkeypatch, cones_module, "_double_description")
+    for a, b in [(orthant, floor), solid, two_cuts]:
+        assert _meet_on_common_support(_pair_view(a), _pair_view(b))
+    assert runs == []
 
 
 def test_verify_fan_reports_ray_inside_a_cone():

@@ -4,8 +4,9 @@ from itertools import product
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from flowfan import (Cycle, FlowFanError, Graph, MissingHalfEdge, Weighting, base_weighting,
-                     cone_catalog, contract, cycle_basis, enumerate_cycles,
+from flowfan import (BudgetExceeded, Cycle, FlowFanError, Graph, MissingHalfEdge,
+                     Weighting, base_weighting, cone_catalog, contract,
+                     cycle_basis, enumerate_cycles,
                      enumeration_bound, find_positive_cycle, flow_bound,
                      graph_genus, is_weighting, lift_weighting, restrict_weighting,
                      shift_by_cycles, validate_graph)
@@ -520,6 +521,21 @@ def test_acyclic_coefficients_match_box_survivors_on_bananas(g):
     got = core.acyclic_coefficients()
     assert got == _box_survivors(g, core)
     assert got
+
+
+@pytest.mark.parametrize("limit, estimate", [(8, 11), (12, 14), (24, 25)])
+def test_acyclic_coefficients_refuse_in_depth_first_order(monkeypatch, limit,
+                                                          estimate):
+    # the search counts each run of kept values as it lists it, depth
+    # first, each level's values in increasing order, and raises at the
+    # first run past the limit: on banana(4,3) the count then stands at
+    # the estimate; taking a level's values in decreasing order gives 9,
+    # 13 and 27 instead
+    core = FlowCore.build(banana(4, 3))
+    monkeypatch.setattr(weightings, "FLOW_LIMIT", limit)
+    with pytest.raises(BudgetExceeded) as info:
+        core.acyclic_coefficients()
+    assert (info.value.estimate, info.value.limit) == (estimate, limit)
 
 
 def test_catalog_positive_cycle_calls_on_banana(monkeypatch):
