@@ -37,10 +37,8 @@ with ``Cone._pointed``. Each orientation is solved once; where it
 leaves too many vertices for the bond search, by one ``orthant_section``
 over its sign pattern's rows.
 
-A cone caches what it computes: its rays and lineality, its dimension,
-and, for a cone of a fan from :func:`~flowfan.fan.build_fan`, its facets
-(the ``_facets`` slot), recorded once by the descent as the ray tuples
-of the facet cones. The caches rely on the rows never changing after
+A cone caches what it computes: its rays and lineality and its
+dimension. The caches rely on the rows never changing after
 construction, which nothing in this package does. Every constructor
 path, ``__init__`` and ``Cone._pointed``, starts them empty.
 Intersections and faces are built from rows that are normalized already,
@@ -49,17 +47,20 @@ without passing them through ``__init__`` again.
 Faces are ray bitmasks, as in Kaibel and Pfetsch, "Computing the face
 lattice of a polytope from its vertex-facet incidences" (2002), and
 Kliem and Stump, "A face iterator for polyhedra and more" (2019). A
-mask is an int over a cone's sorted rays, bit j standing for the ray j;
-:func:`_row_masks` gives, per inequality row, the mask of the rays on
-that row's hyperplane, computed afresh on each call. The faces of the
-pointed part are the tight-set closures, the ANDs of row masks
-(:func:`_face_masks`); the facets of a face are read off its mask and
-the row masks by :func:`_facets_of`. A mask's rays are read in
-ascending bit order (:func:`_rays_of`), so they come out sorted. A face
-of a pointed cone keeps its parent's inequality rows, so the parent's
-row masks cut down to the face are the face's own, with its rays
-renumbered in the same order; a descent through faces therefore keeps
-the masks of the cone it started from.
+mask is an int over a sorted list of rays, bit j standing for the ray
+j: a cone's own rays, or, in a fan from :func:`~flowfan.fan.build_fan`,
+the sorted rays of the whole fan, which hold the rays of each of its
+cones in the same order. :func:`_row_masks` gives, per inequality row,
+the mask of a cone's rays on that row's hyperplane, computed afresh on
+each call. The faces of the pointed part are the tight-set closures,
+the ANDs of row masks (:func:`_face_masks`); the facets of a face are
+read off its mask and the row masks by :func:`_facets_of`, whatever
+list the masks are over. A mask's rays are read in ascending bit order
+(:func:`_bits`, :func:`_rays_of`), so they come out sorted. A face of a
+pointed cone keeps its parent's inequality rows, so the parent's row
+masks cut down to the face are the face's own, with its rays renumbered
+in the same order; a descent through faces therefore keeps the masks of
+the cone it started from.
 
 A cone built from known rays, by ``Cone._pointed`` with ``equalities``
 None, gets its equality rows by one rule: on their first read, once, they
@@ -76,7 +77,8 @@ span C with b.t >= 0 lies in C. That holds for the two kinds built:
   root graph's edges, is the section of the root's orthant by its padded
   rows and the unit rows of K, so the same holds for it.
 * A face F of a pointed cone C = {a.t = 0, b.t >= 0} keeps C's rows b
-  (:func:`faces`, :func:`~flowfan.fan.build_fan`). Since F ⊆ C,
+  (:func:`faces`, and the ``cones`` view of a fan from
+  :func:`~flowfan.fan.build_fan`). Since F ⊆ C,
   span F ⊆ ker a, so the t in span F with b.t >= 0 form C ∩ span F, and
   that is F: F = C ∩ {c.t = 0} for some c with c.t >= 0 on C, and c
   vanishes on F, so on span F (Ziegler, *Lectures on Polytopes*,
@@ -236,7 +238,7 @@ class Cone:
     """
 
     __slots__ = ("ambient_dim", "labels", "_equalities", "inequalities",
-                 "_lineality", "_rays", "_dim", "_facets")
+                 "_lineality", "_rays", "_dim")
 
     def __init__(self, ambient_dim, equalities=(), inequalities=(), labels=None):
         self.ambient_dim = ambient_dim
@@ -246,7 +248,6 @@ class Cone:
         self._rays = None
         self._lineality = None
         self._dim = None
-        self._facets = None
 
     @classmethod
     def _pointed(cls, ambient_dim, labels, equalities, inequalities, rays):
@@ -262,7 +263,6 @@ class Cone:
         cone._rays = rays
         cone._lineality = ()
         cone._dim = None
-        cone._facets = None
         return cone
 
     @property
@@ -440,10 +440,20 @@ def _facet_row_masks(c: Cone):
     return _row_masks(c) if len(c.rays()) > 3 else ()
 
 
+def _bits(mask):
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _rays_of(rays, mask):
     """The rays of ``mask`` in ascending bit order, so sorted when ``rays``
     is."""
-    return tuple(r for j, r in enumerate(rays) if mask >> j & 1)
+    return tuple(rays[j] for j in _bits(mask))
 
 
 def _face_masks(c: Cone):
@@ -468,19 +478,21 @@ def _facets_of(s, masks):
     and each facet drops one bit, in ascending bit order; ``masks`` is
     then not read."""
     if s.bit_count() <= 3:
-        return tuple(s ^ (1 << j) for j in range(s.bit_length()) if s >> j & 1)
+        out, rest = [], s
+        while rest:
+            low = rest & -rest
+            out.append(s ^ low)
+            rest ^= low
+        return tuple(out)
     proper = [u for u in dict.fromkeys(s & m for m in masks) if u != s]
     return tuple(u for u in proper
                  if not any(u != v and u | v == v for v in proper))
 
 
 def _facet_rays(c: Cone):
-    """The facets of pointed ``c`` as sorted ray tuples: those
-    :func:`~flowfan.fan.build_fan` recorded on it, or else those of its
-    own rows by :func:`_facets_of`. Every face of ``c`` but ``c`` itself
-    lies in a facet, and is a face of it."""
-    if c._facets is not None:
-        return c._facets
+    """The facets of pointed ``c`` as sorted ray tuples, those of its own
+    rows by :func:`_facets_of`. Every face of ``c`` but ``c`` itself lies
+    in a facet, and is a face of it."""
     rays = c.rays()
     return tuple(_rays_of(rays, t)
                  for t in _facets_of((1 << len(rays)) - 1, _facet_row_masks(c)))

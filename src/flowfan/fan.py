@@ -51,24 +51,33 @@ Faces are closed and checked through facets, never through a cone's
 whole face lattice: every face of a pointed cone other than the cone is
 a face of one of its facets (Ziegler, *Lectures on Polytopes*, section
 2.2), so a face-closed collection is one that holds each cone's facets.
-:func:`build_fan` descends from each catalog cone through the facets not
-yet expanded, on ray bitmasks over that catalog cone's sorted rays and
-its row masks, computed once per catalog cone (see the
-:mod:`~flowfan.cones` module docstring). It records each cone's facets
-on the cone, once, as their ray tuples, which are those of the facet
-cones' keys. :func:`verify_fan` checks that each cone's facets are in
-the fan, reading the recorded facets, so on a fan from ``build_fan`` it
-lists none anew. In both, a cone is maximal when it is no cone's facet.
+
+The fan's sorted rays are the one index that building, checking and
+writing a fan share: they are the catalog's rays, sorted once, and every
+cone of the fan is an int mask over them (see the :mod:`~flowfan.cones`
+module docstring). :func:`build_fan` descends from each catalog cone
+through the facets not yet expanded, on its row masks over the fan's
+rays; a face is one int, faces from different catalog cones dedup on
+ints, and each cone's facets are recorded as masks, once. No
+:class:`~flowfan.cones.Cone` is built for a face. :func:`verify_fan`
+checks the orthant once per distinct ray and that each recorded facet
+is in the fan, so on a fan from ``build_fan`` it lists none anew, and
+it takes the supports of a pair of cones as ORs of per-ray supports. In
+both, a cone is maximal when it is no cone's facet.
+:func:`~flowfan.io.emit_fan_json` reads each cone's ray indices off its
+bits. ``Fan.cones``, ``Fan.witnesses`` and ``Fan.maximal_keys`` are
+views, built on their first read.
 """
 from dataclasses import dataclass
 from math import lcm
 
 from .errors import UnknownEdge, UnsupportedDimension
-from .cones import (Cone, _face_masks, _facet_rays, _facet_row_masks,
+from .cones import (Cone, _bits, _face_masks, _facet_rays, _facet_row_masks,
                     _facets_of, _is_closure, _orthant_rows, _rays_of,
                     _unit_rows, canonical_key, cone_of_weighting,
                     intersect_cones)
 from .graph import _cycle_search, contract
+from .linalg import dot
 from .weightings import (FlowCore, Weighting, _complete_values, _positive_cycle,
                          _vertex_demands, restrict_weighting)
 
@@ -285,20 +294,105 @@ def _acyclic_catalog(g, S):
 
 
 @dataclass
+class _Closure:
+    """The cones of a fan from :func:`build_fan` as int masks over
+    ``rays``, the sorted union of its catalog's rays: bit i of a mask
+    stands for ``rays[i]``, so a mask's rays in ascending bit order are
+    sorted.
+
+    * ``catalog``: each catalog cone's mask -> (cone, witness), in key
+      order;
+    * ``facets``: each cone's mask -> its facets' masks, as the descent
+      recorded them; its keys are the cones of the fan;
+    * ``dims``: each cone's mask -> its dimension;
+    * ``top``: each cone's mask -> a catalog cone's own mask, and a
+      face's the mask of the first catalog cone, in key order, that has
+      it; the cone takes that catalog cone's witness;
+    * ``maximal``: the masks that are no cone's facet.
+    """
+
+    rays: tuple
+    catalog: dict
+    facets: dict
+    dims: dict
+    top: dict
+    maximal: frozenset
+
+
+def _views(closure):
+    """(cones, witnesses, maximal keys) of a fan from :func:`build_fan`, in
+    (dimension, rays) order. A catalog cone is its own cone object; a face
+    is built as a ``Cone._pointed`` with its rays, its dimension and the
+    inequality rows of the catalog cone it was reached from, and takes that
+    cone's witness."""
+    rays, catalog, top, dims = closure.rays, closure.catalog, closure.top, closure.dims
+    cones, witnesses = [], {}
+    # ascending ray indices are in the order of the sorted rays
+    for m in sorted(closure.facets, key=lambda m: (dims[m], _bits(m))):
+        entry = catalog.get(m)
+        if entry is None:
+            parent, w = catalog[top[m]]
+            c = Cone._pointed(parent.ambient_dim, parent.labels, None,
+                              parent.inequalities, _rays_of(rays, m))
+            c._dim = dims[m]
+        else:
+            c, w = entry
+        cones.append(c)
+        witnesses[((), c.rays())] = w  # a pointed cone's key
+    maximal = frozenset(((), _rays_of(rays, m)) for m in closure.maximal)
+    return cones, witnesses, maximal
+
+
 class Fan:
     """Face-closed collection of cones in the edge space of a graph.
 
-    ``witnesses`` maps each cone key to a weighting whose cone contains it
-    (equality for maximal cones); ``maximal_keys`` flags the maximal cones.
+    ``cones`` lists them; ``witnesses`` maps each cone key to a weighting
+    whose cone contains it (equality for maximal cones); ``maximal_keys``
+    flags the maximal cones.
+
+    A fan built by hand holds the three as given. A fan from
+    :func:`build_fan` holds its cones as a :class:`_Closure`, masks over
+    its sorted rays, and builds the three together, in (dimension, rays)
+    order, on the first read of any of them (:func:`_views`). Building,
+    verifying and writing such a fan read none of them.
     """
 
-    graph: object
-    edge_order: tuple
-    cones: list
-    witnesses: dict
-    maximal_keys: frozenset
+    def __init__(self, graph, edge_order, cones, witnesses, maximal_keys):
+        self.graph = graph
+        self.edge_order = edge_order
+        self._cones = cones
+        self._witnesses = witnesses
+        self._maximal_keys = maximal_keys
+        self._closure = None
+
+    @classmethod
+    def _closed(cls, graph, closure):
+        fan = cls(graph, tuple(graph.edges()), None, None, None)
+        fan._closure = closure
+        return fan
+
+    def _view(self):
+        if self._cones is None:
+            self._cones, self._witnesses, self._maximal_keys = _views(self._closure)
+
+    @property
+    def cones(self):
+        self._view()
+        return self._cones
+
+    @property
+    def witnesses(self):
+        self._view()
+        return self._witnesses
+
+    @property
+    def maximal_keys(self):
+        self._view()
+        return self._maximal_keys
 
     def ray_list(self):
+        if self._closure is not None:
+            return list(self._closure.rays)
         rays = set()
         for c in self.cones:
             rays.update(c.rays())
@@ -307,21 +401,47 @@ class Fan:
     def maximal_cones(self):
         return [c for c in self.cones if canonical_key(c) in self.maximal_keys]
 
+    def entries(self):
+        """(the sorted rays, one (dimension, ray indices, is maximal,
+        witness) entry per cone, in no set order): what a FanDocument
+        says of the fan. A fan from :func:`build_fan` reads the ray
+        indices off its masks."""
+        closure = self._closure
+        if closure is None:
+            rays = self.ray_list()
+            index = {r: i for i, r in enumerate(rays)}
+            out = []
+            for c in self.cones:
+                key = canonical_key(c)
+                out.append((c.dim(), [index[r] for r in c.rays()],
+                            key in self.maximal_keys, self.witnesses[key]))
+            return rays, out
+        catalog, top, dims, maximal = (closure.catalog, closure.top, closure.dims,
+                                       closure.maximal)
+        return closure.rays, [(dims[m], _bits(m), m in maximal, catalog[top[m]][1])
+                              for m in closure.facets]
+
 
 def build_fan(g) -> Fan:
     """Close the cone catalog under faces and flag the maximal cones.
 
-    Each catalog cone, in key order, is expanded unless it already was:
+    The catalog's rays, sorted, index the fan: every cone is an int mask
+    over them, bit i standing for ray i (:class:`_Closure`). They are all
+    the fan's rays, since a face's rays are rays of the cone it is a face
+    of. The map from a catalog cone's own sorted rays to this list keeps
+    their order, so ascending bits are still sorted rays.
+
+    Each catalog cone C, in key order, is expanded unless it already was:
     the descent from it visits its facets, then their facets, and so on,
-    but never expands a cone twice. It runs on ray masks over the sorted
-    rays of the catalog cone C it starts from, with C's row masks,
-    computed once. Every cone of the fan keeps the orthant's unit rows as
-    its inequality rows, so C's row masks cut down to a face are that
-    face's own, and :func:`~flowfan.cones._facets_of` gives its facets as
-    from its own rows. Expanding a cone records its facets on it, once,
-    as their sorted ray tuples. A facet not yet in the fan is built as a
-    ``Cone._pointed`` with C's inequality rows, its rays and its parent's
-    dimension minus one, and takes the witness of C.
+    but never expands a cone twice. It runs
+    :func:`~flowfan.cones._facets_of` on C's row masks over the fan's
+    rays: the mask of the fan's rays on a row's hyperplane, computed once
+    per distinct row, cut down to C. Every cone of the fan keeps the
+    orthant's unit rows as its inequality rows, so C's row masks cut down
+    to a face are that face's own, and ``_facets_of`` gives its facets as
+    from its own rows, in the same order. Expanding a cone records its
+    facets' masks, once. A facet not yet in the fan gets its parent's
+    dimension minus one, and the witness of C.
 
     That witness is the one of the first catalog cone, in key order, that
     has the face. Let C be that cone and F the face. No cone between C
@@ -334,39 +454,48 @@ def build_fan(g) -> Fan:
     Every cone of the fan is expanded, and every proper face of a cone is
     a face of one of its facets, so a cone is maximal when it is no
     cone's facet; a face of a face is a face, so this is
-    :func:`verify_fan`'s rule."""
-    cones, witnesses = {}, {}
-    for c, w in cone_catalog(g):
-        k = canonical_key(c)
-        cones[k], witnesses[k] = c, w
-    expanded, facets = set(), set()
-    for k in list(cones):
-        if k in expanded:
+    :func:`verify_fan`'s rule. No :class:`~flowfan.cones.Cone` is built
+    for a face here (see :class:`Fan`)."""
+    pairs = cone_catalog(g)
+    rays = tuple(sorted({r for c, _ in pairs for r in c.rays()}))
+    bit = {r: 1 << i for i, r in enumerate(rays)}
+    catalog = {sum(map(bit.__getitem__, c.rays())): (c, w) for c, w in pairs}
+    on_row = {}  # inequality row -> mask of the fan's rays on its hyperplane
+    top = {m: m for m in catalog}
+    # each cone's mask, once expanded or on the stack, -> that one int
+    # object, which every recorded facet of it then shares
+    claimed = {}
+    facets, dims, proper = {}, {}, set()
+    for m, (c, _) in catalog.items():
+        if m in claimed:
             continue
-        expanded.add(k)
-        top = cones[k]
-        rays, masks = top.rays(), _facet_row_masks(top)
-        stack = [(top, (1 << len(rays)) - 1)]
+        rows = ()
+        if m.bit_count() > 3:
+            rows = []
+            for q in c.inequalities:
+                z = on_row.get(q)
+                if z is None:
+                    z = on_row[q] = sum(b for r, b in bit.items() if dot(q, r) == 0)
+                rows.append(z & m)
+        dims[m] = c.dim()
+        claimed[m] = m
+        stack = [m]
         while stack:
-            c, s = stack.pop()
+            s = stack.pop()
+            d = dims[s] - 1
             recorded = []
-            for t in _facets_of(s, masks):
-                fk = ((), _rays_of(rays, t))  # a pointed cone's key
-                facets.add(fk)
-                f = cones.get(fk)
-                if f is None:
-                    f = cones[fk] = Cone._pointed(c.ambient_dim, c.labels, None,
-                                                  top.inequalities, fk[1])
-                    f._dim = c.dim() - 1
-                    witnesses[fk] = witnesses[k]
-                recorded.append(f._rays)
-                if fk not in expanded:
-                    expanded.add(fk)
-                    stack.append((f, t))
-            c._facets = tuple(recorded)
-    maximal = frozenset(cones) - facets
-    ordered = sorted(cones.values(), key=lambda c: (c.dim(), c.rays()))
-    return Fan(g, tuple(g.edges()), ordered, witnesses, maximal)
+            for t in _facets_of(s, rows):
+                u = claimed.get(t)
+                if u is None:
+                    claimed[t] = u = t
+                    dims[t] = d
+                    top.setdefault(t, m)
+                    stack.append(t)
+                recorded.append(u)
+            facets[s] = tuple(recorded)
+            proper.update(recorded)
+    maximal = frozenset(m for m in catalog if m not in proper)
+    return Fan._closed(g, _Closure(rays, catalog, facets, dims, top, maximal))
 
 
 @dataclass(frozen=True)
@@ -375,59 +504,59 @@ class FanReport:
     violations: tuple = ()
 
 
-def _union(supports):
-    """The union of the support masks of ``supports``, (ray, mask) pairs."""
+def _pair_view(c, mask, supports):
+    """What the pair stage of :func:`verify_fan` reads of a pointed cone
+    ``c`` in the orthant whose rays are the bits of ``mask`` over a sorted
+    ray list, ``supports`` holding the bitmask of each listed ray's
+    nonzero coordinates: (``c``, each ray's bit with its support, the
+    union of those supports). Computed once per maximal cone and call."""
+    pairs = [(1 << j, supports[j]) for j in _bits(mask)]
+    return c, pairs, _union(pairs)
+
+
+def _union(pairs):
+    """The union of the support masks of ``pairs``, (bit, support)."""
     union = 0
-    for _, m in supports:
+    for _, m in pairs:
         union |= m
     return union
 
 
-def _ray_supports(rays):
-    """(each ray of ``rays`` with the bitmask of its nonzero coordinates,
-    the union of those masks)."""
-    masks = tuple((r, sum(1 << k for k, x in enumerate(r) if x)) for r in rays)
-    return masks, _union(masks)
-
-
-def _pair_view(c):
-    """What the pair stage of :func:`verify_fan` reads of a pointed cone in
-    the orthant, computed once per cone and call: (``c``, its
-    :func:`_ray_supports`)."""
-    return c, _ray_supports(c.rays())
-
-
-def _meet_in_common_face(view1, rays1, view2, rays2):
-    """Whether two pointed cones, given by their :func:`_pair_view` and
-    with ray sets ``rays1`` and ``rays2``, meet in a common face. A ray r
-    meets a cone in r or in the origin. Otherwise their intersection is
-    tested as a tight-set closure on each cone's row masks."""
+def _meet_in_common_face(c1, rays1, c2, rays2):
+    """Whether two pointed cones ``c1`` and ``c2``, with ray sets ``rays1``
+    and ``rays2``, meet in a common face. A ray r meets a cone in r or in
+    the origin. Otherwise their intersection is tested as a tight-set
+    closure on each cone's row masks."""
     if len(rays1) > len(rays2):
-        view1, rays1, view2, rays2 = view2, rays2, view1, rays1
+        c1, rays1, c2, rays2 = c2, rays2, c1, rays1
     if not rays1:
         return True
     if len(rays1) == 1:
         (r,) = rays1
-        return r in rays2 or not view2[0].contains(r)
-    inter = intersect_cones(view1[0], view2[0]).rays()
-    return all(_is_closure(inter, c.rays(), _facet_row_masks(c))
-               for c, _ in (view1, view2))
+        return r in rays2 or not c2.contains(r)
+    inter = intersect_cones(c1, c2).rays()
+    return all(_is_closure(inter, c.rays(), _facet_row_masks(c)) for c in (c1, c2))
 
 
-def _meet_on_common_support(view1, view2):
+def _meet_on_common_support(rays, view1, view2):
     """:func:`_meet_in_common_face` for two pointed cones in the orthant,
-    given by their :func:`_pair_view`. It is decided on G1 and G2, the
-    faces spanned by the rays whose supports lie in S, the cones' common
-    support, since the cones meet where G1 and G2 do; the cut is repeated
-    on G1 and G2 until it keeps every ray, and faces with the same rays
-    are one cone, a face of both (see :func:`verify_fan`)."""
-    (supports1, union1), (supports2, union2) = view1[1], view2[1]
+    given by their :func:`_pair_view` over the sorted ``rays``. It is
+    decided on G1 and G2, the faces spanned by the rays whose supports lie
+    in S, the cones' common support, since the cones meet where G1 and G2
+    do; the cut is repeated on G1 and G2 until it keeps every ray, and
+    faces with the same rays are one cone, a face of both (see
+    :func:`verify_fan`). A cone on one ray whose support leaves the other
+    cone's is settled by the first cut."""
+    c1, supports1, union1 = view1
+    c2, supports2, union2 = view2
     s = union1 & union2
+    if s != union1 and len(supports1) == 1 or s != union2 and len(supports2) == 1:
+        return True
     while True:
-        g1 = [(r, m) for r, m in supports1 if m | s == s]
+        g1 = [(b, m) for b, m in supports1 if m | s == s]
         if not g1:
             return True
-        g2 = [(r, m) for r, m in supports2 if m | s == s]
+        g2 = [(b, m) for b, m in supports2 if m | s == s]
         if not g2 or len(g1) == len(g2) == 1:
             # G1 or G2 is the origin, or two rays meet in a ray or the origin
             return True
@@ -435,11 +564,85 @@ def _meet_on_common_support(view1, view2):
         if cut == s:
             break
         supports1, supports2, s = g1, g2, cut
-    # both lists keep their cone's sorted ray order
     if g1 == g2:
         return True
-    return _meet_in_common_face(view1, [r for r, _ in g1],
-                                view2, [r for r, _ in g2])
+    return _meet_in_common_face(c1, _rays_of(rays, sum(b for b, _ in g1)),
+                                c2, _rays_of(rays, sum(b for b, _ in g2)))
+
+
+def _pair_stage(rays, maximal):
+    """The third stage of :func:`verify_fan`: the violations among the
+    maximal cones ``maximal``, (mask over the sorted ``rays``, cone) pairs
+    in the fan's order. The support of each ray is computed once."""
+    supports = [sum(1 << k for k, x in enumerate(r) if x) for r in rays]
+    views = [_pair_view(c, m, supports) for m, c in maximal]
+    wide = [j for j, v in enumerate(views) if len(v[1]) > 1]
+    violations = []
+    # a cone with at most one ray is paired with the wide cones only
+    for i, v in enumerate(views):
+        for j in (range(i + 1, len(views)) if len(v[1]) > 1 else wide):
+            if j > i and not _meet_on_common_support(rays, v, views[j]):
+                violations.append(
+                    f"intersection of {canonical_key(v[0])} and "
+                    f"{canonical_key(views[j][0])} is not a common face")
+    return FanReport(not violations, tuple(violations))
+
+
+def _closure_maximal(closure):
+    """The first two stages of :func:`verify_fan` on a fan from
+    :func:`build_fan`, on its masks: its catalog cones are pointed, and
+    so their faces; each distinct ray lies in the orthant; each recorded
+    facet is a cone of the fan. Returns the maximal cones, the masks that
+    are no recorded facet, each with its catalog cone, in the fan's order;
+    or None when a stage fails, and :func:`_verify_cones` then names what
+    fails."""
+    catalog, facets = closure.catalog, closure.facets
+    if (not all(c.is_pointed() for c, _ in catalog.values())
+            or any(min(r) < 0 for r in closure.rays)):
+        return None
+    proper = set()
+    for fs in facets.values():
+        proper.update(fs)
+    maximal = [m for m in facets if m not in proper]
+    if not (proper <= facets.keys() and all(m in catalog for m in maximal)):
+        return None
+    # a catalog cone's rays are sorted, and so in the order of its bits
+    maximal = [(m, catalog[m][0]) for m in maximal]
+    maximal.sort(key=lambda mc: (closure.dims[mc[0]], mc[1].rays()))
+    return maximal
+
+
+def _verify_cones(cones):
+    """:func:`verify_fan` on a list of cones, read one by one."""
+    violations = []
+    for c in cones:
+        if not c.is_pointed():
+            violations.append(f"cone {canonical_key(c)} not pointed")
+        elif any(x < 0 for r in c.rays() for x in r):
+            violations.append(f"cone {canonical_key(c)} leaves the orthant")
+    if violations:
+        return FanReport(False, tuple(violations))
+    # pointed cones and their faces are keyed by their sorted rays alone:
+    # canonical_key is ((), rays)
+    ray_keys = [c.rays() for c in cones]
+    known = set(ray_keys)
+    facets = set()
+    for c in cones:
+        facet_keys = _facet_rays(c)
+        if all(r in known for r in facet_keys):
+            facets.update(facet_keys)
+            continue
+        missing = sorted({_rays_of(c.rays(), s) for s in _face_masks(c)} - known,
+                         key=lambda r: (len(r), r))
+        violations += [f"face {((), r)} of {canonical_key(c)} missing"
+                       for r in missing]
+    if violations:
+        return FanReport(False, tuple(violations))
+    maximal = [i for i, rs in enumerate(ray_keys) if rs not in facets]
+    rays = tuple(sorted({r for i in maximal for r in ray_keys[i]}))
+    bit = {r: 1 << i for i, r in enumerate(rays)}
+    return _pair_stage(rays, [(sum(map(bit.__getitem__, ray_keys[i])), cones[i])
+                              for i in maximal])
 
 
 def verify_fan(fan: Fan) -> FanReport:
@@ -450,12 +653,13 @@ def verify_fan(fan: Fan) -> FanReport:
     (faces are taken of pointed cones only).
 
     The second stage checks only that each cone's facets are in the fan:
-    those ``build_fan`` recorded on it, or else those of its own rows
-    (:func:`~flowfan.cones._facet_rays`). Every proper face of a pointed
-    cone is a face of one of its facets, which has a lower dimension, so
-    by induction over dimension every face of every cone then is. A cone
-    with a missing facet falls back to its whole face lattice, so the
-    report names every missing face of it, in (ray count, rays) order.
+    those ``build_fan`` recorded, or else, for a fan built by hand, those
+    of each cone's own rows (:func:`~flowfan.cones._facet_rays`). Every
+    proper face of a pointed cone is a face of one of its facets, which
+    has a lower dimension, so by induction over dimension every face of
+    every cone then is. A cone with a missing facet falls back to its
+    whole face lattice, so the report names every missing face of it, in
+    (ray count, rays) order.
 
     The third stage checks pairs of maximal cones only, which suffices in
     a face-closed collection of pointed cones (Ziegler, *Lectures on
@@ -505,46 +709,24 @@ def verify_fan(fan: Fan) -> FanReport:
     pair passes. Only when the last G1 and G2 differ and have two or more
     rays each do C1 and C2 need an intersection, which is then a common
     face when its rays form a tight-set closure on the row masks of each.
-    The supports of each maximal cone's rays are computed once per call,
-    not once per pair (:func:`_pair_view`), and a cone's row masks only
-    for a pair that reaches an intersection. Violations are reported
-    in the order of the pairs' positions in ``fan.cones``."""
-    cones = fan.cones
-    violations = []
-    for c in cones:
-        if not c.is_pointed():
-            violations.append(f"cone {canonical_key(c)} not pointed")
-        elif any(x < 0 for r in c.rays() for x in r):
-            violations.append(f"cone {canonical_key(c)} leaves the orthant")
-    if violations:
-        return FanReport(False, tuple(violations))
-    # pointed cones and their faces are keyed by their sorted rays alone:
-    # canonical_key is ((), rays)
-    ray_keys = [c.rays() for c in cones]
-    known = set(ray_keys)
-    facets = set()
-    for c in cones:
-        facet_keys = _facet_rays(c)
-        if all(r in known for r in facet_keys):
-            facets.update(facet_keys)
-            continue
-        missing = sorted({_rays_of(c.rays(), s) for s in _face_masks(c)} - known,
-                         key=lambda r: (len(r), r))
-        violations += [f"face {((), r)} of {canonical_key(c)} missing"
-                       for r in missing]
-    if violations:
-        return FanReport(False, tuple(violations))
-    maximal = [i for i, rs in enumerate(ray_keys) if rs not in facets]
-    wide = [i for i in maximal if len(ray_keys[i]) > 1]
-    views = {i: _pair_view(cones[i]) for i in maximal}
-    # a cone with at most one ray is paired with the wide cones only
-    for i in maximal:
-        for j in (maximal if len(ray_keys[i]) > 1 else wide):
-            if j > i and not _meet_on_common_support(views[i], views[j]):
-                violations.append(
-                    f"intersection of {canonical_key(cones[i])} and "
-                    f"{canonical_key(cones[j])} is not a common face")
-    return FanReport(not violations, tuple(violations))
+    The pair stage reads each cone as a mask over sorted rays, the fan's
+    for a fan from ``build_fan`` and else those of the maximal cones; the
+    support of each ray is computed once per call, a cone's supports are
+    ORs of its rays', and its row masks are computed only for a pair that
+    reaches an intersection.
+    Violations are reported in the order of the pairs' positions in
+    ``fan.cones``.
+
+    A fan from :func:`build_fan` is checked on its masks, with no view of
+    its cones built (:func:`_closure_maximal`): pointedness on its catalog
+    cones, the orthant once per distinct ray, and the facets it recorded.
+    Should either of the first two stages fail, the cones are read one by
+    one, as for a fan built by hand, to name every violation."""
+    closure = fan._closure
+    maximal = None if closure is None else _closure_maximal(closure)
+    if maximal is None:
+        return _verify_cones(fan.cones)
+    return _pair_stage(closure.rays, maximal)
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,13 @@ of any size round-trip exactly. Output bytes are deterministic.
 
 :func:`emit_fan_json` writes a FanDocument straight from a
 :class:`~flowfan.fan.Fan`, with no intermediate dict: one list of pieces
-joined once, and one encoded flows block per witness object.
-:func:`fan_to_document` builds the same document as plain data; it is
-the reference the writer is tested against, byte for byte, through
-``json.dumps(indent=2, sort_keys=True)``.
+joined once, and one encoded flows block per witness object, each
+cone's ray indices read off its mask over the fan's sorted rays
+(:meth:`~flowfan.fan.Fan.entries`). :func:`fan_to_document` builds the
+same document as plain data, from the fan's ``cones`` view; it is the
+reference the writer is tested against, byte for byte, through
+``json.dumps(indent=2, sort_keys=True)`` once ``_json_int`` is applied
+to its rays and flows.
 """
 
 import json
@@ -228,48 +231,48 @@ _WITNESS = '{\n        "flows": %s\n      }'
 
 
 def emit_fan_json(fan) -> str:
-    """The FanDocument of ``fan``, byte for byte what ``_dumps`` makes of
-    :func:`fan_to_document`, written straight from the fan's fixed layout
-    (``json.dumps`` with an indent runs the pure-Python encoder).
+    """The FanDocument of ``fan``, written straight from the fan's fixed
+    layout (``json.dumps`` with an indent runs the pure-Python encoder).
+    Its bytes are what ``_dumps`` makes of :func:`fan_to_document` once
+    ``_json_int`` is applied to every ray entry and flow; ``fan_to_document``
+    holds those as plain ints, which ``json.dumps`` writes bare at any size.
 
-    The document is one list of pieces, in ``_object``'s layout, joined
-    once at the end, so no cone entry and no enclosing block is copied
-    into a larger string before that. The entries are sorted by (dim,
-    rays), the (dim, ray indices) order, since ray indices follow the
-    sorted rays. Face cones share their catalog cone's witness object, so
-    each witness's block is encoded once, and is one piece of every entry
-    that holds it. A witness is a weighting on the fan's graph, so its
-    flows are read along ``fan.edge_order``, keyed and sorted by the raw
-    ``str`` of each edge's document id, as ``sort_keys`` sorts them; a
-    name shared by two edges keeps the later edge, as a dict would."""
-    rays = fan.ray_list()
-    ray_index = {r: str(i) for i, r in enumerate(rays)}
+    The cones come from :meth:`~flowfan.fan.Fan.entries`, which a fan from
+    :func:`~flowfan.fan.build_fan` reads off its masks over the sorted
+    rays, with no cone object built. The document is one list of pieces,
+    in ``_object``'s layout, joined once at the end, so no cone entry and
+    no enclosing block is copied into a larger string before that. The
+    entries are sorted by (dim, ray indices), the (dim, rays) order, since
+    ray indices follow the sorted rays. Face cones share their catalog
+    cone's witness object, so each witness's block is encoded once, and is
+    one piece of every entry that holds it. A witness is a weighting on
+    the fan's graph, so its flows are read along ``fan.edge_order``, keyed
+    and sorted by the raw ``str`` of each edge's document id, as
+    ``sort_keys`` sorts them; a name shared by two edges keeps the later
+    edge, as a dict would."""
+    rays, entries = fan.entries()
+    index = [str(i) for i in range(len(rays))]
     names = {str(edge_doc_id(e)): e for e in fan.edge_order}
     flow_keys = [(_str(k) + ": ", names[k]) for k in sorted(names)]
     witness_blocks = {}  # id of a witness object -> its encoded block
-    entries = []
+    entries.sort(key=lambda entry: (entry[0], entry[1]))
+    parts = ['{\n  "cones": [']
     maximal = 0
-    for c in fan.cones:
-        key = canonical_key(c)
-        witness = fan.witnesses[key]
+    for n, (dim, cone_rays, is_maximal, witness) in enumerate(entries):
         block = witness_blocks.get(id(witness))
         if block is None:
             block = _WITNESS % _block("{", "}", [
                 k + _int(witness.flow(e)) for k, e in flow_keys], "        ")
             witness_blocks[id(witness)] = block
-        is_maximal = key in fan.maximal_keys
         maximal += is_maximal
-        entries.append(((c.dim(), c.rays()), is_maximal, block))
-    entries.sort(key=lambda entry: entry[0])
-    parts = ['{\n  "cones": [']
-    for n, ((dim, cone_rays), is_maximal, block) in enumerate(entries):
         parts += (",\n    " if n else "\n    ", _CONE % (
             dim, "true" if is_maximal else "false",
-            _block("[", "]", [ray_index[r] for r in cone_rays], "      ")),
+            _block("[", "]", [index[i] for i in cone_rays], "      ")),
             block, "\n    }")
     parts.append("\n  ]" if entries else "]")
     counts = (("maximal", str(maximal)), ("rays", str(len(rays))),
               ("total", str(len(entries))))
+    del entries  # freed before the join, which copies every piece once more
     parts += (',\n  "counts": ', _object(counts, "  "),
               ',\n  "edge_order": ', _block("[", "]", [json.dumps(edge_doc_id(e))
                                                       for e in fan.edge_order], "  "),

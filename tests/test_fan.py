@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 from fractions import Fraction
@@ -16,7 +17,7 @@ from flowfan import fan as fan_module
 from flowfan import graph as graph_module
 from flowfan.cones import Cone, cycle_constraint_rows
 from flowfan.fan import (_meet_in_common_face, _meet_on_common_support,
-                         _pair_view, _ray_supports)
+                         _pair_view)
 from flowfan.graph import (Graph, contract, cycle_basis, enumerate_cycles,
                            sort_key)
 from flowfan.io import emit_fan_json, emit_graph_json, parse_graph_json
@@ -354,6 +355,16 @@ def test_build_fan_builds_each_added_face_once(monkeypatch, g, built):
             == {id(c) for c in fan.cones} - {id(c) for c, _ in catalog})
 
 
+def _recorded_facets(fan):
+    """The facets ``build_fan`` recorded for each cone of ``fan``, as masks
+    over its sorted rays, read back as ray tuples: rays -> facets' rays."""
+    closure = fan._closure
+    rays = closure.rays
+    return {cones_module._rays_of(rays, m):
+            tuple(cones_module._rays_of(rays, t) for t in fs)
+            for m, fs in closure.facets.items()}
+
+
 def _closure_fan(catalog):
     """Witnesses and maximal keys of a catalog closed under faces through
     each catalog cone's whole face lattice, in key order."""
@@ -382,17 +393,92 @@ def test_facet_descent_matches_full_face_closure(graphs):
             k: w.values for k, w in witnesses.items()}
         assert fan.maximal_keys == maximal
         catalog_keys = {canonical_key(c) for c, _ in catalog}
+        recorded = _recorded_facets(fan)
+        assert len(recorded) == len(fan.cones)
         for c in fan.cones:
-            if canonical_key(c) in catalog_keys:
-                continue
-            # a face cone's dimension comes from its parent, and the
-            # facets the descent recorded on it from its catalog cone's
-            # row masks are those of its own rows
-            assert c._dim is not None
+            # the facets the descent recorded, from its catalog cone's row
+            # masks over the fan's rays, are those of the cone's own rows
             fresh = Cone._pointed(c.ambient_dim, c.labels, c.equalities,
                                   c.inequalities, c.rays())
-            assert c._facets == cones_module._facet_rays(fresh)
+            assert recorded[c.rays()] == cones_module._facet_rays(fresh)
+            if canonical_key(c) in catalog_keys:
+                continue
+            # a face cone's dimension comes from its parent
+            assert c._dim is not None
             assert c._dim == int_rank(list(c.rays()))
+
+
+def _closure_through_faces(catalog):
+    """The face closure of ``catalog``, (cone, witness) pairs in key order,
+    built through :func:`~flowfan.cones.faces` of each catalog cone: rays
+    -> (dimension, witness, maximal). A catalog cone keeps its own
+    witness; any other face takes that of the first catalog cone, in key
+    order, that has it."""
+    out = {c.rays(): (c.dim(), w) for c, w in catalog}
+    proper = set()
+    for c, w in catalog:
+        for f in faces(c):
+            if f.rays() != c.rays():
+                proper.add(f.rays())
+                out.setdefault(f.rays(), (f.dim(), w))
+    return {rays: (d, w, rays not in proper) for rays, (d, w) in out.items()}
+
+
+@pytest.mark.parametrize("graphs", [
+    [necklace(3, 3, 3)], [complete_graph((2, -2, 0, 0, 0))], [ladder(5)], corpus()],
+    ids=["neck3x3", "K5", "ladder5", "corpus"])
+def test_mask_closure_matches_closure_through_faces(monkeypatch, graphs):
+    # the masks build_fan keeps, read back as rays, against a closure that
+    # shares no mask with it: each catalog cone's whole face lattice as
+    # cones, each face ranked for its dimension
+    for g in graphs:
+        catalog = cone_catalog(g)
+        monkeypatch.setattr(fan_module, "cone_catalog", lambda _: catalog)
+        closure = build_fan(g)._closure
+        got = {cones_module._rays_of(closure.rays, m):
+               (closure.dims[m], closure.catalog[closure.top[m]][1],
+                m in closure.maximal)
+               for m in closure.facets}
+        expected = _closure_through_faces(catalog)
+        assert got.keys() == expected.keys()
+        for rays, (dim, w, maximal) in expected.items():
+            assert got[rays][0] == dim
+            assert got[rays][1] is w
+            assert got[rays][2] == maximal
+
+
+@pytest.mark.parametrize("graphs", [corpus(), [ladder(5)]], ids=["corpus", "ladder5"])
+def test_build_verify_and_emit_build_no_cone_view(monkeypatch, graphs):
+    # building, verifying and writing a fan read its masks only: no view
+    # of its cones is built, and no cone but an intersection; the pairs
+    # that reach an intersection meet the catalog's own cones
+    def no_views(closure):
+        raise AssertionError("a view of the fan's cones was built")
+
+    monkeypatch.setattr(fan_module, "_views", no_views)
+    met, counts = [], {}
+    meet = fan_module._meet_in_common_face
+
+    def recorded(c1, rays1, c2, rays2):
+        met.append((c1, c2))
+        return meet(c1, rays1, c2, rays2)
+
+    monkeypatch.setattr(fan_module, "_meet_in_common_face", recorded)
+    _count_calls(monkeypatch, fan_module, "intersect_cones", counts)
+    catalogs = [cone_catalog(g) for g in graphs]
+    built = _cones_built(monkeypatch)
+    for g, catalog in zip(graphs, catalogs):
+        monkeypatch.setattr(fan_module, "cone_catalog", lambda _: catalog)
+        met.clear()
+        fan = build_fan(g)
+        assert verify_fan(fan).ok
+        emit_fan_json(fan)
+        ids = {id(c) for c, _ in catalog}
+        assert all(id(c1) in ids and id(c2) in ids for c1, c2 in met)
+    assert len(built) == counts.get("intersect_cones", 0)
+    assert (counts.get("intersect_cones", 0) > 0) == (len(graphs) > 1)
+    with pytest.raises(AssertionError, match="view"):
+        fan.cones
 
 
 def test_build_fan_expands_a_catalog_face_from_the_first_cone_holding_it(monkeypatch):
@@ -488,32 +574,33 @@ def test_build_and_verify_compute_each_cones_facets_once(monkeypatch, g):
     computed = _facet_computations(monkeypatch)
     fan = build_fan(g)
     # every cone of the fan is expanded once, so its facets are recorded,
-    # from the row masks of the catalog cone it was reached from, each
-    # computed once
-    assert all(c._facets is not None for c in fan.cones)
-    assert len(computed["facets"]) == len(fan.cones)
-    masks_of = [id(c) for c in computed["masks"]]
-    assert len(set(masks_of)) == len(masks_of)
-    assert set(masks_of) <= {id(c) for c, _ in catalog}
-    before = {id(c): c._facets for c in fan.cones}
+    # from the row masks of the catalog cone it was reached from; those
+    # are the fan-wide masks of its rows cut down to it, so no cone's own
+    # row masks are computed
+    recorded = fan._closure.facets
+    assert sorted(computed["facets"]) == sorted(recorded)
+    assert len(recorded) == len(fan.cones)
+    assert computed["masks"] == []
+    before = dict(recorded)
     computed["facets"].clear()
-    computed["masks"].clear()
     assert verify_fan(fan).ok
     # verify_fan reads the recorded facets and computes none anew; no
     # pair of these fans reaches an intersection, so it computes no row
     # masks either
     assert computed["facets"] == []
-    assert all(c._facets is before[id(c)] for c in fan.cones)
+    assert all(recorded[m] is fs for m, fs in before.items())
     assert computed["masks"] == []
 
 
 def test_verify_fan_names_every_missing_face_of_cones_with_cached_facets():
-    # neck3x3's fan from build_fan, its facets cached, with every ray cone
-    # dropped: each cone on two rays misses both, and its report names
-    # every missing face, in (dimension, rays) order, as the face lattice
-    # gives them
+    # neck3x3's fan from build_fan, its facets recorded, with every ray
+    # cone dropped: each cone on two rays misses both, and its report
+    # names every missing face, in (dimension, rays) order, as the face
+    # lattice gives them; so does the fan's own closure with the ray
+    # masks dropped, whose recorded facets the check reads
     fan = build_fan(necklace(3, 3, 3))
-    assert all(c._facets is not None for c in fan.cones)
+    closure = fan._closure
+    assert len(closure.facets) == len(fan.cones)
     kept = [c for c in fan.cones if len(c.rays()) != 1]
     known = {canonical_key(c) for c in kept}
     expected = []
@@ -527,6 +614,9 @@ def test_verify_fan_names_every_missing_face_of_cones_with_cached_facets():
                             fan.maximal_keys))
     assert report.violations == tuple(expected)
     assert len(expected) == 2 * sum(len(c.rays()) == 2 for c in kept)
+    dropped = Fan._closed(fan.graph, dataclasses.replace(closure, facets={
+        m: fs for m, fs in closure.facets.items() if m.bit_count() != 1}))
+    assert verify_fan(dropped).violations == tuple(expected)
 
 
 def _eager_faces(fan, catalog_keys):
@@ -537,8 +627,9 @@ def _eager_faces(fan, catalog_keys):
     construction."""
     by_rays = {c.rays(): c for c in fan.cones}
     expected = {}
-    for c in fan.cones:
-        for rays in c._facets:
+    for cone_rays, facets in _recorded_facets(fan).items():
+        c = by_rays[cone_rays]
+        for rays in facets:
             f = by_rays[rays]
             if canonical_key(f) in catalog_keys or id(f) in expected:
                 continue
@@ -802,6 +893,28 @@ def test_verify_fan_stops_after_pointedness_stage():
         f"cone {canonical_key(leaves)} leaves the orthant")
 
 
+def test_verify_fan_checks_a_closure_on_its_catalog_cones_and_rays():
+    # closures build_fan never makes: a catalog cone that is not pointed,
+    # and one with a ray outside the orthant, which the check once per ray
+    # finds; the report is that of the same cones built by hand
+    half = Cone(2, inequalities=[(0, 1)])
+    wedge = Cone.from_generators(2, [(0, 1), (1, -1)])
+    for c, facets, dims, violations in [
+            (half, {1: ()}, {1: 2},
+             (f"cone {canonical_key(half)} not pointed",)),
+            (wedge, {3: (1, 2), 1: (0,), 2: (0,), 0: ()}, {3: 2, 1: 1, 2: 1, 0: 0},
+             ("cone ((), ((1, -1),)) leaves the orthant",
+              f"cone {canonical_key(wedge)} leaves the orthant"))]:
+        full = (1 << len(c.rays())) - 1
+        fan = Fan(None, ((0,), (1,)), None, None, None)
+        fan._closure = fan_module._Closure(c.rays(), {full: (c, None)}, facets, dims,
+                                           dict.fromkeys(dims, full), frozenset({full}))
+        report = verify_fan(fan)
+        assert report.violations == violations
+        by_hand = Fan(None, ((0,), (1,)), list(fan.cones), {}, frozenset())
+        assert verify_fan(by_hand) == report
+
+
 def test_fan_pipeline_leaves_no_cyclic_garbage():
     # parse, build, verify and emit free everything by reference count, so
     # a graph's index does not wait for the cyclic collector
@@ -949,14 +1062,12 @@ def test_meet_in_common_face_ray_rule():
                     ((1, 1, 0), False),    # inside a 2-D face
                     ((1, 1, 1), False)]:   # in the interior
         r = Cone.from_generators(3, [ray])
-        whole, single = _pair_view(orthant), _pair_view(r)
-        for args in [(single, {ray}, whole, set(orthant.rays())),
-                     (whole, set(orthant.rays()), single, {ray})]:
+        for args in [(r, {ray}, orthant, set(orthant.rays())),
+                     (orthant, set(orthant.rays()), r, {ray})]:
             assert _meet_in_common_face(*args) is ok
     plane = Cone.orthant_section(3, [(0, 0, 1)])
     outside = Cone.from_generators(3, [(0, 0, 1)])
-    assert _meet_in_common_face(_pair_view(outside), {(0, 0, 1)},
-                                _pair_view(plane), set(plane.rays()))
+    assert _meet_in_common_face(outside, {(0, 0, 1)}, plane, set(plane.rays()))
 
 
 @st.composite
@@ -1028,6 +1139,20 @@ def _second_cut(c1, c2):
             and _support(g1) & _support(g2) != s)
 
 
+def _pair_views(*cones):
+    """The sorted rays of ``cones`` and each cone's :func:`_pair_view` as a
+    mask over them."""
+    rays = tuple(sorted({r for c in cones for r in c.rays()}))
+    supports = [sum(1 << k for k, x in enumerate(r) if x) for r in rays]
+    return rays, [_pair_view(c, sum(1 << rays.index(r) for r in c.rays()), supports)
+                  for c in cones]
+
+
+def _meets_on_common_support(c1, c2):
+    rays, (v1, v2) = _pair_views(c1, c2)
+    return _meet_on_common_support(rays, v1, v2)
+
+
 def test_meet_on_common_support_matches_full_cones():
     repeated = []
 
@@ -1036,9 +1161,8 @@ def test_meet_on_common_support_matches_full_cones():
     def check(pair):
         c1, c2 = pair
         assert c1.is_pointed() and c2.is_pointed()
-        v1, v2 = _pair_view(c1), _pair_view(c2)
-        full = _meet_in_common_face(v1, set(c1.rays()), v2, set(c2.rays()))
-        assert _meet_on_common_support(v1, v2) is full
+        full = _meet_in_common_face(c1, set(c1.rays()), c2, set(c2.rays()))
+        assert _meets_on_common_support(c1, c2) is full
         repeated.append((_second_cut(c1, c2), full))
 
     check()
@@ -1049,8 +1173,10 @@ def test_meet_on_common_support_matches_full_cones():
 
 def test_meet_on_common_support_examples(monkeypatch):
     orthant = Cone.orthant_section(3)
-    assert _ray_supports(orthant.rays()) == (
-        (((0, 0, 1), 4), ((0, 1, 0), 2), ((1, 0, 0), 1)), 7)
+    # each ray's bit over the sorted rays (0, 0, 1), (0, 1, 0), (1, 0, 0),
+    # with its support
+    assert _pair_views(orthant) == (
+        ((0, 0, 1), (0, 1, 0), (1, 0, 0)), [(orthant, [(1, 4), (2, 2), (4, 1)], 7)])
     plane = Cone.orthant_section(3, [(1, 0, 0)])     # spanned by e2 and e3
     floor = Cone.orthant_section(3, [(0, 0, 1)])     # spanned by e1 and e2
     tilted = Cone.from_generators(3, [(1, 1, 0), (0, 0, 1)])
@@ -1096,13 +1222,12 @@ def test_meet_on_common_support_examples(monkeypatch):
             (gens(3, (1, 0, 0), (1, 2, 0)),
              gens(3, (2, 1, 0), (0, 1, 0), (0, 0, 1)), False)]:
         for a, b in [(c1, c2), (c2, c1)]:
-            assert _meet_on_common_support(_pair_view(a), _pair_view(b)) is ok
-            assert _meet_in_common_face(_pair_view(a), set(a.rays()),
-                                        _pair_view(b), set(b.rays())) is ok
+            assert _meets_on_common_support(a, b) is ok
+            assert _meet_in_common_face(a, set(a.rays()), b, set(b.rays())) is ok
     # equal faces, after one cut or two, pass with no intersection
     runs = _counted(monkeypatch, cones_module, "_double_description")
     for a, b in [(orthant, floor), solid, two_cuts]:
-        assert _meet_on_common_support(_pair_view(a), _pair_view(b))
+        assert _meets_on_common_support(a, b)
     assert runs == []
 
 

@@ -144,6 +144,35 @@ def test_big_integers_emit_as_strings():
     assert parsed["cones"][-1]["witness"]["flows"]["e0"] == n
 
 
+def test_fan_document_writes_big_witness_flows_as_strings():
+    # u -v along e1, legs p = 2^60 at u and q = -2^60 at v: every cone's
+    # witness carries 2^60 on e1, which the writer quotes and the parser
+    # reads back; fan_to_document holds it as a plain int, which
+    # json.dumps writes bare, so the two documents agree only once
+    # _json_int is applied to its flows
+    from flowfan import Graph
+    from flowfan.io import _dumps
+    n = 1 << 60
+    g = Graph.build({"u": 0, "v": 0}, [("e1", "u", "v")],
+                    [("p", "u", n), ("q", "v", -n)], 0)
+    fan = build_fan(g)
+    text = emit_fan_json(fan)
+    cones = json.loads(text)["cones"]
+    assert len(cones) == 2
+    assert all(c["witness"]["flows"] == {"e1": "1152921504606846976"} for c in cones)
+    parsed = parse_fan_json(text)
+    assert all(c["witness"]["flows"] == {"e1": n} for c in parsed["cones"])
+    doc = fan_to_document(fan)
+    plain = _dumps(doc)
+    assert plain != text
+    assert '"e1": 1152921504606846976' in plain
+    assert '"e1": "1152921504606846976"' in text
+    for entry in doc["cones"]:
+        flows = entry["witness"]["flows"]
+        entry["witness"]["flows"] = {k: _json_int(v) for k, v in flows.items()}
+    assert _dumps(doc) == text
+
+
 def test_emit_fan_json_matches_json_dumps():
     # the direct writer reproduces json.dumps(indent=2, sort_keys=True)
     # byte for byte: empty lists and objects, big integers, mixed id types
