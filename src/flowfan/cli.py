@@ -19,8 +19,8 @@ from .errors import (BoxTooSmall, FlowFanError, ParseError, UnknownEdge,
                      UnsupportedDimension, ValidationError)
 from .fan import build_fan, check_sliceable, cone_catalog, slice_fan, verify_fan
 from .graph import contract, graph_genus, stability_report
-from .io import (edge_doc_id, emit_fan_json, emit_graph_json,
-                 parse_graph_json, _dumps, _json_int)
+from .io import (edge_doc_id, emit_graph_json, parse_graph_json, _dumps,
+                 _fan_json_pieces, _json_int)
 from .oracle import oracle_cone_catalog
 from .svg import render_slice_svg
 from .weightings import Weighting, base_weighting, enumeration_bound, is_weighting
@@ -38,10 +38,10 @@ def _load_graph(path):
     return parse_graph_json(text)
 
 
-def _write_text(path, text):
+def _write_text(path, pieces):
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise FlowFanError(f"cannot write {path}: {exc.strerror or exc}") from None
     print(f"wrote {path}")
@@ -87,11 +87,12 @@ def _cmd_fan(args):
         for v in report.violations:
             print(f"fan verification failed: {v}", file=sys.stderr)
         return 1
-    text = emit_fan_json(fan)
+    # the document is written piece by piece, as it is made
+    pieces = _fan_json_pieces(fan)
     if args.out:
-        _write_text(args.out, text)
+        _write_text(args.out, pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     return 0
 
 
@@ -182,7 +183,7 @@ def _cmd_slice(args):
     except UnsupportedDimension as exc:
         print(f"cannot slice: {exc}", file=sys.stderr)
         return 1
-    _write_text(args.svg, svg)
+    _write_text(args.svg, (svg,))
     return 0
 
 

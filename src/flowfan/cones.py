@@ -456,12 +456,13 @@ def _rays_of(rays, mask):
     return tuple(rays[j] for j in _bits(mask))
 
 
-def _face_masks(c: Cone):
-    """All tight-set closures of the rays of ``c``: the faces of the pointed
-    part, each as its ray mask. They are the ANDs of the full mask with
-    any set of row masks, taken one row mask at a time."""
-    out = {(1 << len(c.rays())) - 1}
-    for m in _row_masks(c):
+def _face_masks(full, masks):
+    """All tight-set closures of the rays of a pointed cone with the ray
+    mask ``full`` and the row masks ``masks``, over any list of rays that
+    holds the cone's: its faces, each as its ray mask. They are the ANDs
+    of ``full`` with any set of row masks, taken one row mask at a time."""
+    out = {full}
+    for m in masks:
         out |= {s & m for s in out}
     return out
 
@@ -508,7 +509,7 @@ def faces(c: Cone):
     rays = c.rays()
     out = [Cone._pointed(c.ambient_dim, c.labels, None, c.inequalities,
                          _rays_of(rays, s))
-           for s in _face_masks(c)]
+           for s in _face_masks((1 << len(rays)) - 1, _row_masks(c))]
     return sorted(out, key=lambda f: (f.dim(), f.rays()))
 
 

@@ -52,21 +52,27 @@ whole face lattice: every face of a pointed cone other than the cone is
 a face of one of its facets (Ziegler, *Lectures on Polytopes*, section
 2.2), so a face-closed collection is one that holds each cone's facets.
 
-The fan's sorted rays are the one index that building, checking and
-writing a fan share: they are the catalog's rays, sorted once, and every
-cone of the fan is an int mask over them (see the :mod:`~flowfan.cones`
-module docstring). :func:`build_fan` descends from each catalog cone
-through the facets not yet expanded, on its row masks over the fan's
-rays; a face is one int, faces from different catalog cones dedup on
-ints, and each cone's facets are recorded as masks, once. No
-:class:`~flowfan.cones.Cone` is built for a face. :func:`verify_fan`
-checks the orthant once per distinct ray and that each recorded facet
-is in the fan, so on a fan from ``build_fan`` it lists none anew, and
-it takes the supports of a pair of cones as ORs of per-ray supports. In
-both, a cone is maximal when it is no cone's facet.
+Every fan has one index, which checking, writing and slicing it read:
+its sorted rays, with every cone of the fan an int mask over them (see
+the :mod:`~flowfan.cones` module docstring), and each cone's facets as
+masks (:class:`_Closure`). :func:`build_fan` makes it as it closes the
+catalog: it sorts the catalog's rays once and descends from each catalog
+cone through the facets not yet expanded, on its row masks over the
+fan's rays; a face is one int, faces from different catalog cones dedup
+on ints, and each cone's facets are recorded, once. No
+:class:`~flowfan.cones.Cone` is built for a face. A fan built by hand
+from cones gets its index on first need, each cone its own catalog
+entry with the facets of its own rows, masked over the fan's rays the
+same way (:func:`_index_of`), and the cones in their given order, where
+a fan from ``build_fan`` is in (dimension, rays) order, sorted only
+where an order is read (:meth:`_Closure.ordered`). :func:`verify_fan`
+checks the orthant once per distinct ray and that each cone's facets
+are in the fan, names the missing faces of a cone from its row masks,
+and takes the supports of a pair of cones as ORs of per-ray supports; a
+cone is maximal when it is no cone's facet.
 :func:`~flowfan.io.emit_fan_json` reads each cone's ray indices off its
-bits. ``Fan.cones``, ``Fan.witnesses`` and ``Fan.maximal_keys`` are
-views, built on their first read.
+bits. ``Fan.cones``, ``Fan.witnesses`` and ``Fan.maximal_keys`` of a
+fan from ``build_fan`` are views, built on their first read.
 """
 from dataclasses import dataclass
 from math import lcm
@@ -295,20 +301,23 @@ def _acyclic_catalog(g, S):
 
 @dataclass
 class _Closure:
-    """The cones of a fan from :func:`build_fan` as int masks over
-    ``rays``, the sorted union of its catalog's rays: bit i of a mask
-    stands for ``rays[i]``, so a mask's rays in ascending bit order are
-    sorted.
+    """The index of a fan: its cones as int masks over ``rays``, the
+    sorted union of their rays. Bit i of a mask stands for ``rays[i]``, so
+    a mask's rays in ascending bit order are sorted.
 
-    * ``catalog``: each catalog cone's mask -> (cone, witness), in key
-      order;
-    * ``facets``: each cone's mask -> its facets' masks, as the descent
-      recorded them; its keys are the cones of the fan;
+    * ``catalog``: each catalog cone's mask -> (cone, witness);
+    * ``facets``: each cone's mask -> its facets' masks; its keys are the
+      cones of the fan;
     * ``dims``: each cone's mask -> its dimension;
-    * ``top``: each cone's mask -> a catalog cone's own mask, and a
-      face's the mask of the first catalog cone, in key order, that has
-      it; the cone takes that catalog cone's witness;
-    * ``maximal``: the masks that are no cone's facet.
+    * ``top``: each cone's mask -> the mask of the catalog cone whose
+      witness it takes: a catalog cone's own, and a face's that of the
+      first catalog cone, in key order, that has it;
+    * ``maximal``: the masks of the maximal cones;
+    * ``listing``: the fan's masks in the fan's order, repeats included,
+      or None when each cone is listed once, in (dimension, rays) order.
+
+    :func:`build_fan` makes the index of the fan it builds, and
+    :func:`_index_of` that of a fan built by hand from cones.
     """
 
     rays: tuple
@@ -317,26 +326,82 @@ class _Closure:
     dims: dict
     top: dict
     maximal: frozenset
+    listing: tuple = None
+
+    def masks(self):
+        """The fan's masks, repeats included, in no set order."""
+        return self.facets if self.listing is None else self.listing
+
+    def ordered(self, masks):
+        """The masks of ``masks``, cones of the fan, in the fan's order,
+        repeats included: as listed, or else by (dimension, rays), as
+        ascending ray indices are in the order of the sorted rays."""
+        if self.listing is None:
+            # by rays, then, stably, by dimension
+            return sorted(sorted(masks, key=_bits), key=self.dims.__getitem__)
+        return [m for m in self.listing if m in masks]
+
+
+def _ray_index(cones):
+    """The sorted union of the rays of ``cones``, and each cone's mask over
+    it, bit i standing for ray i."""
+    rays = tuple(sorted({r for c in cones for r in c.rays()}))
+    bit = {r: 1 << i for i, r in enumerate(rays)}
+    return rays, [sum(map(bit.__getitem__, c.rays())) for c in cones]
+
+
+class _RowMasks(dict):
+    """Each inequality row -> the mask of the sorted ``rays`` on its
+    hyperplane, computed on first use, once per distinct row."""
+
+    def __init__(self, rays):
+        self.rays = rays
+
+    def __missing__(self, q):
+        self[q] = z = sum(1 << i for i, r in enumerate(self.rays) if dot(q, r) == 0)
+        return z
+
+
+def _index_of(cones, witnesses, maximal_keys):
+    """The index of a fan built by hand from ``cones``, with the given
+    ``witnesses`` and ``maximal_keys``.
+
+    Each cone is its own catalog entry, with its witness, if it has one.
+    Two cones with the same rays are one entry: a pointed cone is fixed by
+    its rays, and of a pointed and a cone that is not, the one that is not
+    is kept, for the first stage of :func:`verify_fan` to find. A cone's
+    facets are those of its own inequality rows, masked over the fan's
+    rays as in :func:`build_fan`, and its dimension is its own. The masks
+    keep the order of ``cones``, repeats included."""
+    rays, listing = _ray_index(cones)
+    catalog = {}
+    for m, c in zip(listing, cones):
+        if m not in catalog or not c.is_pointed():
+            catalog[m] = (c, witnesses.get(canonical_key(c)))
+    on_row = _RowMasks(rays)
+    facets = {m: _facets_of(m, [on_row[q] for q in c.inequalities])
+              for m, (c, _) in catalog.items()}
+    dims = {m: c.dim() for m, (c, _) in catalog.items()}
+    maximal = frozenset(m for m, c in zip(listing, cones)
+                        if canonical_key(c) in maximal_keys)
+    return _Closure(rays, catalog, facets, dims, {m: m for m in catalog}, maximal,
+                    tuple(listing))
 
 
 def _views(closure):
     """(cones, witnesses, maximal keys) of a fan from :func:`build_fan`, in
-    (dimension, rays) order. A catalog cone is its own cone object; a face
-    is built as a ``Cone._pointed`` with its rays, its dimension and the
-    inequality rows of the catalog cone it was reached from, and takes that
-    cone's witness."""
+    the fan's order, (dimension, rays). A catalog cone is its own
+    cone object; a face is built as a ``Cone._pointed`` with its rays, its
+    dimension and the inequality rows of the catalog cone it was reached
+    from, and takes that cone's witness."""
     rays, catalog, top, dims = closure.rays, closure.catalog, closure.top, closure.dims
     cones, witnesses = [], {}
-    # ascending ray indices are in the order of the sorted rays
-    for m in sorted(closure.facets, key=lambda m: (dims[m], _bits(m))):
-        entry = catalog.get(m)
-        if entry is None:
-            parent, w = catalog[top[m]]
-            c = Cone._pointed(parent.ambient_dim, parent.labels, None,
-                              parent.inequalities, _rays_of(rays, m))
+    for m in closure.ordered(closure.facets):
+        c, w = catalog[top[m]]
+        if m != top[m]:
+            c = Cone._pointed(c.ambient_dim, c.labels, None, c.inequalities,
+                              _rays_of(rays, m))
             c._dim = dims[m]
-        else:
-            c, w = entry
         cones.append(c)
         witnesses[((), c.rays())] = w  # a pointed cone's key
     maximal = frozenset(((), _rays_of(rays, m)) for m in closure.maximal)
@@ -350,11 +415,14 @@ class Fan:
     whose cone contains it (equality for maximal cones); ``maximal_keys``
     flags the maximal cones.
 
-    A fan built by hand holds the three as given. A fan from
-    :func:`build_fan` holds its cones as a :class:`_Closure`, masks over
-    its sorted rays, and builds the three together, in (dimension, rays)
-    order, on the first read of any of them (:func:`_views`). Building,
-    verifying and writing such a fan read none of them.
+    Every fan has one index, a :class:`_Closure` of masks over its sorted
+    rays, and its rays, its entries, its maximal cones and its check are
+    read off that index. A fan from :func:`build_fan` is made from its
+    index, and builds the three views together, in (dimension, rays)
+    order, on the first read of any of them (:func:`_views`); building,
+    verifying, writing and slicing it read none of them. A fan built by
+    hand holds the three as given, and builds its index on first need
+    (:func:`_index_of`).
     """
 
     def __init__(self, graph, edge_order, cones, witnesses, maximal_keys):
@@ -370,6 +438,11 @@ class Fan:
         fan = cls(graph, tuple(graph.edges()), None, None, None)
         fan._closure = closure
         return fan
+
+    def _index(self):
+        if self._closure is None:
+            self._closure = _index_of(self._cones, self._witnesses, self._maximal_keys)
+        return self._closure
 
     def _view(self):
         if self._cones is None:
@@ -391,35 +464,24 @@ class Fan:
         return self._maximal_keys
 
     def ray_list(self):
-        if self._closure is not None:
-            return list(self._closure.rays)
-        rays = set()
-        for c in self.cones:
-            rays.update(c.rays())
-        return sorted(rays)
+        return list(self._index().rays)
+
+    def _maximal(self):
+        """(cone, witness) of each maximal cone, in the fan's order."""
+        index = self._index()
+        return [index.catalog[m] for m in index.ordered(index.maximal)]
 
     def maximal_cones(self):
-        return [c for c in self.cones if canonical_key(c) in self.maximal_keys]
+        return [c for c, _ in self._maximal()]
 
     def entries(self):
         """(the sorted rays, one (dimension, ray indices, is maximal,
-        witness) entry per cone, in no set order): what a FanDocument
-        says of the fan. A fan from :func:`build_fan` reads the ray
-        indices off its masks."""
-        closure = self._closure
-        if closure is None:
-            rays = self.ray_list()
-            index = {r: i for i, r in enumerate(rays)}
-            out = []
-            for c in self.cones:
-                key = canonical_key(c)
-                out.append((c.dim(), [index[r] for r in c.rays()],
-                            key in self.maximal_keys, self.witnesses[key]))
-            return rays, out
-        catalog, top, dims, maximal = (closure.catalog, closure.top, closure.dims,
-                                       closure.maximal)
-        return closure.rays, [(dims[m], _bits(m), m in maximal, catalog[top[m]][1])
-                              for m in closure.facets]
+        witness) entry per cone, repeats included, in no set order): what
+        a FanDocument says of the fan, read off its masks."""
+        index = self._index()
+        catalog, top, dims, maximal = index.catalog, index.top, index.dims, index.maximal
+        return index.rays, [(dims[m], _bits(m), m in maximal, catalog[top[m]][1])
+                            for m in index.masks()]
 
 
 def build_fan(g) -> Fan:
@@ -457,10 +519,9 @@ def build_fan(g) -> Fan:
     :func:`verify_fan`'s rule. No :class:`~flowfan.cones.Cone` is built
     for a face here (see :class:`Fan`)."""
     pairs = cone_catalog(g)
-    rays = tuple(sorted({r for c, _ in pairs for r in c.rays()}))
-    bit = {r: 1 << i for i, r in enumerate(rays)}
-    catalog = {sum(map(bit.__getitem__, c.rays())): (c, w) for c, w in pairs}
-    on_row = {}  # inequality row -> mask of the fan's rays on its hyperplane
+    rays, masks = _ray_index([c for c, _ in pairs])
+    catalog = dict(zip(masks, pairs))
+    on_row = _RowMasks(rays)
     top = {m: m for m in catalog}
     # each cone's mask, once expanded or on the stack, -> that one int
     # object, which every recorded facet of it then shares
@@ -469,14 +530,7 @@ def build_fan(g) -> Fan:
     for m, (c, _) in catalog.items():
         if m in claimed:
             continue
-        rows = ()
-        if m.bit_count() > 3:
-            rows = []
-            for q in c.inequalities:
-                z = on_row.get(q)
-                if z is None:
-                    z = on_row[q] = sum(b for r, b in bit.items() if dot(q, r) == 0)
-                rows.append(z & m)
+        rows = [on_row[q] & m for q in c.inequalities] if m.bit_count() > 3 else ()
         dims[m] = c.dim()
         claimed[m] = m
         stack = [m]
@@ -588,61 +642,26 @@ def _pair_stage(rays, maximal):
     return FanReport(not violations, tuple(violations))
 
 
-def _closure_maximal(closure):
-    """The first two stages of :func:`verify_fan` on a fan from
-    :func:`build_fan`, on its masks: its catalog cones are pointed, and
-    so their faces; each distinct ray lies in the orthant; each recorded
-    facet is a cone of the fan. Returns the maximal cones, the masks that
-    are no recorded facet, each with its catalog cone, in the fan's order;
-    or None when a stage fails, and :func:`_verify_cones` then names what
-    fails."""
-    catalog, facets = closure.catalog, closure.facets
-    if (not all(c.is_pointed() for c, _ in catalog.values())
-            or any(min(r) < 0 for r in closure.rays)):
-        return None
-    proper = set()
-    for fs in facets.values():
-        proper.update(fs)
-    maximal = [m for m in facets if m not in proper]
-    if not (proper <= facets.keys() and all(m in catalog for m in maximal)):
-        return None
-    # a catalog cone's rays are sorted, and so in the order of its bits
-    maximal = [(m, catalog[m][0]) for m in maximal]
-    maximal.sort(key=lambda mc: (closure.dims[mc[0]], mc[1].rays()))
-    return maximal
-
-
-def _verify_cones(cones):
-    """:func:`verify_fan` on a list of cones, read one by one."""
+def _missing_faces(index):
+    """The violations of the second stage of :func:`verify_fan` on a fan's
+    ``index``: for each cone, in the fan's order, with a facet that is
+    not a cone of the fan, every face of it that is not, in (ray count,
+    rays) order. A cone's faces are the tight-set closures of the row
+    masks, over the fan's rays, of the catalog cone whose witness it
+    takes: a face keeps its catalog cone's rows."""
+    rays, facets = index.rays, index.facets
+    on_row = _RowMasks(rays)
     violations = []
-    for c in cones:
-        if not c.is_pointed():
-            violations.append(f"cone {canonical_key(c)} not pointed")
-        elif any(x < 0 for r in c.rays() for x in r):
-            violations.append(f"cone {canonical_key(c)} leaves the orthant")
-    if violations:
-        return FanReport(False, tuple(violations))
-    # pointed cones and their faces are keyed by their sorted rays alone:
-    # canonical_key is ((), rays)
-    ray_keys = [c.rays() for c in cones]
-    known = set(ray_keys)
-    facets = set()
-    for c in cones:
-        facet_keys = _facet_rays(c)
-        if all(r in known for r in facet_keys):
-            facets.update(facet_keys)
+    for m in index.ordered(facets):
+        if all(t in facets for t in facets[m]):
             continue
-        missing = sorted({_rays_of(c.rays(), s) for s in _face_masks(c)} - known,
-                         key=lambda r: (len(r), r))
-        violations += [f"face {((), r)} of {canonical_key(c)} missing"
-                       for r in missing]
-    if violations:
-        return FanReport(False, tuple(violations))
-    maximal = [i for i, rs in enumerate(ray_keys) if rs not in facets]
-    rays = tuple(sorted({r for i in maximal for r in ray_keys[i]}))
-    bit = {r: 1 << i for i, r in enumerate(rays)}
-    return _pair_stage(rays, [(sum(map(bit.__getitem__, ray_keys[i])), cones[i])
-                              for i in maximal])
+        c = index.catalog[index.top[m]][0]
+        lattice = _face_masks(m, [on_row[q] for q in c.inequalities])
+        missing = sorted(lattice.difference(facets),
+                         key=lambda s: (s.bit_count(), _bits(s)))
+        key = ((), _rays_of(rays, m))  # a pointed cone's key
+        violations += [f"face {((), _rays_of(rays, s))} of {key} missing" for s in missing]
+    return violations
 
 
 def verify_fan(fan: Fan) -> FanReport:
@@ -652,14 +671,12 @@ def verify_fan(fan: Fan) -> FanReport:
     of the first stage that has any; later stages need the earlier ones
     (faces are taken of pointed cones only).
 
-    The second stage checks only that each cone's facets are in the fan:
-    those ``build_fan`` recorded, or else, for a fan built by hand, those
-    of each cone's own rows (:func:`~flowfan.cones._facet_rays`). Every
-    proper face of a pointed cone is a face of one of its facets, which
-    has a lower dimension, so by induction over dimension every face of
-    every cone then is. A cone with a missing facet falls back to its
-    whole face lattice, so the report names every missing face of it, in
-    (ray count, rays) order.
+    The second stage checks only that each cone's facets are in the fan.
+    Every proper face of a pointed cone is a face of one of its facets,
+    which has a lower dimension, so by induction over dimension every face
+    of every cone then is. For a cone with a missing facet the report
+    names every missing face of it, in (ray count, rays) order, from its
+    whole face lattice (:func:`_missing_faces`).
 
     The third stage checks pairs of maximal cones only, which suffices in
     a face-closed collection of pointed cones (Ziegler, *Lectures on
@@ -709,24 +726,35 @@ def verify_fan(fan: Fan) -> FanReport:
     pair passes. Only when the last G1 and G2 differ and have two or more
     rays each do C1 and C2 need an intersection, which is then a common
     face when its rays form a tight-set closure on the row masks of each.
-    The pair stage reads each cone as a mask over sorted rays, the fan's
-    for a fan from ``build_fan`` and else those of the maximal cones; the
-    support of each ray is computed once per call, a cone's supports are
-    ORs of its rays', and its row masks are computed only for a pair that
-    reaches an intersection.
-    Violations are reported in the order of the pairs' positions in
-    ``fan.cones``.
+    The pair stage reads each cone as a mask over the fan's sorted rays;
+    the support of each ray is computed once per call, a cone's supports
+    are ORs of its rays', and its row masks are computed only for a pair
+    that reaches an intersection. Violations are reported in the order of
+    the pairs' positions in the fan's order.
 
-    A fan from :func:`build_fan` is checked on its masks, with no view of
-    its cones built (:func:`_closure_maximal`): pointedness on its catalog
-    cones, the orthant once per distinct ray, and the facets it recorded.
-    Should either of the first two stages fail, the cones are read one by
-    one, as for a fan built by hand, to name every violation."""
-    closure = fan._closure
-    maximal = None if closure is None else _closure_maximal(closure)
-    if maximal is None:
-        return _verify_cones(fan.cones)
-    return _pair_stage(closure.rays, maximal)
+    Every fan is checked on its index (:class:`_Closure`), as one path:
+    pointedness on its catalog cones, the orthant once per distinct ray,
+    and the facets it holds for each cone, which :func:`build_fan`
+    recorded, so a fan from it lists none anew and builds no view of its
+    cones. Only should the first stage fail are the cones read one by one,
+    to name every violation."""
+    index = fan._index()
+    rays, catalog, facets = index.rays, index.catalog, index.facets
+    if (not all(c.is_pointed() for c, _ in catalog.values())
+            or any(min(r) < 0 for r in rays)):
+        violations = []
+        for c in fan.cones:
+            if not c.is_pointed():
+                violations.append(f"cone {canonical_key(c)} not pointed")
+            elif any(x < 0 for r in c.rays() for x in r):
+                violations.append(f"cone {canonical_key(c)} leaves the orthant")
+        return FanReport(False, tuple(violations))
+    proper = set().union(*facets.values())
+    if not proper <= facets.keys():
+        return FanReport(False, tuple(_missing_faces(index)))
+    # a cone is maximal when it is no cone's facet
+    return _pair_stage(rays, [(m, catalog[m][0])
+                              for m in index.ordered(facets.keys() - proper)])
 
 
 @dataclass(frozen=True)
@@ -841,19 +869,18 @@ def slice_fan(fan: Fan) -> SliceDescription:
     D / sum(r) * r; this is the order of the barycentric points."""
     d = len(fan.edge_order)
     check_sliceable(d)
-    cones = [c for c in fan.maximal_cones() if c.dim() >= 1]
-    D = lcm(*(sum(r) for c in cones for r in c.rays()))
+    maximal = [(c, w) for c, w in fan._maximal() if c.dim() >= 1]
+    D = lcm(*(sum(r) for c, _ in maximal for r in c.rays()))
 
     def scaled(r):
         return tuple(x * (D // sum(r)) for x in r)
 
     cells = []
-    for c in cones:
+    for c, w in maximal:
         cdim = c.dim()
         verts = c.rays()
         if cdim == 3:
             verts = _facet_cycle(c, min(verts, key=scaled))
-        w = fan.witnesses[canonical_key(c)]
         cells.append(SliceCell(cdim - 1, verts, tuple(w.flows().items())))
     cells.sort(key=lambda cell: (cell.dim, tuple(map(scaled, cell.vertices))))
     return SliceDescription(d, fan.edge_order, tuple(cells))

@@ -14,11 +14,14 @@ strings and accepted back in either form, so weightings and ray entries
 of any size round-trip exactly. Output bytes are deterministic.
 
 :func:`emit_fan_json` writes a FanDocument straight from a
-:class:`~flowfan.fan.Fan`, with no intermediate dict: one list of pieces
-joined once, and one encoded flows block per witness object, each
-cone's ray indices read off its mask over the fan's sorted rays
-(:meth:`~flowfan.fan.Fan.entries`). :func:`fan_to_document` builds the
-same document as plain data, from the fan's ``cones`` view; it is the
+:class:`~flowfan.fan.Fan`, with no intermediate dict: the pieces of one
+generator, one per cone entry and a few for the rest, which ``flowfan
+fan`` writes out as they are made and ``emit_fan_json`` joins. Each
+witness object's flows block is encoded once, and each cone's ray
+indices are read off its mask over the fan's sorted rays, from the
+fan's index (:meth:`~flowfan.fan.Fan.entries`), whether the fan was
+built or given by hand. :func:`fan_to_document` builds the same
+document as plain data, from the fan's ``cones`` view; it is the
 reference the writer is tested against, byte for byte, through
 ``json.dumps(indent=2, sort_keys=True)`` once ``_json_int`` is applied
 to its rays and flows.
@@ -231,32 +234,40 @@ _WITNESS = '{\n        "flows": %s\n      }'
 
 
 def emit_fan_json(fan) -> str:
-    """The FanDocument of ``fan``, written straight from the fan's fixed
-    layout (``json.dumps`` with an indent runs the pure-Python encoder).
-    Its bytes are what ``_dumps`` makes of :func:`fan_to_document` once
-    ``_json_int`` is applied to every ray entry and flow; ``fan_to_document``
-    holds those as plain ints, which ``json.dumps`` writes bare at any size.
+    """The FanDocument of ``fan``: the pieces of :func:`_fan_json_pieces`,
+    joined. Its bytes are what ``_dumps`` makes of :func:`fan_to_document`
+    once ``_json_int`` is applied to every ray entry and flow;
+    ``fan_to_document`` holds those as plain ints, which ``json.dumps``
+    writes bare at any size."""
+    return "".join(_fan_json_pieces(fan))
 
-    The cones come from :meth:`~flowfan.fan.Fan.entries`, which a fan from
-    :func:`~flowfan.fan.build_fan` reads off its masks over the sorted
-    rays, with no cone object built. The document is one list of pieces,
-    in ``_object``'s layout, joined once at the end, so no cone entry and
-    no enclosing block is copied into a larger string before that. The
+
+def _fan_json_pieces(fan):
+    """The FanDocument of ``fan`` as consecutive pieces, made one at a
+    time, straight from the fan's fixed layout (``json.dumps`` with an
+    indent runs the pure-Python encoder): one piece per cone entry, in
+    ``_object``'s layout, then a few for the rest. A writer can write each
+    piece as it is made, so the whole document is never held.
+
+    The cones come from :meth:`~flowfan.fan.Fan.entries`, read off the
+    fan's masks over its sorted rays, with no cone object built. The
     entries are sorted by (dim, ray indices), the (dim, rays) order, since
     ray indices follow the sorted rays. Face cones share their catalog
     cone's witness object, so each witness's block is encoded once, and is
-    one piece of every entry that holds it. A witness is a weighting on
-    the fan's graph, so its flows are read along ``fan.edge_order``, keyed
-    and sorted by the raw ``str`` of each edge's document id, as
-    ``sort_keys`` sorts them; a name shared by two edges keeps the later
-    edge, as a dict would."""
+    part of every entry that holds it. A witness is a weighting on the
+    fan's graph, so its flows are read along ``fan.edge_order``, keyed and
+    sorted by the raw ``str`` of each edge's document id, as ``sort_keys``
+    sorts them; a name shared by two edges keeps the later edge, as a dict
+    would."""
     rays, entries = fan.entries()
     index = [str(i) for i in range(len(rays))]
     names = {str(edge_doc_id(e)): e for e in fan.edge_order}
     flow_keys = [(_str(k) + ": ", names[k]) for k in sorted(names)]
     witness_blocks = {}  # id of a witness object -> its encoded block
-    entries.sort(key=lambda entry: (entry[0], entry[1]))
-    parts = ['{\n  "cones": [']
+    # two entries that agree on (dim, ray indices) are of one cone, and
+    # agree on the rest
+    entries.sort()
+    yield '{\n  "cones": ['
     maximal = 0
     for n, (dim, cone_rays, is_maximal, witness) in enumerate(entries):
         block = witness_blocks.get(id(witness))
@@ -265,20 +276,17 @@ def emit_fan_json(fan) -> str:
                 k + _int(witness.flow(e)) for k, e in flow_keys], "        ")
             witness_blocks[id(witness)] = block
         maximal += is_maximal
-        parts += (",\n    " if n else "\n    ", _CONE % (
+        yield "".join((",\n    " if n else "\n    ", _CONE % (
             dim, "true" if is_maximal else "false",
             _block("[", "]", [index[i] for i in cone_rays], "      ")),
-            block, "\n    }")
-    parts.append("\n  ]" if entries else "]")
+            block, "\n    }"))
+    yield "\n  ]" if entries else "]"
     counts = (("maximal", str(maximal)), ("rays", str(len(rays))),
               ("total", str(len(entries))))
-    del entries  # freed before the join, which copies every piece once more
-    parts += (',\n  "counts": ', _object(counts, "  "),
-              ',\n  "edge_order": ', _block("[", "]", [json.dumps(edge_doc_id(e))
-                                                      for e in fan.edge_order], "  "),
-              ',\n  "rays": ', _block("[", "]", [_ints(r, "    ") for r in rays], "  "),
-              "\n}\n")
-    return "".join(parts)
+    yield ',\n  "counts": ' + _object(counts, "  ")
+    yield ',\n  "edge_order": ' + _block("[", "]", [json.dumps(edge_doc_id(e))
+                                                   for e in fan.edge_order], "  ")
+    yield ',\n  "rays": ' + _block("[", "]", [_ints(r, "    ") for r in rays], "  ") + "\n}\n"
 
 
 def parse_fan_json(text) -> dict:

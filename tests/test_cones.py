@@ -203,7 +203,7 @@ def test_dim_and_facets_of_pointed_cones(c):
     # masks, and the sorted ray tuples of those masks
     rays = c.rays()
     full = (1 << len(rays)) - 1
-    proper = [s for s in cones._face_masks(c) if s != full]
+    proper = [s for s in cones._face_masks(full, cones._row_masks(c)) if s != full]
     maximal = {s for s in proper if not any(s != t and s | t == t for t in proper)}
     facets = cones._facets_of(full, cones._row_masks(c))
     assert len(facets) == len(maximal)
@@ -576,7 +576,7 @@ def _closure_and_rank_triangulation(c):
         return []
     full = (1 << len(rays)) - 1
     face_sets = {s: [r for j, r in enumerate(rays) if s >> j & 1]
-                 for s in cones._face_masks(c)}
+                 for s in cones._face_masks(full, cones._row_masks(c))}
     dims = {s: int_rank(rs) for s, rs in face_sets.items()}
 
     def pull(s):

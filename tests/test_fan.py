@@ -371,7 +371,8 @@ def _closure_fan(catalog):
     witnesses = {canonical_key(c): w for c, w in catalog}
     proper = set()
     for k, c in [(canonical_key(c), c) for c, _ in catalog]:
-        for s in cones_module._face_masks(c):
+        full = (1 << len(c.rays())) - 1
+        for s in cones_module._face_masks(full, cones_module._row_masks(c)):
             fk = ((), cones_module._rays_of(c.rays(), s))
             if fk != k:
                 proper.add(fk)
@@ -1263,6 +1264,46 @@ def test_verify_fan_with_a_repeated_cone():
     assert list(report.violations) == _all_pairs_stage(cones)
 
 
+def test_verify_fan_keeps_a_cone_that_is_not_pointed_on_the_rays_of_another():
+    # the line x = y has no rays, as the origin has none, so both have the
+    # empty mask; the index keeps the line, in either order, and the first
+    # stage reports it
+    origin = Cone(2, equalities=[(1, 0), (0, 1)], inequalities=[(1, 0), (0, 1)])
+    line = Cone(2, equalities=[(1, -1)])
+    assert origin.rays() == line.rays() == ()
+    for cones in ([origin, line], [line, origin]):
+        report = verify_fan(Fan(None, ((0,), (1,)), cones, {}, frozenset()))
+        assert report.violations == ("cone (((1, 1),), ()) not pointed",)
+
+
+def test_verify_fan_names_the_missing_faces_of_a_repeated_cone_once_per_listing():
+    solid = Cone.orthant_section(3)
+    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    origin = Cone(3, equalities=units, inequalities=units)
+    cones = [solid, origin, Cone.orthant_section(3)]
+    report = verify_fan(Fan(None, ((0,), (1,), (2,)), cones, {}, frozenset()))
+    missing = tuple(f"face {canonical_key(f)} of {canonical_key(solid)} missing"
+                    for f in faces(solid)[1:-1])
+    assert len(missing) == 6
+    assert report.violations == missing * 2
+
+
+@pytest.mark.parametrize("graphs", [corpus(), [necklace(3, 3, 3)], [ladder(5)]],
+                         ids=["corpus", "neck3x3", "ladder5"])
+def test_hand_built_copies_give_the_same_answers(graphs):
+    # a fan built by hand from a built fan's cones gets its own index, and
+    # answers every question as the built fan does
+    for g in graphs:
+        built = build_fan(g)
+        copy = Fan(built.graph, built.edge_order, list(built.cones),
+                   dict(built.witnesses), built.maximal_keys)
+        assert emit_fan_json(copy) == emit_fan_json(built)
+        assert copy.ray_list() == built.ray_list()
+        assert verify_fan(copy) == verify_fan(built)
+        assert ([canonical_key(c) for c in copy.maximal_cones()]
+                == [canonical_key(c) for c in built.maximal_cones()])
+
+
 def test_verify_fan_ignores_maximal_keys():
     fan = build_fan(banana(3, 6))
     every = frozenset(canonical_key(c) for c in fan.cones)
@@ -1479,6 +1520,30 @@ def test_slice_orders_a_polygon_by_its_facet_cycle():
             (_, p2, p3), (_, a2, a3), (_, b2, b3) = (
                 bary[i], bary[(i + 1) % n], bary[(i + 2) % n])
             assert (a2 - p2) * (b3 - p3) - (a3 - p3) * (b2 - p2) > 0
+
+
+@pytest.mark.parametrize("g", [two_gon(3), banana(3, 10), path_graph(3, leg_weights=(1, -1))],
+                         ids=["two_gon(3)", "banana(3,10)", "path(3)"])
+def test_slice_reads_maximal_cones_off_the_index(monkeypatch, g):
+    # slicing a built fan reads its maximal cones and their witnesses off
+    # its index, with no view of its cones built; they are the views'
+    cones, witnesses, maximal_keys = fan_module._views(build_fan(g)._closure)
+    expected = [c for c in cones if canonical_key(c) in maximal_keys]
+
+    def no_views(closure):
+        raise AssertionError("a view of the fan's cones was built")
+
+    monkeypatch.setattr(fan_module, "_views", no_views)
+    fan = build_fan(g)
+    description = slice_fan(fan)
+    assert fan.maximal_cones() == expected
+    cells = {(cell.dim, frozenset(cell.vertices)): cell.flows
+             for cell in description.cells}
+    assert cells == {(c.dim() - 1, frozenset(c.rays())):
+                     tuple(witnesses[canonical_key(c)].flows().items())
+                     for c in expected if c.dim() >= 1}
+    with pytest.raises(AssertionError, match="view"):
+        fan.cones
 
 
 def test_slice_unsupported_dimension():

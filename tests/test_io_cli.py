@@ -410,6 +410,37 @@ def test_cli_fan_stdout_deterministic(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_cli_fan_writes_each_piece_as_it_is_made(tmp_path, capsysbinary, monkeypatch):
+    # stdout and --out get emit_fan_json's bytes, written one piece at a
+    # time, each before the next is made
+    doc = banana_doc()
+    path = write_doc(tmp_path, doc)
+    expected = emit_fan_json(build_fan(parse_graph_json(json.dumps(doc)))).encode()
+    assert main(["fan", path]) == 0
+    assert capsysbinary.readouterr().out == expected
+    out = tmp_path / "fan.json"
+    assert main(["fan", path, "--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+    events = []
+    pieces = cli._fan_json_pieces
+
+    def made(fan):
+        for piece in pieces(fan):
+            events.append("made")
+            yield piece
+
+    class Stdout(io.StringIO):
+        def write(self, text):
+            events.append("written")
+            return super().write(text)
+
+    monkeypatch.setattr(cli, "_fan_json_pieces", made)
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert main(["fan", path]) == 0
+    assert sys.stdout.getvalue().encode() == expected
+    assert len(events) > 2 and events == ["made", "written"] * (len(events) // 2)
+
+
 def test_cli_fan_prints_every_violation(tmp_path, capsys, monkeypatch):
     import flowfan.cli as cli
     from flowfan.fan import FanReport
